@@ -35,7 +35,6 @@ from .pathgen import (
     StepParams,
     path_logdensity,
     sample_path,
-    sample_step,
     select_k,
     step_params,
     tilted_tail_sampler,
@@ -52,6 +51,7 @@ from .estimate import (
     adaptive_estimate,
     compare_schemes,
     naive_estimate,
+    run_point,
     tilted_iid_estimate,
 )
 from .config import ExperimentConfig, load_config, validate_config

@@ -15,15 +15,9 @@ from pathlib import Path
 
 from .config import ConfigParseError, Diagnostic, load_config, validate_config
 from .errors import RaresumError
-from .estimate import (
-    CSV_HEADER,
-    EstimateReport,
-    adaptive_estimate,
-    format_comparison,
-    naive_estimate,
-    tilted_iid_estimate,
-)
-from .utils import derive_seed
+from .estimate import CSV_HEADER, EstimateReport, format_comparison, run_point
+# Re-exported so callers can find (and patch) the estimators run_point calls.
+from .estimate import adaptive_estimate, tilted_iid_estimate  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -56,26 +50,15 @@ def run_experiment(config_path: str, threads: int = 1, out: str | None = None,
     rows = []
     all_aborted = False
     for sweep_value in cfg.sweep_points():
-        label = "-" if sweep_value is None else f"{cfg.sweep_parameter}={sweep_value}"
-        try:
-            model, region, n, L = cfg.instantiate(sweep_value)
-        except RaresumError as exc:
-            print(f"ERROR: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+        label = cfg.sweep_label(sweep_value)
+        model, region, n, L = cfg.instantiate(sweep_value)
         reports: list[EstimateReport] = []
         for scheme in cfg.schemes:
-            s_seed = derive_seed(cfg.seed, "sweep", label, "scheme", scheme)
             try:
-                if scheme == "adaptive":
-                    rep = adaptive_estimate(model, region, n, L,
-                                            path_config=cfg.path_config(),
-                                            chain_config=cfg.chain,
-                                            seed=s_seed, threads=threads,
-                                            weighting=cfg.weighting)
-                elif scheme == "tilted-iid":
-                    rep = tilted_iid_estimate(model, region, n, L, seed=s_seed)
-                else:
-                    rep = naive_estimate(model, region, n, L, seed=s_seed)
+                rep = run_point(model, region, n, L, scheme, cfg.seed,
+                                sweep_label=label, path_config=cfg.path_config(),
+                                chain_config=cfg.chain, threads=threads,
+                                weighting=cfg.weighting)
             except RaresumError as exc:
                 print(f"ERROR: {scheme} failed at sweep {label}: {exc}", file=sys.stderr)
                 return EXIT_RUNTIME

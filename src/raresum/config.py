@@ -13,18 +13,17 @@ Blocks and keys (see README for the full grammar):
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .meanchain import MeanChainConfig, TARGET_KINDS
+from .estimate import point_errors
+from .meanchain import MeanChainConfig
 from .model import BUILTIN_FAMILIES, ModelSpec, builtin_model, mean_map
-from .pathgen import K_MODES, PathConfig, VARIANTS
+from .pathgen import PathConfig
 from .region import ProductRegion, contains, parse_interval_union, two_sided_region
-from .estimate import SCHEMES
 
 
 class ConfigParseError(ConfigurationError):
@@ -66,6 +65,10 @@ class ExperimentConfig:
             return [None]
         return list(self.sweep_values)
 
+    def sweep_label(self, sweep_value) -> str:
+        """"-" for the unswept point, else e.g. "d=2"; part of the scheme seeds."""
+        return "-" if sweep_value is None else f"{self.sweep_parameter}={sweep_value}"
+
     def instantiate(self, sweep_value=None):
         """(model, region, n, L) for one sweep point."""
         d, n, L = self.d, self.n, self.L
@@ -86,6 +89,9 @@ class ExperimentConfig:
     def _build_region(self, model: ModelSpec) -> ProductRegion:
         if self.region_two_sided is not None:
             return two_sided_region(self.region_two_sided, model.s)
+        if not self.region_constraints:
+            raise ConfigurationError(
+                "region block must give two_sided_threshold or constraint_* entries")
         unions = [parse_interval_union(text) for text in self.region_constraints]
         if len(unions) != model.s:
             raise ConfigurationError(
@@ -116,7 +122,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     try:
         return _from_parser(parser)
-    except (ValueError, KeyError, configparser.Error) as exc:
+    except (ValueError, KeyError, configparser.Error, ConfigurationError) as exc:
         raise ConfigParseError(f"malformed configuration: {exc}") from None
 
 
@@ -184,8 +190,8 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         d=d,
         region_two_sided=region_two_sided,
         region_constraints=region_constraints,
-        n=run.getint("n"),
-        L=run.getint("L"),
+        n=parser.getint("run", "n"),
+        L=parser.getint("run", "L"),
         schemes=schemes,
         k_mode=run.get("k_mode", "default").strip(),
         k=int(k_raw) if k_raw not in (None, "") else None,
@@ -209,43 +215,21 @@ def _sweep_value(token: str):
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Every violated constraint in the configuration, without executing it."""
+    """Every violated constraint in the configuration, without executing it.
+
+    Past the few checks that instantiate needs, every sweep point is built
+    and checked with the estimators' own point_errors.
+    """
     diags: list[Diagnostic] = []
 
     def err(msg):
         diags.append(Diagnostic("error", msg))
 
-    def warn(msg):
-        diags.append(Diagnostic("warning", msg))
-
     if cfg.family not in BUILTIN_FAMILIES:
         err(f"unknown model family {cfg.family!r}")
         return diags
-    if cfg.d < 1:
-        err("model dimension d must be positive")
-    if cfg.region_two_sided is None and not cfg.region_constraints:
-        err("region block must give two_sided_threshold or constraint_* entries")
-    if cfg.region_two_sided is not None and cfg.region_two_sided <= 0:
-        err("two_sided_threshold must be positive")
-    if cfg.n < 2:
-        err("run length n must be at least 2")
-    if cfg.L < 2:
-        err("replicate count L must be at least 2")
     if not cfg.schemes:
         err("schemes list must be nonempty")
-    for scheme in cfg.schemes:
-        if scheme not in SCHEMES:
-            err(f"unknown scheme {scheme!r}")
-    if cfg.k_mode not in K_MODES:
-        err(f"unknown k_mode {cfg.k_mode!r}")
-    if cfg.variant not in VARIANTS:
-        err(f"unknown variant {cfg.variant!r}")
-    if cfg.weighting not in ("paired", "mixture"):
-        err(f"unknown weighting {cfg.weighting!r}")
-    if cfg.weighting == "mixture" and cfg.family != "gaussian-mean":
-        err("mixture weighting needs the gaussian-mean family")
-    if cfg.chain.target_kind not in TARGET_KINDS:
-        err(f"unknown chain target kind {cfg.chain.target_kind!r}")
     if cfg.sweep_parameter is not None:
         if cfg.sweep_parameter not in ("d", "n", "L"):
             err(f"sweep parameter must be one of d, n, L, got {cfg.sweep_parameter!r}")
@@ -253,25 +237,24 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
             err("sweep values list must be nonempty")
         if cfg.sweep_parameter == "d" and cfg.family != "gaussian-mean":
             err("sweeping d requires the gaussian-mean family")
-    if any(d.level == "error" for d in diags):
+    if diags:
         return diags
 
     for sweep_value in cfg.sweep_points():
-        label = "" if sweep_value is None else f" (sweep {cfg.sweep_parameter}={sweep_value})"
+        label = "" if sweep_value is None else f" (sweep {cfg.sweep_label(sweep_value)})"
         try:
             model, region, n, L = cfg.instantiate(sweep_value)
+            path_config = cfg.path_config()
         except ConfigurationError as exc:
             err(f"cannot build model/region{label}: {exc}")
             continue
-        if model.s >= n:
-            err(f"constraint count must be < n; got s={model.s}, n={n}{label}")
-        if region.is_empty:
-            err(f"region is empty{label}")
-        if cfg.k_mode == "manual" and not (cfg.k is not None and 1 <= cfg.k <= n - 1):
-            err(f"manual k must satisfy 1 <= k <= {n - 1}{label}")
-        if not region.is_empty:
-            mu = mean_map(model, np.zeros(model.s))
-            if contains(region, mu):
-                warn(f"unconditioned mean lies inside the region{label}; "
-                     "the event is not rare")
+        messages = dict.fromkeys(
+            msg for scheme in cfg.schemes
+            for msg in point_errors(model, region, n, L, scheme, path_config,
+                                    cfg.chain, cfg.weighting))
+        for msg in messages:
+            err(f"{msg}{label}")
+        if not region.is_empty and contains(region, mean_map(model, np.zeros(model.s))):
+            diags.append(Diagnostic("warning", "unconditioned mean lies inside the "
+                                    f"region{label}; the event is not rare"))
     return diags

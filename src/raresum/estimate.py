@@ -37,6 +37,7 @@ CSV_HEADER = ("scheme,n,k,d,s,L,seed,p_hat,std_error,relative_error,"
               "weight_cv,hit_rate,aborts,wall_time")
 
 SCHEMES = ("adaptive", "tilted-iid", "naive")
+WEIGHTINGS = ("paired", "mixture")
 
 
 @dataclass
@@ -124,15 +125,48 @@ def _finalize(scheme, model, region, n, k, L, seed, weights, hits, aborted,
     )
 
 
-def _common_checks(model: ModelSpec, region: ProductRegion, n: int, L: int):
+def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
+                 scheme: str, path_config: Optional[PathConfig] = None,
+                 chain_config: Optional[MeanChainConfig] = None,
+                 weighting: str = "paired") -> list[str]:
+    """Every constraint one (model, region, n, L, scheme) point violates.
+
+    The estimators raise ConfigurationError on the first message;
+    validate_config reports all of them.
+    """
+    errors = []
+    if scheme not in SCHEMES:
+        errors.append(f"unknown scheme {scheme!r}")
     if L < 2:
-        raise ConfigurationError("replicate count L must be >= 2")
+        errors.append("replicate count L must be >= 2")
     if model.s >= n:
-        raise ConfigurationError("constraint count must be < n")
+        errors.append(f"constraint count must be < n; got s={model.s}, n={n}")
     if region.s != model.s:
-        raise ConfigurationError("region and model constraint counts differ")
+        errors.append("region and model constraint counts differ")
     if region.is_empty:
-        raise ConfigurationError("region is empty")
+        errors.append("region is empty")
+    if scheme != "adaptive":
+        return errors
+    try:
+        (path_config or PathConfig()).resolve_k(n)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+    if model.conjugacy_tag not in (GAUSSIAN_IDENTITY, GENERIC_1D) and model.d > 1:
+        errors.append("adaptive scheme requires gaussian-identity structure or d = 1")
+    if weighting not in WEIGHTINGS:
+        errors.append(f"unknown weighting {weighting!r}")
+    elif weighting == "mixture" and model.conjugacy_tag != GAUSSIAN_IDENTITY:
+        errors.append("mixture weighting needs a gaussian-identity model")
+    scale = (chain_config or MeanChainConfig()).proposal_scale
+    if scale is not None and scale.size not in (1, model.s):
+        errors.append(f"proposal_scale size must be 1 or s={model.s}, got {scale.size}")
+    return errors
+
+
+def _check_point(*args, **kwargs) -> None:
+    errors = point_errors(*args, **kwargs)
+    if errors:
+        raise ConfigurationError(errors[0])
 
 
 def _adaptive_batch(model, region, n, k, variant, weighting, vs, seed, indices):
@@ -174,17 +208,10 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     centred when the region has several well-separated components.
     """
     start = time.perf_counter()
-    _common_checks(model, region, n, L)
     path_config = path_config or PathConfig()
     chain_config = chain_config or MeanChainConfig()
+    _check_point(model, region, n, L, "adaptive", path_config, chain_config, weighting)
     k = path_config.resolve_k(n)
-    if model.conjugacy_tag not in (GAUSSIAN_IDENTITY, GENERIC_1D) and model.d > 1:
-        raise ConfigurationError("adaptive scheme requires gaussian-identity "
-                                 "structure or d = 1")
-    if weighting not in ("paired", "mixture"):
-        raise ConfigurationError(f"unknown weighting {weighting!r}")
-    if weighting == "mixture" and model.conjugacy_tag != GAUSSIAN_IDENTITY:
-        raise ConfigurationError("mixture weighting needs a gaussian-identity model")
 
     vs, chain_diag = run_chain(model, region, n, chain_config, count=L,
                                rng=chain_rng(seed))
@@ -224,7 +251,7 @@ def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     """State-independent baseline: every point i.i.d. from the tilted law
     anchored at the region's dominating point."""
     start = time.perf_counter()
-    _common_checks(model, region, n, L)
+    _check_point(model, region, n, L, "tilted-iid")
     anchor = dominating_point(model, region)
     sol = solve_tilt(model, anchor)
     sampler = tilted_tail_sampler(model, anchor)
@@ -253,7 +280,7 @@ def naive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
                    seed: int = 0, keep_details: bool = True) -> EstimateReport:
     """Plain Monte Carlo indicator average under the base density."""
     start = time.perf_counter()
-    _common_checks(model, region, n, L)
+    _check_point(model, region, n, L, "naive")
     sampler = base_sampler(model)
     weights = np.zeros(L)
     hits = np.zeros(L, dtype=bool)
@@ -272,28 +299,38 @@ def naive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
                      aborted, path_mean, None, wall, keep_details)
 
 
+def run_point(model: ModelSpec, region: ProductRegion, n: int, L: int,
+              scheme: str, seed: int, *, sweep_label: str = "-",
+              path_config: Optional[PathConfig] = None,
+              chain_config: Optional[MeanChainConfig] = None,
+              threads: int = 1, weighting: str = "paired") -> EstimateReport:
+    """One scheme's estimate at one sweep point.
+
+    The scheme's seed is derived from the base seed, the sweep label ("-"
+    when nothing is swept, else e.g. "d=2") and the scheme name, so the
+    library and `raresum run` give equal numbers for equal arguments.
+    """
+    s_seed = derive_seed(seed, "sweep", sweep_label, "scheme", scheme)
+    if scheme == "adaptive":
+        return adaptive_estimate(model, region, n, L, path_config, chain_config,
+                                 seed=s_seed, threads=threads, weighting=weighting)
+    if scheme == "tilted-iid":
+        return tilted_iid_estimate(model, region, n, L, seed=s_seed)
+    if scheme == "naive":
+        return naive_estimate(model, region, n, L, seed=s_seed)
+    raise ConfigurationError(f"unknown scheme {scheme!r}")
+
+
 def compare_schemes(model: ModelSpec, region: ProductRegion, n: int, L: int,
                     schemes: Sequence[str] = ("adaptive", "tilted-iid"),
                     path_config: Optional[PathConfig] = None,
                     chain_config: Optional[MeanChainConfig] = None,
                     seed: int = 0, threads: int = 1,
                     weighting: str = "paired") -> list[EstimateReport]:
-    """Run several schemes on one problem with per-scheme derived seeds."""
-    reports = []
-    for scheme in schemes:
-        s_seed = derive_seed(seed, "scheme", scheme)
-        if scheme == "adaptive":
-            reports.append(adaptive_estimate(model, region, n, L, path_config,
-                                             chain_config, seed=s_seed,
-                                             threads=threads,
-                                             weighting=weighting))
-        elif scheme == "tilted-iid":
-            reports.append(tilted_iid_estimate(model, region, n, L, seed=s_seed))
-        elif scheme == "naive":
-            reports.append(naive_estimate(model, region, n, L, seed=s_seed))
-        else:
-            raise ConfigurationError(f"unknown scheme {scheme!r}")
-    return reports
+    """Run several schemes on one unswept problem, as `raresum run` would."""
+    return [run_point(model, region, n, L, scheme, seed, path_config=path_config,
+                      chain_config=chain_config, threads=threads, weighting=weighting)
+            for scheme in schemes]
 
 
 def format_comparison(reports: Sequence[EstimateReport]) -> str:

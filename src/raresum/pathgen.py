@@ -206,10 +206,6 @@ class _GaussianStepSampler:
         self._log_norm = -0.5 * float(np.sum(np.log(2.0 * np.pi * post_var)))
         self._s = post_mean.size
 
-    @property
-    def post_cov(self):
-        return np.diag(self.post_var)
-
     def draw(self, rng):
         y = self.post_mean + self._sd * rng.standard_normal(self._s)
         return y, self.logpdf(y)
@@ -317,15 +313,6 @@ def _make_step_sampler(model: ModelSpec, gauss_mean, beta):
     raise ConfigurationError(
         "step sampling for d > 1 models without gaussian-identity structure "
         "is not supported")
-
-
-def sample_step(model: ModelSpec, params: StepParams, rng):
-    """Draw the next point and return it with its log-density (incl. log C_i)."""
-    return params.sampler.draw(rng)
-
-
-def step_logdensity(params: StepParams, y) -> float:
-    return params.sampler.logpdf(np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +431,7 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
                 t_warm = tail0.t
             else:
                 params = step_params(model, v, i, u_run, n, variant, t_warm=t_warm)
-                y, ld = sample_step(model, params, rng)
+                y, ld = params.sampler.draw(rng)
                 y = np.atleast_1d(np.asarray(y, dtype=float))
                 t_warm = params.t
         except (SteepnessError, NumericError) as exc:
@@ -531,7 +518,7 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
             t_warm = tail0.t
         else:
             params = step_params(model, v, i, u_run, n, variant, t_warm=t_warm)
-            log_g_head += step_logdensity(params, y)
+            log_g_head += params.sampler.logpdf(y)
             t_warm = params.t
         u_run = u_run + np.asarray(model.statistic(y), dtype=float)
     m_k = _remaining_mean(v, u_run, k, n)

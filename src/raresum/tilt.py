@@ -123,16 +123,14 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
     raise SteepnessError(f"no convergence in {MAX_ITER} iterations for target {alpha}")
 
 
-def rate_function(model: ModelSpec, v, t0=None) -> float:
-    """Legendre transform of the cumulant function at v; zero at the mean."""
-    sol = solve_tilt(model, v, t0=t0)
-    return float(np.dot(sol.t, sol.target) - model.cumulant(sol.t))
+def rate_function(model: ModelSpec, v, t0=None, with_grad: bool = False):
+    """Legendre transform of the cumulant function at v; zero at the mean.
 
-
-def _rate_and_grad(model: ModelSpec, v, t0=None):
+    With with_grad=True returns (value, gradient); the gradient is the tilt.
+    """
     sol = solve_tilt(model, v, t0=t0)
     value = float(np.dot(sol.t, sol.target) - model.cumulant(sol.t))
-    return value, sol.t
+    return (value, sol.t) if with_grad else value
 
 
 def _minimize_rate_in_box(model: ModelSpec, lo, hi, start, max_iter=200):
@@ -145,7 +143,7 @@ def _minimize_rate_in_box(model: ModelSpec, lo, hi, start, max_iter=200):
     """
     v = np.clip(np.asarray(start, dtype=float), lo, hi)
     try:
-        value, grad = _rate_and_grad(model, v)
+        value, grad = rate_function(model, v, with_grad=True)
     except SteepnessError:
         return None
     t_warm = grad
@@ -159,7 +157,8 @@ def _minimize_rate_in_box(model: ModelSpec, lo, hi, start, max_iter=200):
             if np.max(np.abs(delta)) < 1e-14:
                 break
             try:
-                c_value, c_grad = _rate_and_grad(model, cand, t0=t_warm)
+                c_value, c_grad = rate_function(model, cand, t0=t_warm,
+                                                 with_grad=True)
             except SteepnessError:
                 step *= 0.25
                 continue

@@ -7,9 +7,8 @@ import numpy as np
 from scipy.stats import multivariate_normal, norm
 
 from raresum.config import load_config
-from raresum.estimate import adaptive_estimate, naive_estimate, tilted_iid_estimate
+from raresum.estimate import run_point
 from raresum.pathgen import step_params
-from raresum.utils import derive_seed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,20 +25,14 @@ def conditional_head_oracle(n, k, v, sigma=1.0):
 
 
 def run_experiment_point(cfg_name, sweep_value, scheme):
-    """One (sweep value, scheme) cell of a bundled configuration, with the
-    same derived seed the CLI would use."""
+    """One (sweep value, scheme) cell of a bundled configuration, run as the
+    CLI runs it."""
     cfg = load_config(str(CONFIG_DIR / cfg_name))
-    label = "-" if sweep_value is None else f"{cfg.sweep_parameter}={sweep_value}"
     model, region, n, L = cfg.instantiate(sweep_value)
-    seed = derive_seed(cfg.seed, "sweep", label, "scheme", scheme)
-    if scheme == "adaptive":
-        return adaptive_estimate(model, region, n, L,
-                                 path_config=cfg.path_config(),
-                                 chain_config=cfg.chain, seed=seed,
-                                 weighting=cfg.weighting)
-    if scheme == "tilted-iid":
-        return tilted_iid_estimate(model, region, n, L, seed=seed)
-    return naive_estimate(model, region, n, L, seed=seed)
+    return run_point(model, region, n, L, scheme, cfg.seed,
+                     sweep_label=cfg.sweep_label(sweep_value),
+                     path_config=cfg.path_config(), chain_config=cfg.chain,
+                     weighting=cfg.weighting)
 
 
 def expected_weight_by_quadrature(model, v, threshold=0.3, grid=2401):

@@ -177,3 +177,47 @@ def test_mixture_weighting_validated_against_family(tmp_path):
     cfg = load_config(write(tmp_path, text, csv=str(tmp_path / "o.csv")))
     diags = validate_config(cfg)
     assert any("mixture weighting" in d.message for d in diags if d.level == "error")
+
+
+@pytest.mark.parametrize("chain", ["thinning = 2\ntarget_kind = bogus", "thinning = 0"],
+                         ids=["target_kind", "thinning"])
+def test_chain_block_error_is_parse_error(tmp_path, capsys, chain):
+    text = SMALL.replace("thinning = 2", chain)
+    path = write(tmp_path, text, csv=str(tmp_path / "o.csv"))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("ERROR: malformed configuration") == 2
+    assert "Traceback" not in err
+
+
+def test_proposal_scale_length_is_validated(tmp_path, capsys):
+    text = SMALL.replace("d = 1", "d = 2")
+    text = text.replace("thinning = 2", "thinning = 2\nproposal_scale = 0.1, 0.1, 0.1")
+    out = tmp_path / "o.csv"
+    path = write(tmp_path, text, csv=str(out))
+    assert main(["validate", path]) == 3
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err.count("proposal_scale size must be 1 or s=2") == 2
+    assert not out.exists()
+
+
+def test_library_matches_cli_rows(tmp_path):
+    out = tmp_path / "o.csv"
+    path = write(tmp_path, SMALL, csv=str(out))
+    assert main(["run", path]) == 0
+    cfg = load_config(path)
+    model, region, n, L = cfg.instantiate()
+    reports = rs.compare_schemes(model, region, n, L, schemes=cfg.schemes,
+                                 path_config=cfg.path_config(),
+                                 chain_config=cfg.chain, seed=cfg.seed,
+                                 weighting=cfg.weighting)
+    rows = [r.csv_row(include_timing=False) for r in reports]
+    assert rows == out.read_text().strip().split("\n")[1:]
+
+
+@pytest.mark.parametrize("key", ["n = 20", "L = 60"])
+def test_missing_run_size_is_parse_error(tmp_path, capsys, key):
+    path = write(tmp_path, SMALL.replace(key + "\n", ""), csv=str(tmp_path / "o.csv"))
+    assert main(["validate", path]) == 2
+    assert "ERROR: malformed configuration" in capsys.readouterr().err

@@ -10,9 +10,7 @@ from raresum.errors import ConfigurationError, PathAbort
 from raresum.pathgen import (
     GridDensity1D,
     base_sampler,
-    sample_step,
     select_k,
-    step_logdensity,
     step_params,
 )
 
@@ -219,7 +217,7 @@ def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
             pl = step_params(std_gauss, [0.4], i, path.u_partial[i - 1], n,
                              variant="paper-literal")
             y = path.points[i]
-            gap = abs(step_logdensity(pu, y) - step_logdensity(pl, y))
+            gap = abs(pu.sampler.logpdf(y) - pl.sampler.logpdf(y))
             gaps.append(gap * (n - i))
     # the scaled gaps stay bounded: fitted constant frozen with slack
     assert np.quantile(gaps, 0.95) < 25.0
