@@ -71,20 +71,15 @@ class ExperimentConfig:
 
     def instantiate(self, sweep_value=None):
         """(model, region, n, L) for one sweep point."""
-        d, n, L = self.d, self.n, self.L
+        size = {"d": self.d, "n": self.n, "L": self.L}
         if sweep_value is not None:
-            if self.sweep_parameter == "d":
-                d = int(sweep_value)
-            elif self.sweep_parameter == "n":
-                n = int(sweep_value)
-            elif self.sweep_parameter == "L":
-                L = int(sweep_value)
+            size[self.sweep_parameter] = sweep_value
         params = dict(self.model_params)
         if self.family == "gaussian-mean":
-            params["d"] = d
+            params["d"] = size["d"]
         model = builtin_model(self.family, **params)
         region = self._build_region(model)
-        return model, region, n, L
+        return model, region, size["n"], size["L"]
 
     def _build_region(self, model: ModelSpec) -> ProductRegion:
         if self.region_two_sided is not None:
@@ -173,7 +168,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         sw = parser["sweep"]
         sweep_parameter = sw.get("parameter", "").strip() or None
         if "values" in sw:
-            sweep_values = [_sweep_value(tok) for tok in sw.get("values").split(",")
+            sweep_values = [int(tok) for tok in sw.get("values").split(",")
                             if tok.strip()]
 
     out_csv = "results.csv"
@@ -204,14 +199,6 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         out_csv=out_csv,
         timing=timing,
     )
-
-
-def _sweep_value(token: str):
-    tok = token.strip()
-    try:
-        return int(tok)
-    except ValueError:
-        return float(tok)
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:

@@ -30,7 +30,7 @@ from .pathgen import (
     tilted_tail_sampler,
 )
 from .region import ProductRegion, contains
-from .tilt import dominating_point, solve_tilt
+from .tilt import dominating_point
 from .utils import chain_rng, derive_seed, fmt_float, replicate_rng
 
 CSV_HEADER = ("scheme,n,k,d,s,L,seed,p_hat,std_error,relative_error,"
@@ -252,11 +252,7 @@ def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     anchored at the region's dominating point."""
     start = time.perf_counter()
     _check_point(model, region, n, L, "tilted-iid")
-    anchor = dominating_point(model, region)
-    sol = solve_tilt(model, anchor)
-    sampler = tilted_tail_sampler(model, anchor)
-    t_star = sol.t
-    log_phi = model.cumulant(t_star)
+    sampler = tilted_tail_sampler(model, dominating_point(model, region))
 
     weights = np.zeros(L)
     hits = np.zeros(L, dtype=bool)
@@ -269,7 +265,7 @@ def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
         path_mean[l] = mean
         if contains(region, mean):
             hits[l] = True
-            weights[l] = math.exp(n * log_phi - float(t_star @ total))
+            weights[l] = math.exp(n * sampler.log_phi - float(sampler.t @ total))
     wall = time.perf_counter() - start
     aborted = np.zeros(L, dtype=bool)
     return _finalize("tilted-iid", model, region, n, 0, L, seed, weights, hits,

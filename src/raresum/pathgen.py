@@ -6,8 +6,10 @@ density p_X(y); the factor is re-centred after every draw so the running
 statistic is steered toward the conditioning point v.  The remaining n - k
 points are i.i.d. draws from the tilted density whose mean closes the gap.
 
-For gaussian-identity models the per-step density is itself Gaussian and is
-sampled in closed form.  For one-dimensional models with a generic statistic
+For gaussian-identity models every head step and the tail follow one
+closed-form Gaussian law (`gaussian_step`); sampling, the paired density and
+the mixture density all read it, and no tilt is solved.  For
+one-dimensional models with a generic statistic
 the step density is tabulated on an adaptive grid and sampled by inverse
 CDF; the recorded log-density is the exact density of that tabulated
 sampler, so importance weights stay unbiased.
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
-from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec
+from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
 from .tilt import TiltSolution, solve_tilt
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -194,27 +196,6 @@ def _build_grid_density(log_h, window, rel_tol=2e-7, n0=1001, max_refine=4):
 # ---------------------------------------------------------------------------
 
 
-class _GaussianStepSampler:
-    """Closed-form step for gaussian-identity models: the product of the
-    Gaussian steering factor and the Gaussian base density is Gaussian.
-    All covariances involved are diagonal, so this works coordinate-wise."""
-
-    def __init__(self, post_mean, post_var):
-        self.post_mean = post_mean
-        self.post_var = post_var
-        self._sd = np.sqrt(post_var)
-        self._log_norm = -0.5 * float(np.sum(np.log(2.0 * np.pi * post_var)))
-        self._s = post_mean.size
-
-    def draw(self, rng):
-        y = self.post_mean + self._sd * rng.standard_normal(self._s)
-        return y, self.logpdf(y)
-
-    def logpdf(self, y):
-        dev = np.asarray(y, dtype=float) - self.post_mean
-        return float(-0.5 * np.sum(dev * dev / self.post_var)) + self._log_norm
-
-
 class _GridStepSampler:
     """Grid-tabulated step for d = 1 models with a non-conjugate statistic."""
 
@@ -231,26 +212,47 @@ class _GridStepSampler:
 
 @dataclass
 class StepParams:
-    """Everything needed to draw point i+1 given the first i points."""
+    """Grid step for point i+1 of a model without gaussian-identity structure."""
 
-    i: int
-    m_target: np.ndarray   # mean the remaining points must average to
-    t: np.ndarray          # tilt solving m(t) = m_target
-    alpha: np.ndarray      # t plus the third-cumulant correction
+    t: np.ndarray          # tilt solving m(t) = remaining mean; warm-starts the next solve
     beta: np.ndarray       # covariance of the Gaussian steering factor
     gauss_mean: np.ndarray
     log_norm: float        # log of the step density's normalizing constant
     sampler: object = field(repr=False)
-    tilt_solution: TiltSolution = field(repr=False)
 
 
 def _remaining_mean(v, u_partial, i, n):
     return (n / (n - i)) * (v - u_partial / n)
 
 
+def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
+                  variant: str = "uniform-step"):
+    """Means (m, s) and variances (s,) of the Gaussian law of point i+1 of a
+    gaussian-identity run whose first i points sum to u_partial, for each
+    conditioning point (row) of V.  With r = n - i - 1 and remaining mean
+    m_i, uniform-step gives N(m_i, sigma^2 r/(r+1)), paper-literal
+    N((r m_i + v)/(r+1), sigma^2 r/(r+1)) and, at i = 0, N(v, sigma^2)."""
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    sigma2 = model.gauss_identity_params[1]
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    if variant == "paper-literal" and i == 0:
+        return V, sigma2
+    m = _remaining_mean(V, np.asarray(u_partial, dtype=float), i, n)
+    left = n - i - 1
+    if variant == "paper-literal":
+        m = (left * m + V) / (n - i)
+    return m, sigma2 * left / (n - i)
+
+
 def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
                 variant: str = "uniform-step", t_warm=None) -> StepParams:
-    """Parameters of the density for point i+1 (i points already drawn)."""
+    """Grid-tabulated density of point i+1 (i points already drawn).
+
+    Gaussian-identity models have the closed-form gaussian_step instead.
+    """
+    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
+        raise ConfigurationError("gaussian-identity steps come from gaussian_step")
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     if not 0 <= i <= n - 2:
@@ -260,36 +262,17 @@ def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
     m_target = _remaining_mean(v, u_partial, i, n)
     sol = solve_tilt(model, m_target, t0=t_warm)
     kappa = sol.local.covariance
-    gamma = sol.local.third
     remaining = n - i - 1
-    if np.any(gamma):
-        corr = np.linalg.solve(kappa, np.linalg.solve(kappa, gamma)) / (2.0 * remaining)
-    else:
-        corr = 0.0
-    alpha = sol.t + corr
+    corr = np.linalg.solve(kappa, np.linalg.solve(kappa, sol.local.third)) / (2.0 * remaining)
     beta = kappa * remaining
     center = m_target if variant == "uniform-step" else v
-    gauss_mean = beta @ alpha + center
+    gauss_mean = beta @ (sol.t + corr) + center
     sampler, log_norm = _make_step_sampler(model, gauss_mean, beta)
-    return StepParams(i=i, m_target=m_target, t=sol.t, alpha=alpha, beta=beta,
-                      gauss_mean=gauss_mean, log_norm=log_norm, sampler=sampler,
-                      tilt_solution=sol)
+    return StepParams(t=sol.t, beta=beta, gauss_mean=gauss_mean, log_norm=log_norm,
+                      sampler=sampler)
 
 
 def _make_step_sampler(model: ModelSpec, gauss_mean, beta):
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        # Everything here is diagonal: the base covariance by construction
-        # and beta because kappa is constant diagonal for this family.
-        mu, sigma2 = model.gauss_identity_params
-        beta_diag = np.diagonal(beta)
-        conv_var = beta_diag + sigma2
-        dev = gauss_mean - mu
-        log_conv = -0.5 * float(np.sum(dev * dev / conv_var)
-                                + np.sum(np.log(2.0 * np.pi * conv_var)))
-        gain = sigma2 / conv_var
-        post_mean = mu + gain * dev
-        post_var = sigma2 - gain * sigma2
-        return _GaussianStepSampler(post_mean, post_var), -log_conv
     if model.conjugacy_tag == GENERIC_1D or model.d == 1:
         if model.step_window_fn is not None:
             window = model.step_window_fn(gauss_mean, beta)
@@ -326,7 +309,6 @@ class TiltedDensity:
     def __init__(self, model: ModelSpec, solution: TiltSolution):
         self.model = model
         self.t = solution.t
-        self.solution = solution
         self.log_phi = model.cumulant(solution.t)
         self._family = None
         self._grid = None
@@ -370,8 +352,6 @@ def tilted_tail_sampler(model: ModelSpec, m_k, t_warm=None) -> TiltedDensity:
 
 def base_sampler(model: ModelSpec) -> TiltedDensity:
     """The base density p_X itself, as the zero-tilt member of the family."""
-    from .model import mean_map
-
     mu = mean_map(model, np.zeros(model.s))
     return tilted_tail_sampler(model, mu)
 
@@ -417,8 +397,37 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
                 variant: str = "uniform-step") -> PathSample:
     """Draw a full n-point run conditioned toward v and record its densities."""
     v = _check_path_args(model, v, n, k)
+    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
+        points = _draw_gaussian_points(model, v, n, k, rng, variant)
+        dens = path_logdensity(model, points, v, n, k, variant)
+    else:
+        points, dens = _draw_grid_path(model, v, n, k, rng, variant)
+    u_partial = np.cumsum(np.asarray(model.statistic(points), dtype=float), axis=0)
+    if not math.isfinite(dens.log_g):
+        raise PathAbort(n - 1, "non-finite sampling log-density")
+    return PathSample(points=points, u_partial=u_partial, log_g=dens.log_g,
+                      log_p=dens.log_p, v=v, k=k, log_g_head=dens.log_g_head,
+                      log_g_tail=dens.log_g_tail)
+
+
+def _draw_gaussian_points(model, v, n, k, rng, variant):
+    """k head steps from gaussian_step, then n - k i.i.d. N(m_k, sigma^2) points."""
     points = np.empty((n, model.d))
-    u_partial = np.empty((n, model.s))
+    u_run = np.zeros(model.s)
+    for i in range(k):
+        mean, var = gaussian_step(model, v, u_run, i, n, variant)
+        points[i] = rng.normal(mean[0], np.sqrt(var))
+        u_run = u_run + points[i]
+    tail_mean = _remaining_mean(v, u_run, k, n)
+    points[k:] = rng.normal(tail_mean, np.sqrt(model.gauss_identity_params[1]),
+                            size=(n - k, model.s))
+    return points
+
+
+def _draw_grid_path(model, v, n, k, rng, variant):
+    """Points and PathDensity of a run of a model without gaussian-identity
+    structure: grid steps (or the tilted first step), then the tilted tail."""
+    points = np.empty((n, model.d))
     u_run = np.zeros(model.s)
     log_g_head = 0.0
     t_warm = None
@@ -438,7 +447,6 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
             raise PathAbort(i, str(exc)) from None
         points[i] = y
         u_run = u_run + np.asarray(model.statistic(y), dtype=float)
-        u_partial[i] = u_run
         log_g_head += ld
 
     m_k = _remaining_mean(v, u_run, k, n)
@@ -446,56 +454,47 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
         tail = tilted_tail_sampler(model, m_k, t_warm=t_warm)
     except (SteepnessError, NumericError) as exc:
         raise PathAbort(k, str(exc)) from None
-    tail_points = np.atleast_2d(np.asarray(tail.sample(rng, size=n - k), dtype=float))
-    log_g_tail = float(np.sum(tail.logpdf(tail_points)))
-    stats = np.atleast_2d(np.asarray(model.statistic(tail_points), dtype=float))
-    for j in range(n - k):
-        points[k + j] = tail_points[j]
-        u_run = u_run + stats[j]
-        u_partial[k + j] = u_run
-
+    points[k:] = np.atleast_2d(np.asarray(tail.sample(rng, size=n - k), dtype=float))
+    log_g_tail = float(np.sum(tail.logpdf(points[k:])))
     log_p = float(np.sum(model.log_density_x(points)))
-    log_g = log_g_head + log_g_tail
-    if not math.isfinite(log_g):
-        raise PathAbort(n - 1, "non-finite sampling log-density")
-    return PathSample(points=points, u_partial=u_partial, log_g=log_g, log_p=log_p,
-                      v=v, k=k, log_g_head=log_g_head, log_g_tail=log_g_tail)
+    return points, PathDensity(log_g_head=log_g_head, log_g_tail=log_g_tail, log_p=log_p)
+
+
+def _normal_logpdf(y, mean, var):
+    """log N(y; mean, diag(var)), summed over the last axis."""
+    dev = y - mean
+    return -0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
+
+
+def _gaussian_logdensities(model, points, V, n, k, variant):
+    """Head and tail log-densities, each of shape (m,), of one gaussian-identity
+    run under the scheme conditioned on each row of V (m, s)."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    prefix = np.vstack([np.zeros(model.s), np.cumsum(points, axis=0)])  # (n+1, s)
+    head = 0.0
+    for i in range(k):
+        mean, var = gaussian_step(model, V, prefix[i], i, n, variant)
+        head = head + _normal_logpdf(points[i], mean, var)
+    tail_mean = _remaining_mean(V, prefix[k], k, n)
+    tail = _normal_logpdf(points[k:], tail_mean[:, None, :], model.gauss_identity_params[1])
+    return head, np.sum(tail, axis=-1)
 
 
 def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
                        variant: str = "uniform-step") -> float:
     """Log of the equal-weight mixture over `v_set` of the run densities.
 
-    Only available for gaussian-identity models, where every step density is
-    Gaussian in closed form and the recursion vectorizes over the whole set
-    of conditioning points.  Values match path_logdensity at each v exactly.
+    Only available for gaussian-identity models, whose run densities come in
+    closed form for the whole set of conditioning points at once; the value
+    at a single v is path_logdensity's log_g.
     """
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
         raise ConfigurationError("mixture density needs a gaussian-identity model")
-    mu, sigma2 = model.gauss_identity_params
-    V = np.atleast_2d(np.asarray(v_set, dtype=float))  # (m, s)
     y = np.atleast_2d(np.asarray(points, dtype=float))  # (n, s); u = identity
     if y.shape != (n, model.s):
         raise ConfigurationError(f"points must have shape ({n}, {model.s})")
-    prefix = np.vstack([np.zeros(model.s), np.cumsum(y, axis=0)])  # (n+1, s)
-    total = np.zeros(len(V))
-    for i in range(k):
-        if variant == "paper-literal" and i == 0:
-            mean = V
-            var = sigma2
-        else:
-            m = (n / (n - i)) * (V - prefix[i] / n)
-            rem = n - i - 1
-            center = m if variant == "uniform-step" else V
-            gm = rem * (m - mu) + center
-            mean = mu + (gm - mu) / (n - i)
-            var = sigma2 * rem / (n - i)
-        dev = y[i] - mean
-        total += -0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
-    m_k = (n / (n - k)) * (V - prefix[k] / n)  # (m, s)
-    dev = y[None, k:, :] - m_k[:, None, :]     # (m, n-k, s)
-    total += -0.5 * np.sum(dev * dev / sigma2 + np.log(2.0 * np.pi * sigma2),
-                           axis=(1, 2))
+    head, tail = _gaussian_logdensities(model, y, v_set, n, k, variant)
+    total = head + tail
     peak = float(np.max(total))
     return peak + math.log(float(np.mean(np.exp(total - peak))))
 
@@ -507,6 +506,10 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape != (n, model.d):
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
+    log_p = float(np.sum(model.log_density_x(points)))
+    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
+        head, tail = _gaussian_logdensities(model, points, v, n, k, variant)
+        return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]), log_p=log_p)
     u_run = np.zeros(model.s)
     log_g_head = 0.0
     t_warm = None
@@ -524,5 +527,4 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
     m_k = _remaining_mean(v, u_run, k, n)
     tail = tilted_tail_sampler(model, m_k, t_warm=t_warm)
     log_g_tail = float(np.sum(tail.logpdf(points[k:])))
-    log_p = float(np.sum(model.log_density_x(points)))
     return PathDensity(log_g_head=log_g_head, log_g_tail=log_g_tail, log_p=log_p)

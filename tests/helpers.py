@@ -8,7 +8,6 @@ from scipy.stats import multivariate_normal, norm
 
 from raresum.config import load_config
 from raresum.estimate import run_point
-from raresum.pathgen import step_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -36,13 +35,12 @@ def run_experiment_point(cfg_name, sweep_value, scheme):
 
 
 def expected_weight_by_quadrature(model, v, threshold=0.3, grid=2401):
-    """E[weight | v] for the two-point toy run, by direct grid quadrature of
-    the reconstructed sampling density (and its total mass)."""
-    n = 2
+    """E[weight | v] for the two-point toy run of a unit-variance model, by
+    direct grid quadrature of the sampling density (and its total mass).
+    The head is the exact conditional law N(v, 1/2)."""
     ys = np.linspace(-8.0, 9.0, grid)
     log_p1 = model.log_density_x(ys.reshape(-1, 1))
-    p = step_params(model, [v], 0, [0.0], n)
-    log_head = np.array([p.sampler.logpdf(np.array([y])) for y in ys])
+    log_head = norm.logpdf(ys, loc=v, scale=math.sqrt(0.5))
     m1 = 2 * v - ys
     dev = ys[None, :] - m1[:, None]
     log_tail = -0.5 * (dev**2 + math.log(2 * math.pi))

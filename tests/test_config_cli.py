@@ -83,9 +83,13 @@ def test_manual_k_out_of_range(tmp_path):
 
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[model\nfamily = gaussian-mean\n")
-    assert main(["run", str(bad)]) == 2
-    assert main(["validate", str(bad)]) == 2
+    fractional_sweep = (SMALL.format(csv=tmp_path / "o.csv")
+                        + "\n[sweep]\nparameter = n\nvalues = 20.7, 30\n")
+    for text in ("[model\nfamily = gaussian-mean\n", fractional_sweep):
+        bad.write_text(text)
+        assert main(["run", str(bad)]) == 2
+        assert main(["validate", str(bad)]) == 2
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_missing_file_exit_code(tmp_path):

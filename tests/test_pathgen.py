@@ -7,9 +7,12 @@ from scipy.stats import multivariate_normal, norm
 
 import raresum as rs
 from raresum.errors import ConfigurationError, PathAbort
+from raresum import pathgen
 from raresum.pathgen import (
     GridDensity1D,
     base_sampler,
+    gaussian_step,
+    mixture_logdensity,
     select_k,
     step_params,
 )
@@ -38,32 +41,32 @@ def test_select_k_validation():
         select_k(2, "default")
 
 
-def test_step_params_gaussian_example(std_gauss):
-    p = step_params(std_gauss, [0.5], 1, [0.2], 3)
-    assert p.m_target == pytest.approx([0.65])
-    assert p.t == pytest.approx([0.65], abs=1e-10)
-    assert p.beta[0, 0] == pytest.approx(1.0)
-    assert p.alpha == pytest.approx([0.65], abs=1e-10)  # zero third cumulants
+def test_gaussian_step_example(std_gauss):
+    # remaining mean 3/2 * (0.5 - 0.2/3) = 0.65, one point left after this one
+    mean, var = gaussian_step(std_gauss, [0.5], [0.2], 1, 3)
+    assert mean == pytest.approx(np.array([[0.65]]))
+    assert var == pytest.approx([0.5])
+    mean, _ = gaussian_step(std_gauss, [0.5], [0.2], 1, 3, "paper-literal")
+    assert mean == pytest.approx(np.array([[(0.65 + 0.5) / 2]]))
 
 
-def test_step_params_on_track_path(gauss_005):
-    p = step_params(gauss_005, [0.28], 50, np.array([14.0]), 100)
-    assert p.m_target == pytest.approx([0.28])
+def test_gaussian_step_on_track_path(gauss_005):
+    mean, _ = gaussian_step(gauss_005, [0.28], np.array([14.0]), 50, 100)
+    assert mean == pytest.approx(np.array([[0.28]]))
 
 
 def test_gaussian_step_matches_conditional_moments(std_gauss):
     # first draw of a 3-point run conditioned to average 0.5
-    p = step_params(std_gauss, [0.5], 0, [0.0], 3)
-    sampler = p.sampler
-    assert sampler.post_mean == pytest.approx([0.5])
-    assert sampler.post_var == pytest.approx([2.0 / 3.0])
+    mean, var = gaussian_step(std_gauss, [0.5], [0.0], 0, 3)
+    assert mean == pytest.approx(np.array([[0.5]]))
+    assert var == pytest.approx([2.0 / 3.0])
 
 
 def test_gaussian_step_variance_general(std_gauss):
     n = 10
     for i in range(0, n - 1):
-        p = step_params(std_gauss, [0.3], i, [0.3 * i], n)
-        assert p.sampler.post_var[0] == pytest.approx(1.0 - 1.0 / (n - i))
+        _, var = gaussian_step(std_gauss, [0.3], [0.3 * i], i, n)
+        assert var[0] == pytest.approx(1.0 - 1.0 / (n - i))
 
 
 def test_step_density_normalizes_generic(expo, mean_square):
@@ -212,13 +215,11 @@ def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
     for _ in range(20):
         path = rs.sample_path(std_gauss, [0.4], n, k, gen)
         for i in range(1, k):
-            pu = step_params(std_gauss, [0.4], i, path.u_partial[i - 1], n,
-                             variant="uniform-step")
-            pl = step_params(std_gauss, [0.4], i, path.u_partial[i - 1], n,
-                             variant="paper-literal")
-            y = path.points[i]
-            gap = abs(pu.sampler.logpdf(y) - pl.sampler.logpdf(y))
-            gaps.append(gap * (n - i))
+            y = path.points[i, 0]
+            logpdf = [norm.logpdf(y, mean[0, 0], math.sqrt(var[0])) for mean, var in (
+                gaussian_step(std_gauss, [0.4], path.u_partial[i - 1], i, n, variant)
+                for variant in ("uniform-step", "paper-literal"))]
+            gaps.append(abs(logpdf[0] - logpdf[1]) * (n - i))
     # the scaled gaps stay bounded: fitted constant frozen with slack
     assert np.quantile(gaps, 0.95) < 25.0
 
@@ -226,15 +227,19 @@ def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
 def test_paper_literal_first_step_is_tilted_density(std_gauss):
     gen = np.random.default_rng(41)
     v = np.array([0.6])
-    path = rs.sample_path(std_gauss, v, 5, 3, gen, variant="paper-literal")
-    dens = rs.path_logdensity(std_gauss, path.points, v, 5, 3, variant="paper-literal")
+    n, k = 5, 3
+    path = rs.sample_path(std_gauss, v, n, k, gen, variant="paper-literal")
+    dens = rs.path_logdensity(std_gauss, path.points, v, n, k, variant="paper-literal")
     tilted = rs.tilted_tail_sampler(std_gauss, v)
     first = float(tilted.logpdf(path.points[0]))
-    rest = dens.log_g_head - first
-    assert math.isfinite(rest)
-    # direct check of the first factor
-    p2 = rs.path_logdensity(std_gauss, path.points, v, 5, 3, variant="paper-literal")
-    assert p2.log_g_head == pytest.approx(dens.log_g_head)
+    assert first == pytest.approx(norm.logpdf(path.points[0, 0], 0.6, 1.0))
+    # later steps centre the steering factor on v, not on the remaining mean
+    rest = 0.0
+    for i in range(1, k):
+        mean, var = gaussian_step(std_gauss, v, path.u_partial[i - 1], i, n, "paper-literal")
+        rest += norm.logpdf(path.points[i, 0], mean[0, 0], math.sqrt(var[0]))
+    assert dens.log_g_head == pytest.approx(first + rest, abs=1e-12)
+    assert path.log_g_head == pytest.approx(dens.log_g_head, abs=1e-12)
 
 
 def test_tilted_tail_sampler_families(gauss_005, expo, mean_square):
@@ -296,7 +301,77 @@ def test_grid_density_sampling_is_exact():
 
 
 def test_generic_d2_step_rejected():
-    model = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
-    object.__setattr__(model, "conjugacy_tag", "generic")
-    with pytest.raises(ConfigurationError):
-        step_params(model, [0.1, 0.1], 0, [0.0, 0.0], 5)
+    # the grid step serves d = 1 models; gaussian-identity ones use gaussian_step
+    gaussian = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
+    generic = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
+    object.__setattr__(generic, "conjugacy_tag", "generic")
+    for model in (gaussian, generic):
+        with pytest.raises(ConfigurationError):
+            step_params(model, [0.1, 0.1], 0, [0.0, 0.0], 5)
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+def test_gaussian_path_solves_no_tilt(std_gauss, monkeypatch, variant):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gaussian-identity runs need no tilt solve")
+
+    monkeypatch.setattr(pathgen, "solve_tilt", forbidden)
+    monkeypatch.setattr(pathgen, "step_params", forbidden)
+    gen = np.random.default_rng(59)
+    path = rs.sample_path(std_gauss, [0.4], 12, 9, gen, variant=variant)
+    assert math.isfinite(path.log_g)
+
+
+def test_gaussian_head_exact_with_unequal_sigma():
+    # coordinates are independent, so the head law is the product of the
+    # per-coordinate exact conditionals
+    sigma = np.array([0.5, 1.0, 2.0])
+    model = rs.builtin_model("gaussian-mean", mu=0.1, sigma=sigma, d=3)
+    n, k = 10, 7
+    v = np.array([0.3, -0.2, 0.5])
+    gen = np.random.default_rng(61)
+    for _ in range(10):
+        path = rs.sample_path(model, v, n, k, gen)
+        oracle = sum(exact_conditional_head(n, k, v[j], sigma[j]).logpdf(path.points[:k, j])
+                     for j in range(3))
+        assert path.log_g_head == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+def test_gaussian_draws_follow_recorded_law(variant):
+    # head steps and tail points, standardized by the law the density
+    # routine records, are standard normals in each coordinate
+    sigma = np.array([0.5, 1.0, 2.0])
+    model = rs.builtin_model("gaussian-mean", mu=0.1, sigma=sigma, d=3)
+    n, k = 10, 7
+    v = np.array([0.3, -0.2, 0.5])
+    gen = np.random.default_rng(71)
+    head, tail = [], []
+    for _ in range(1000):
+        path = rs.sample_path(model, v, n, k, gen, variant=variant)
+        u = np.vstack([np.zeros(3), path.u_partial])
+        for i in range(k):
+            mean, var = gaussian_step(model, v, u[i], i, n, variant)
+            head.append((path.points[i] - mean[0]) / np.sqrt(var))
+        tail.extend((path.points[k:] - (n / (n - k)) * (v - u[k] / n)) / sigma)
+    for z in (np.asarray(head), np.asarray(tail)):
+        assert np.all(np.abs(z.mean(axis=0)) < 5 / math.sqrt(len(z)))
+        assert np.all(np.abs(z.var(axis=0) - 1.0) < 5 * math.sqrt(2 / len(z)))
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("d,sigma", [(1, 1.0), (3, (0.5, 1.0, 2.0))], ids=["d1", "d3"])
+def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma):
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=sigma, d=d)
+    n, k = 12, 8
+    gen = np.random.default_rng(67)
+    vs = 0.3 + 0.2 * gen.standard_normal((5, d))
+    for v in vs:
+        path = rs.sample_path(model, v, n, k, gen, variant=variant)
+        per_v = np.array([rs.path_logdensity(model, path.points, w, n, k, variant).log_g
+                          for w in vs])
+        single = mixture_logdensity(model, path.points, v[None, :], n, k, variant)
+        assert single == pytest.approx(path.log_g, rel=1e-12, abs=1e-12)
+        expected = math.log(np.mean(np.exp(per_v)))
+        mixed = mixture_logdensity(model, path.points, vs, n, k, variant)
+        assert mixed == pytest.approx(expected, rel=1e-12, abs=1e-12)
