@@ -100,8 +100,8 @@ class EstimateReport:
         return hit_share, mass_share
 
 
-def _finalize(scheme, model, region, n, k, L, seed, weights, hits, aborted,
-              path_mean, v, wall, keep_details, chain=None) -> EstimateReport:
+def _finalize(scheme, model, n, k, L, seed, weights, hits, aborted,
+              path_mean, v, wall, chain=None) -> EstimateReport:
     weights = np.asarray(weights, dtype=float)
     p_hat = float(np.mean(weights))
     std_error = float(np.std(weights, ddof=1) / math.sqrt(L))
@@ -111,12 +111,10 @@ def _finalize(scheme, model, region, n, k, L, seed, weights, hits, aborted,
         weight_cv = float(np.std(nonzero, ddof=1) / np.mean(nonzero))
     else:
         weight_cv = math.nan
-    details = None
-    if keep_details:
-        details = ReplicateDetails(weights=weights, hits=np.asarray(hits, bool),
-                                   aborted=np.asarray(aborted, bool),
-                                   path_mean=np.asarray(path_mean, dtype=float),
-                                   v=None if v is None else np.asarray(v, dtype=float))
+    details = ReplicateDetails(weights=weights, hits=np.asarray(hits, bool),
+                               aborted=np.asarray(aborted, bool),
+                               path_mean=np.asarray(path_mean, dtype=float),
+                               v=None if v is None else np.asarray(v, dtype=float))
     return EstimateReport(
         scheme=scheme, n=n, k=k, d=model.d, s=model.s, L=L, seed=seed,
         p_hat=p_hat, std_error=std_error, relative_error=relative_error,
@@ -197,8 +195,7 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
                       path_config: Optional[PathConfig] = None,
                       chain_config: Optional[MeanChainConfig] = None,
                       seed: int = 0, threads: int = 1,
-                      weighting: str = "paired",
-                      keep_details: bool = True) -> EstimateReport:
+                      weighting: str = "paired") -> EstimateReport:
     """Adaptive importance-sampling estimate of P(mean of u over n points in region).
 
     weighting="paired" divides each replicate by its own conditional density
@@ -237,8 +234,8 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
             model, region, n, k, path_config.variant, weighting, vs, seed, indices)
 
     wall = time.perf_counter() - start
-    return _finalize("adaptive", model, region, n, k, L, seed, weights, hits,
-                     aborted, path_mean, vs, wall, keep_details, chain=chain_diag)
+    return _finalize("adaptive", model, n, k, L, seed, weights, hits,
+                     aborted, path_mean, vs, wall, chain=chain_diag)
 
 
 def _split(indices, parts):
@@ -246,14 +243,9 @@ def _split(indices, parts):
     return [list(c) for c in np.array_split(np.asarray(indices), parts) if len(c)]
 
 
-def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
-                        seed: int = 0, keep_details: bool = True) -> EstimateReport:
-    """State-independent baseline: every point i.i.d. from the tilted law
-    anchored at the region's dominating point."""
-    start = time.perf_counter()
-    _check_point(model, region, n, L, "tilted-iid")
-    sampler = tilted_tail_sampler(model, dominating_point(model, region))
-
+def _iid_estimate(scheme, model, region, n, L, seed, start, sampler, hit_weight):
+    """Replicates of n i.i.d. draws from `sampler`; one whose mean of u lands
+    in the region scores hit_weight(total of u)."""
     weights = np.zeros(L)
     hits = np.zeros(L, dtype=bool)
     path_mean = np.zeros((L, model.s))
@@ -261,38 +253,35 @@ def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
         rng = replicate_rng(seed, l)
         pts = np.atleast_2d(np.asarray(sampler.sample(rng, size=n), dtype=float))
         total = np.asarray(model.statistic(pts), dtype=float).sum(axis=0)
-        mean = total / n
-        path_mean[l] = mean
-        if contains(region, mean):
+        path_mean[l] = total / n
+        if contains(region, path_mean[l]):
             hits[l] = True
-            weights[l] = math.exp(n * sampler.log_phi - float(sampler.t @ total))
+            weights[l] = hit_weight(total)
     wall = time.perf_counter() - start
-    aborted = np.zeros(L, dtype=bool)
-    return _finalize("tilted-iid", model, region, n, 0, L, seed, weights, hits,
-                     aborted, path_mean, None, wall, keep_details)
+    return _finalize(scheme, model, n, 0, L, seed, weights, hits,
+                     np.zeros(L, dtype=bool), path_mean, None, wall)
+
+
+def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
+                        seed: int = 0) -> EstimateReport:
+    """State-independent baseline: every point i.i.d. from the tilted law
+    anchored at the region's dominating point."""
+    start = time.perf_counter()
+    _check_point(model, region, n, L, "tilted-iid")
+    sampler = tilted_tail_sampler(model, dominating_point(model, region))
+    return _iid_estimate(
+        "tilted-iid", model, region, n, L, seed, start, sampler,
+        lambda total: math.exp(n * sampler.log_phi - float(sampler.t @ total)))
 
 
 def naive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
-                   seed: int = 0, keep_details: bool = True) -> EstimateReport:
+                   seed: int = 0) -> EstimateReport:
     """Plain Monte Carlo indicator average under the base density."""
     start = time.perf_counter()
     _check_point(model, region, n, L, "naive")
-    sampler = base_sampler(model)
-    weights = np.zeros(L)
-    hits = np.zeros(L, dtype=bool)
-    path_mean = np.zeros((L, model.s))
-    for l in range(L):
-        rng = replicate_rng(seed, l)
-        pts = np.atleast_2d(np.asarray(sampler.sample(rng, size=n), dtype=float))
-        mean = np.asarray(model.statistic(pts), dtype=float).mean(axis=0)
-        path_mean[l] = mean
-        if contains(region, mean):
-            hits[l] = True
-            weights[l] = 1.0
-    wall = time.perf_counter() - start
-    aborted = np.zeros(L, dtype=bool)
-    return _finalize("naive", model, region, n, 0, L, seed, weights, hits,
-                     aborted, path_mean, None, wall, keep_details)
+    # every hit weighs exactly 1; exp(n K(0)) may round away from it
+    return _iid_estimate("naive", model, region, n, L, seed, start,
+                         base_sampler(model), lambda total: 1.0)
 
 
 def run_point(model: ModelSpec, region: ProductRegion, n: int, L: int,

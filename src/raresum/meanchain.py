@@ -63,21 +63,34 @@ class MeanChainDiagnostics:
 def target_logdensity(model: ModelSpec, region: ProductRegion, n: int, v,
                       kind: str = "auto") -> float:
     """Unnormalized log-density of the restricted sample-mean law at v."""
-    kind = _resolve_kind(model, kind)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if not contains(region, v):
-        return -math.inf
     loc0 = local_cumulants(model, np.zeros(model.s))
-    if kind == "exact-gaussian":
-        dev = v - loc0.mean
-        return float(-0.5 * n * dev @ np.linalg.solve(loc0.covariance, dev))
-    return _saddlepoint_logdensity(model, n, v)
+    log_target = _log_target(model, region, n, _resolve_kind(model, kind), loc0)
+    return log_target(np.atleast_1d(np.asarray(v, dtype=float)))
 
 
 def _resolve_kind(model: ModelSpec, kind: str) -> str:
     if kind == "auto":
         return "exact-gaussian" if model.conjugacy_tag == GAUSSIAN_IDENTITY else "saddlepoint"
     return kind
+
+
+def _log_target(model: ModelSpec, region: ProductRegion, n: int, kind: str, loc0):
+    """v -> unnormalized log-density of the restricted sample-mean law, where
+    loc0 holds the untilted mean and covariance."""
+    if kind == "exact-gaussian":
+        prec_chol = np.linalg.cholesky(np.linalg.inv(loc0.covariance))
+
+        def log_target(v):
+            if not contains(region, v):
+                return -math.inf
+            z = prec_chol.T @ (v - loc0.mean)
+            return float(-0.5 * n * z @ z)
+    else:
+        def log_target(v):
+            if not contains(region, v):
+                return -math.inf
+            return _saddlepoint_logdensity(model, n, v)
+    return log_target
 
 
 def _saddlepoint_logdensity(model: ModelSpec, n: int, v, t_warm=None) -> float:
@@ -156,20 +169,7 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
         scale = np.broadcast_to(config.proposal_scale, (model.s,)).astype(float)
     else:
         scale = np.sqrt(np.diagonal(loc0.covariance) / n)
-
-    if kind == "exact-gaussian":
-        prec_chol = np.linalg.cholesky(np.linalg.inv(loc0.covariance))
-
-        def logtarget(v):
-            if not contains(region, v):
-                return -math.inf
-            z = prec_chol.T @ (v - loc0.mean)
-            return float(-0.5 * n * z @ z)
-    else:
-        def logtarget(v):
-            if not contains(region, v):
-                return -math.inf
-            return _saddlepoint_logdensity(model, n, v)
+    logtarget = _log_target(model, region, n, kind, loc0)
 
     v = initial_point(region, model, n)
     lt = logtarget(v)

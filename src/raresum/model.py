@@ -212,25 +212,23 @@ def _fd_third_contracted(model: ModelSpec, t: Array) -> Array:
     return gamma
 
 
-def mean_map(model: ModelSpec, t) -> Array:
-    """Mean of the tilted law: the gradient of the cumulant function at t."""
-    t = _as_tilt(model, t)
-    _check_domain(model, t)
+def _mean_at(model: ModelSpec, t: Array) -> Array:
     if model.mean_fn is not None:
         return np.asarray(model.mean_fn(t), dtype=float)
     return _fd_gradient(model, t)
 
 
+def mean_map(model: ModelSpec, t) -> Array:
+    """Mean of the tilted law: the gradient of the cumulant function at t."""
+    t = _as_tilt(model, t)
+    _check_domain(model, t)
+    return _mean_at(model, t)
+
+
 def mean_and_cov(model: ModelSpec, t: Array):
     """(m(t), kappa(t)) with a single domain check; hot path of the solver."""
     _check_domain(model, t)
-    if model.mean_fn is not None:
-        m = np.asarray(model.mean_fn(t), dtype=float)
-    else:
-        m = _fd_gradient(model, t)
-    cov = model.cov_fn(t) if model.cov_fn is not None else _fd_hessian(model, t)
-    cov = np.asarray(cov, dtype=float)
-    return m, 0.5 * (cov + cov.T)
+    return _mean_at(model, t), _covariance_at(model, t)
 
 
 def local_cumulants(model: ModelSpec, t) -> LocalCumulants:
@@ -343,15 +341,11 @@ def _gm_tilted_draw(rng, size, mean, sd):
     return rng.normal(mean, sd, size=(size, mean.size))
 
 
-def _gm_tilted_logpdf(x, mean, sigma2):
-    return _gm_logp(x, mean, sigma2)
-
-
 def _gm_tilted(t, mu, sigma2):
     mean = mu + sigma2 * np.asarray(t, dtype=float)
     sd = np.sqrt(sigma2)
     return TiltedFamily(partial(_gm_tilted_draw, mean=mean, sd=sd),
-                        partial(_gm_tilted_logpdf, mean=mean, sigma2=sigma2))
+                        partial(_gm_logp, mu=mean, sigma2=sigma2))
 
 
 def _broadcast(value, d, what):
@@ -424,19 +418,12 @@ def _exp_tilted_draw(rng, size, scale):
     return rng.exponential(scale, size=(size, 1))
 
 
-def _exp_tilted_logpdf(x, tilted_rate):
-    pts, single = _points(x, 1)
-    v = pts[..., 0]
-    out = np.where(v >= 0, math.log(tilted_rate) - tilted_rate * v, -np.inf)
-    return float(out[0]) if single else out
-
-
 def _exp_tilted(t, rate):
     tilted_rate = rate - float(np.asarray(t).reshape(()))
     if tilted_rate <= 0:
         raise DomainError("tilt at or beyond the exponential rate", coord=0)
     return TiltedFamily(partial(_exp_tilted_draw, scale=1.0 / tilted_rate),
-                        partial(_exp_tilted_logpdf, tilted_rate=tilted_rate))
+                        partial(_exp_logp, rate=tilted_rate))
 
 
 def _exp_step_window(gauss_mean, beta, rate):

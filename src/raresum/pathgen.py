@@ -12,7 +12,10 @@ the mixture density all read it, and no tilt is solved.  For
 one-dimensional models with a generic statistic
 the step density is tabulated on an adaptive grid and sampled by inverse
 CDF; the recorded log-density is the exact density of that tabulated
-sampler, so importance weights stay unbiased.
+sampler, so importance weights stay unbiased.  One walker (`_grid_path`)
+builds each step law of such a run once and either draws the run from it
+or evaluates given points under it, so sampling and the density cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ class GridDensity1D:
         return float(out[0]) if single else out
 
     def logpdf(self, y):
-        single = np.isscalar(y) or np.ndim(y) == 0
+        """Log-density at y; a scalar or a shape-(1,) point gives a float."""
         v = np.atleast_1d(np.asarray(y, dtype=float))
+        single = v.shape == (1,)
         out = np.full(v.shape, -np.inf)
         inside = (v >= self.x[0]) & (v <= self.x[-1])
         if np.any(inside):
@@ -196,20 +200,6 @@ def _build_grid_density(log_h, window, rel_tol=2e-7, n0=1001, max_refine=4):
 # ---------------------------------------------------------------------------
 
 
-class _GridStepSampler:
-    """Grid-tabulated step for d = 1 models with a non-conjugate statistic."""
-
-    def __init__(self, grid: GridDensity1D):
-        self.grid = grid
-
-    def draw(self, rng):
-        y = self.grid.sample(rng)
-        return np.array([y]), float(self.grid.logpdf(y))
-
-    def logpdf(self, y):
-        return float(self.grid.logpdf(float(np.asarray(y).reshape(()))))
-
-
 @dataclass
 class StepParams:
     """Grid step for point i+1 of a model without gaussian-identity structure."""
@@ -218,7 +208,7 @@ class StepParams:
     beta: np.ndarray       # covariance of the Gaussian steering factor
     gauss_mean: np.ndarray
     log_norm: float        # log of the step density's normalizing constant
-    sampler: object = field(repr=False)
+    sampler: GridDensity1D = field(repr=False)
 
 
 def _remaining_mean(v, u_partial, i, n):
@@ -292,7 +282,7 @@ def _make_step_sampler(model: ModelSpec, gauss_mean, beta):
             return log_gauss + model.log_density_x(ys)
 
         grid = _build_grid_density(log_h, window)
-        return _GridStepSampler(grid), -grid.log_integral
+        return grid, -grid.log_integral
     raise ConfigurationError(
         "step sampling for d > 1 models without gaussian-identity structure "
         "is not supported")
@@ -338,10 +328,7 @@ class TiltedDensity:
     def logpdf(self, x):
         if self._family is not None:
             return self._family.logpdf(x)
-        v = np.asarray(x, dtype=float)
-        if v.ndim <= 1 and v.size == 1:
-            return float(self._grid.logpdf(float(v.reshape(()))))
-        return self._grid.logpdf(v.reshape(-1))
+        return self._grid.logpdf(np.reshape(x, -1))
 
 
 def tilted_tail_sampler(model: ModelSpec, m_k, t_warm=None) -> TiltedDensity:
@@ -401,7 +388,7 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
         points = _draw_gaussian_points(model, v, n, k, rng, variant)
         dens = path_logdensity(model, points, v, n, k, variant)
     else:
-        points, dens = _draw_grid_path(model, v, n, k, rng, variant)
+        points, dens = _grid_path(model, v, n, k, variant, rng=rng)
     u_partial = np.cumsum(np.asarray(model.statistic(points), dtype=float), axis=0)
     if not math.isfinite(dens.log_g):
         raise PathAbort(n - 1, "non-finite sampling log-density")
@@ -424,37 +411,41 @@ def _draw_gaussian_points(model, v, n, k, rng, variant):
     return points
 
 
-def _draw_grid_path(model, v, n, k, rng, variant):
+def _grid_path(model, v, n, k, variant, rng=None, points=None):
     """Points and PathDensity of a run of a model without gaussian-identity
-    structure: grid steps (or the tilted first step), then the tilted tail."""
-    points = np.empty((n, model.d))
+    structure: grid steps (or the tilted first step), then the tilted tail.
+
+    Each step's law is built once.  With `points` None the run is drawn from
+    these laws with `rng`; otherwise the given points are evaluated under
+    them.  A tilt or grid that cannot be built aborts the run at its step.
+    """
+    draw = points is None
+    if draw:
+        points = np.empty((n, model.d))
     u_run = np.zeros(model.s)
     log_g_head = 0.0
     t_warm = None
     for i in range(k):
         try:
             if variant == "paper-literal" and i == 0:
-                tail0 = tilted_tail_sampler(model, v)
-                y = np.atleast_1d(np.asarray(tail0.sample(rng), dtype=float))
-                ld = float(tail0.logpdf(y))
-                t_warm = tail0.t
+                law = tilted_tail_sampler(model, v)
+                t_warm = law.t
             else:
                 params = step_params(model, v, i, u_run, n, variant, t_warm=t_warm)
-                y, ld = params.sampler.draw(rng)
-                y = np.atleast_1d(np.asarray(y, dtype=float))
-                t_warm = params.t
+                law, t_warm = params.sampler, params.t
         except (SteepnessError, NumericError) as exc:
             raise PathAbort(i, str(exc)) from None
-        points[i] = y
-        u_run = u_run + np.asarray(model.statistic(y), dtype=float)
-        log_g_head += ld
+        if draw:
+            points[i] = law.sample(rng)
+        log_g_head += float(law.logpdf(points[i]))
+        u_run = u_run + np.asarray(model.statistic(points[i]), dtype=float)
 
-    m_k = _remaining_mean(v, u_run, k, n)
     try:
-        tail = tilted_tail_sampler(model, m_k, t_warm=t_warm)
+        tail = tilted_tail_sampler(model, _remaining_mean(v, u_run, k, n), t_warm=t_warm)
     except (SteepnessError, NumericError) as exc:
         raise PathAbort(k, str(exc)) from None
-    points[k:] = np.atleast_2d(np.asarray(tail.sample(rng, size=n - k), dtype=float))
+    if draw:
+        points[k:] = tail.sample(rng, size=n - k)
     log_g_tail = float(np.sum(tail.logpdf(points[k:])))
     log_p = float(np.sum(model.log_density_x(points)))
     return points, PathDensity(log_g_head=log_g_head, log_g_tail=log_g_tail, log_p=log_p)
@@ -506,25 +497,8 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape != (n, model.d):
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
-    log_p = float(np.sum(model.log_density_x(points)))
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        head, tail = _gaussian_logdensities(model, points, v, n, k, variant)
-        return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]), log_p=log_p)
-    u_run = np.zeros(model.s)
-    log_g_head = 0.0
-    t_warm = None
-    for i in range(k):
-        y = points[i]
-        if variant == "paper-literal" and i == 0:
-            tail0 = tilted_tail_sampler(model, v)
-            log_g_head += float(tail0.logpdf(y))
-            t_warm = tail0.t
-        else:
-            params = step_params(model, v, i, u_run, n, variant, t_warm=t_warm)
-            log_g_head += params.sampler.logpdf(y)
-            t_warm = params.t
-        u_run = u_run + np.asarray(model.statistic(y), dtype=float)
-    m_k = _remaining_mean(v, u_run, k, n)
-    tail = tilted_tail_sampler(model, m_k, t_warm=t_warm)
-    log_g_tail = float(np.sum(tail.logpdf(points[k:])))
-    return PathDensity(log_g_head=log_g_head, log_g_tail=log_g_tail, log_p=log_p)
+    if model.conjugacy_tag != GAUSSIAN_IDENTITY:
+        return _grid_path(model, v, n, k, variant, points=points)[1]
+    head, tail = _gaussian_logdensities(model, points, v, n, k, variant)
+    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
+                       log_p=float(np.sum(model.log_density_x(points))))

@@ -134,7 +134,7 @@ def test_naive_at_experiment_scale(gauss_005):
     # L * P ~ 1121 expected hits for the n=100 two-sided event
     region = rs.two_sided_region(0.28, 1)
     L = 100000
-    rep = rs.naive_estimate(gauss_005, region, 100, L, seed=23, keep_details=False)
+    rep = rs.naive_estimate(gauss_005, region, 100, L, seed=23)
     truth = norm.sf(2.3) + norm.cdf(-3.3)
     sd = math.sqrt(L * truth * (1 - truth))
     hits = rep.hit_rate * L

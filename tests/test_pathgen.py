@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,8 +101,8 @@ def test_step_sampler_density_matches_draws(expo):
     # inverse-CDF draws and the recorded density describe the same law
     p = step_params(expo, [1.5], 0, [0.0], 10)
     gen = np.random.default_rng(9)
-    ys = np.array([p.sampler.draw(gen)[0][0] for _ in range(20000)])
-    grid = p.sampler.grid
+    ys = np.array([p.sampler.sample(gen) for _ in range(20000)])
+    grid = p.sampler
     edges = np.quantile(ys, np.linspace(0, 1, 21))
     counts, _ = np.histogram(ys, bins=edges)
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
@@ -121,7 +122,7 @@ def test_flat_steering_limit_recovers_tilted_density(expo):
     sampler, _ = _make_step_sampler(expo, gauss_mean, beta)
     tilted = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
-    step_dens = np.exp(sampler.grid.logpdf(xs))
+    step_dens = np.exp(sampler.logpdf(xs))
     tilt_dens = np.exp(tilted.logpdf(xs))
     tv = 0.5 * np.trapezoid(np.abs(step_dens - tilt_dens), xs)
     assert tv < 1e-4
@@ -148,16 +149,50 @@ def test_gaussian_exactness_any_k(std_gauss):
         assert abs(path.log_g_head - oracle.logpdf(path.points[:k, 0])) < 1e-8
 
 
-def test_path_logdensity_matches_sample(std_gauss, expo):
+def sample_unaborted(model, v, n, k, gen, variant="uniform-step"):
+    for _ in range(50):  # generic runs this short can abort; retry
+        try:
+            return rs.sample_path(model, v, n, k, gen, variant=variant)
+        except PathAbort:
+            continue
+    raise AssertionError("every run aborted")
+
+
+def test_path_logdensity_matches_sample(std_gauss, expo, mean_square):
     gen = np.random.default_rng(17)
-    for model, v in ((std_gauss, [0.4]), (expo, [1.5])):
-        for _ in range(50):  # exponential runs this short can abort; retry
-            try:
-                path = rs.sample_path(model, v, 8, 5, gen)
-                break
-            except PathAbort:
-                continue
-        dens = rs.path_logdensity(model, path.points, v, 8, 5)
+    for variant in ("uniform-step", "paper-literal"):
+        for model, v in ((std_gauss, [0.4]), (expo, [1.5]), (mean_square, [0.3, 1.2])):
+            path = sample_unaborted(model, v, 8, 5, gen, variant)
+            dens = rs.path_logdensity(model, path.points, v, 8, 5, variant)
+            assert dens.log_g == pytest.approx(path.log_g, abs=1e-9)
+            assert dens.log_p == pytest.approx(path.log_p, abs=1e-9)
+
+
+def test_path_logdensity_aborts_on_overshooting_head(expo):
+    # the head sums to 3 > n v = 2.1 after three points, so the remaining
+    # mean at step 3 is negative and no tilt attains it
+    points = np.array([[1.0], [1.0], [1.0], [0.1], [0.1], [0.1]])
+    with pytest.raises(PathAbort) as err:
+        rs.path_logdensity(expo, points, [0.35], 6, 5)
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize("family,target", [
+    ("exponential-mean", [1.5]), ("gaussian-mean-and-square", [0.3, 1.2])])
+def test_custom_model_grid_fallbacks(family, target):
+    # a custom d = 1 model with no closed-form tilted family and no step
+    # window: the tilted law and every step are tabulated on x_window_fn
+    builtin = rs.builtin_model(family)
+    custom = dataclasses.replace(builtin, tilted_family=None, step_window_fn=None)
+    grid_law = rs.tilted_tail_sampler(custom, target)
+    exact = rs.tilted_tail_sampler(builtin, target)
+    xs = np.linspace(*custom.x_window_fn(grid_law.t), 200001)
+    diff = np.abs(np.exp(grid_law.logpdf(xs)) - np.exp(exact.logpdf(xs)))
+    assert 0.5 * np.trapezoid(diff, xs) < 1e-5
+    gen = np.random.default_rng(73)
+    for variant in ("uniform-step", "paper-literal"):
+        path = sample_unaborted(custom, target, 8, 5, gen, variant)
+        dens = rs.path_logdensity(custom, path.points, target, 8, 5, variant)
         assert dens.log_g == pytest.approx(path.log_g, abs=1e-9)
         assert dens.log_p == pytest.approx(path.log_p, abs=1e-9)
 
