@@ -24,6 +24,9 @@ from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
 from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec
 from .pathgen import (
     PathConfig,
+    _blocks,
+    _draw_gaussian_points,
+    _gaussian_logdensities,
     base_sampler,
     mixture_logdensity,
     sample_path,
@@ -168,27 +171,52 @@ def _check_point(*args, **kwargs) -> None:
 
 
 def _adaptive_batch(model, region, n, k, variant, weighting, vs, seed, indices):
+    """Weights, hits, aborts and final means of the replicates `indices`.
+    Each value depends only on its replicate's index, so any split of the
+    indices (--threads) gives the same numbers."""
     out_w = np.zeros(len(indices))
     out_hit = np.zeros(len(indices), dtype=bool)
     out_abort = np.zeros(len(indices), dtype=bool)
     out_mean = np.zeros((len(indices), model.s))
-    for pos, l in enumerate(indices):
-        rng = replicate_rng(seed, l)
-        try:
-            path = sample_path(model, vs[l], n, k, rng, variant=variant)
-        except PathAbort:
-            out_abort[pos] = True
-            continue
-        mean = path.u_partial[-1] / n
-        out_mean[pos] = mean
-        if contains(region, mean):
-            out_hit[pos] = True
-            if weighting == "mixture":
-                log_g = mixture_logdensity(model, path.points, vs, n, k, variant)
-            else:
-                log_g = path.log_g
-            out_w[pos] = math.exp(path.log_p - log_g)
+    for b, points, log_g in _replicate_runs(model, n, k, variant, vs, seed, indices):
+        for j, pos in enumerate(range(len(indices))[b]):
+            if not math.isfinite(log_g[j]):
+                out_abort[pos] = True
+                continue
+            out_mean[pos] = np.cumsum(model.statistic(points[j]), axis=0)[-1] / n
+            out_hit[pos] = contains(region, out_mean[pos])
+        hits = np.flatnonzero(out_hit[b])
+        if weighting == "mixture" and hits.size:
+            log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
+        for j in hits:
+            log_p = float(np.sum(model.log_density_x(points[j])))
+            out_w[b][j] = math.exp(log_p - log_g[j])
     return out_w, out_hit, out_abort, out_mean
+
+
+def _replicate_runs(model, n, k, variant, vs, seed, indices):
+    """Blocks (slice of positions in `indices`, runs (B, n, d), paired log_g
+    (B,)) of the replicates `indices`; an aborted run has log_g NaN.
+
+    Gaussian-identity runs are drawn and weighed a block at a time, replicate
+    l from the normals of replicate_rng(seed, l); other models' step laws are
+    built per run, so their runs come one by one from sample_path.
+    """
+    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
+        for b in _blocks(len(indices), n * model.d):
+            ls = indices[b]
+            z = np.stack([replicate_rng(seed, l).standard_normal((n, model.d)) for l in ls])
+            points = _draw_gaussian_points(model, vs[ls], z, n, k, variant)
+            head, tail = _gaussian_logdensities(model, points, vs[ls][:, None], n, k, variant)
+            yield b, points, head[:, 0] + tail[:, 0]
+        return
+    for pos, l in enumerate(indices):
+        try:
+            path = sample_path(model, vs[l], n, k, replicate_rng(seed, l), variant=variant)
+        except PathAbort:
+            yield slice(pos, pos + 1), None, np.array([math.nan])
+            continue
+        yield slice(pos, pos + 1), path.points[None], np.array([path.log_g])
 
 
 def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,

@@ -8,8 +8,12 @@ points are i.i.d. draws from the tilted density whose mean closes the gap.
 
 For gaussian-identity models every head step and the tail follow one
 closed-form Gaussian law (`gaussian_step`); sampling, the paired density and
-the mixture density all read it, and no tilt is solved.  For
-one-dimensional models with a generic statistic
+the mixture density all read it, and no tilt is solved.  They work on whole
+batches of runs as array steps: `_draw_gaussian_points` draws L runs from
+pre-drawn normals, and `_gaussian_logdensities` scores H runs under m
+conditioning points each, a bounded block of runs at a time.  One run is the
+batch of one, so a run's numbers do not depend on the batch it is part of.
+For one-dimensional models with a generic statistic
 the step density is tabulated on an adaptive grid and sampled by inverse
 CDF; the recorded log-density is the exact density of that tabulated
 sampler, so importance weights stay unbiased.  One walker (`_grid_path`)
@@ -32,6 +36,7 @@ from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
 from .tilt import TiltSolution, solve_tilt
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_BLOCK_ELEMENTS = 1 << 15  # working-set budget of one block of batched Gaussian runs
 
 VARIANTS = ("uniform-step", "paper-literal")
 K_MODES = ("default", "gaussian-exact", "manual")
@@ -217,9 +222,10 @@ def _remaining_mean(v, u_partial, i, n):
 
 def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
                   variant: str = "uniform-step"):
-    """Means (m, s) and variances (s,) of the Gaussian law of point i+1 of a
+    """Means and variances (s,) of the Gaussian law of point i+1 of a
     gaussian-identity run whose first i points sum to u_partial, for each
-    conditioning point (row) of V.  With r = n - i - 1 and remaining mean
+    conditioning point (row) of V (m, s); stacked V and u_partial broadcast
+    against each other.  With r = n - i - 1 and remaining mean
     m_i, uniform-step gives N(m_i, sigma^2 r/(r+1)), paper-literal
     N((r m_i + v)/(r+1), sigma^2 r/(r+1)) and, at i = 0, N(v, sigma^2)."""
     if variant not in VARIANTS:
@@ -385,7 +391,8 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
     """Draw a full n-point run conditioned toward v and record its densities."""
     v = _check_path_args(model, v, n, k)
     if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        points = _draw_gaussian_points(model, v, n, k, rng, variant)
+        z = rng.standard_normal((1, n, model.d))
+        points = _draw_gaussian_points(model, v[None], z, n, k, variant)[0]
         dens = path_logdensity(model, points, v, n, k, variant)
     else:
         points, dens = _grid_path(model, v, n, k, variant, rng=rng)
@@ -397,17 +404,19 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
                       log_g_tail=dens.log_g_tail)
 
 
-def _draw_gaussian_points(model, v, n, k, rng, variant):
-    """k head steps from gaussian_step, then n - k i.i.d. N(m_k, sigma^2) points."""
-    points = np.empty((n, model.d))
-    u_run = np.zeros(model.s)
+def _draw_gaussian_points(model, V, Z, n, k, variant):
+    """Gaussian-identity runs (L, n, s), run l conditioned toward V[l] and
+    driven by the standard normals Z[l] (n, s): k head steps from
+    gaussian_step, then n - k i.i.d. N(m_k, sigma^2) points.  Each point is
+    mean + sd * z, exactly what rng.normal(mean, sd) returns for the same z."""
+    points = np.empty_like(Z)
+    u_run = np.zeros_like(V)
     for i in range(k):
-        mean, var = gaussian_step(model, v, u_run, i, n, variant)
-        points[i] = rng.normal(mean[0], np.sqrt(var))
-        u_run = u_run + points[i]
-    tail_mean = _remaining_mean(v, u_run, k, n)
-    points[k:] = rng.normal(tail_mean, np.sqrt(model.gauss_identity_params[1]),
-                            size=(n - k, model.s))
+        mean, var = gaussian_step(model, V, u_run, i, n, variant)
+        points[:, i] = mean + np.sqrt(var) * Z[:, i]
+        u_run = u_run + points[:, i]
+    tail_mean = _remaining_mean(V, u_run, k, n)
+    points[:, k:] = tail_mean[:, None, :] + np.sqrt(model.gauss_identity_params[1]) * Z[:, k:]
     return points
 
 
@@ -457,23 +466,43 @@ def _normal_logpdf(y, mean, var):
     return -0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
 
 
-def _gaussian_logdensities(model, points, V, n, k, variant):
-    """Head and tail log-densities, each of shape (m,), of one gaussian-identity
-    run under the scheme conditioned on each row of V (m, s)."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    prefix = np.vstack([np.zeros(model.s), np.cumsum(points, axis=0)])  # (n+1, s)
-    head = 0.0
-    for i in range(k):
-        mean, var = gaussian_step(model, V, prefix[i], i, n, variant)
-        head = head + _normal_logpdf(points[i], mean, var)
-    tail_mean = _remaining_mean(V, prefix[k], k, n)
-    tail = _normal_logpdf(points[k:], tail_mean[:, None, :], model.gauss_identity_params[1])
-    return head, np.sum(tail, axis=-1)
+def _gaussian_logdensities(model, P, V, n, k, variant):
+    """Head and tail log-densities, each (H, m), of the gaussian-identity runs
+    P (H, n, s) under the scheme conditioned on V, which broadcasts to
+    (H, m, s): V[:, None] pairs run h with row h, vs[None] scores every run
+    under every row of vs.  Runs are taken in blocks whose (block, m, s) head
+    steps, and sub-blocks whose (block, m, n - k, s) tails, stay within
+    _BLOCK_ELEMENTS."""
+    H, m, s = P.shape[0], V.shape[1], model.s
+    V = np.broadcast_to(V, (H, m, s))
+    prefix = np.concatenate([np.zeros((H, 1, s)), np.cumsum(P, axis=1)], axis=1)
+    head, tail = np.empty((H, m)), np.empty((H, m))
+    for b in _blocks(H, m * s):
+        Vb, pb = V[b], prefix[b, :, None, :]
+        h = 0.0
+        for i in range(k):
+            mean, var = gaussian_step(model, Vb, pb[:, i], i, n, variant)
+            h = h + _normal_logpdf(P[b, i, None, :], mean, var)
+        head[b] = h
+        tail_mean = _remaining_mean(Vb, pb[:, k], k, n)[:, :, None, :]
+        yb, tb = P[b, None, k:, :], tail[b]
+        for c in _blocks(len(tb), m * (n - k) * s):
+            tb[c] = np.sum(_normal_logpdf(yb[c], tail_mean[c], model.gauss_identity_params[1]),
+                           axis=-1)
+    return head, tail
+
+
+def _blocks(count, per_item):
+    """Slices covering range(count), each of at most _BLOCK_ELEMENTS / per_item
+    items (and at least one)."""
+    size = max(1, _BLOCK_ELEMENTS // per_item)
+    return [slice(a, a + size) for a in range(0, count, size)]
 
 
 def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
-                       variant: str = "uniform-step") -> float:
-    """Log of the equal-weight mixture over `v_set` of the run densities.
+                       variant: str = "uniform-step"):
+    """Log of the equal-weight mixture over `v_set` of the run densities, for
+    one run (n, s) as a float or for a stack of runs (H, n, s) as an (H,) array.
 
     Only available for gaussian-identity models, whose run densities come in
     closed form for the whole set of conditioning points at once; the value
@@ -481,13 +510,18 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     """
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
         raise ConfigurationError("mixture density needs a gaussian-identity model")
-    y = np.atleast_2d(np.asarray(points, dtype=float))  # (n, s); u = identity
-    if y.shape != (n, model.s):
-        raise ConfigurationError(f"points must have shape ({n}, {model.s})")
-    head, tail = _gaussian_logdensities(model, y, v_set, n, k, variant)
+    y = np.asarray(points, dtype=float)  # u = identity
+    if y.shape[-2:] != (n, model.s) or y.ndim not in (2, 3):
+        raise ConfigurationError(
+            f"points must have shape ({n}, {model.s}) or (H, {n}, {model.s})")
+    vs = np.atleast_2d(np.asarray(v_set, dtype=float))
+    head, tail = _gaussian_logdensities(model, y.reshape(-1, n, model.s), vs[None],
+                                        n, k, variant)
     total = head + tail
-    peak = float(np.max(total))
-    return peak + math.log(float(np.mean(np.exp(total - peak))))
+    peak = np.max(total, axis=1)
+    mean = np.mean(np.exp(total - peak[:, None]), axis=1)
+    out = np.array([float(p) + math.log(float(q)) for p, q in zip(peak, mean)])
+    return float(out[0]) if y.ndim == 2 else out
 
 
 def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
@@ -499,6 +533,6 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
         return _grid_path(model, v, n, k, variant, points=points)[1]
-    head, tail = _gaussian_logdensities(model, points, v, n, k, variant)
-    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
+    head, tail = _gaussian_logdensities(model, points[None], v[None, None], n, k, variant)
+    return PathDensity(log_g_head=float(head[0, 0]), log_g_tail=float(tail[0, 0]),
                        log_p=float(np.sum(model.log_density_x(points))))

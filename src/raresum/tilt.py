@@ -48,6 +48,18 @@ def _max_feasible_step(model: ModelSpec, t: np.ndarray, direction: np.ndarray) -
     return limit
 
 
+def _singular_covariance(model: ModelSpec, t, t_start) -> SteepnessError:
+    """The error for a covariance that vanished at t.  If Newton carried t
+    from its start toward an unbounded end of the domain, the mean map
+    flattened out short of the target, so the target cannot be reached."""
+    dom = model.cumulant_domain
+    outward = (((t < t_start) & np.isneginf(dom.lower))
+               | ((t > t_start) & np.isposinf(dom.upper)))
+    if np.any(outward):
+        return SteepnessError("target outside the attainable mean range")
+    return SteepnessError("singular covariance in the tilt solve")
+
+
 def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
                t0=None) -> TiltSolution:
     """Solve m(t) = alpha by damped Newton on the dual K(t) - <t, alpha>.
@@ -63,6 +75,7 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
     t = np.zeros(model.s) if t0 is None else np.array(t0, dtype=float)
     if not model.cumulant_domain.contains(t, margin=True):
         t = np.zeros(model.s)
+    t_start = t
 
     def dual(tv):
         return model.cumulant(tv) - float(np.dot(tv, alpha))
@@ -82,14 +95,14 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
             return TiltSolution(target=alpha, t=t, local=loc, iterations=it - 1, residual=r)
         if scalar:
             if cov[0, 0] <= 0:
-                raise SteepnessError("singular covariance in the tilt solve")
+                raise _singular_covariance(model, t, t_start)
             with np.errstate(over="ignore"):
                 direction = -residual_vec / cov[0, 0]
         else:
             try:
                 direction = np.linalg.solve(cov, -residual_vec)
             except np.linalg.LinAlgError:
-                raise SteepnessError("singular covariance in the tilt solve") from None
+                raise _singular_covariance(model, t, t_start) from None
         if not np.all(np.isfinite(direction)):
             raise SteepnessError("tilt step diverged; target outside the "
                                  "attainable mean range")

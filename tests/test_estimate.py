@@ -238,10 +238,11 @@ def test_reports_are_deterministic(gauss_005):
     assert r1.csv_row(include_timing=False) == r2.csv_row(include_timing=False)
 
 
-def test_threads_do_not_change_results(gauss_005):
+@pytest.mark.parametrize("weighting", ["paired", "mixture"])
+def test_threads_do_not_change_results(gauss_005, weighting):
     region = one_sided(0.3)
     chain = rs.MeanChainConfig(burn_in=200, thinning=2)
-    kwargs = dict(chain_config=chain, seed=37,
+    kwargs = dict(chain_config=chain, seed=37, weighting=weighting,
                   path_config=rs.PathConfig(k_mode="manual", k=10))
     serial = rs.adaptive_estimate(gauss_005, region, 20, 240, threads=1, **kwargs)
     parallel = rs.adaptive_estimate(gauss_005, region, 20, 240, threads=3, **kwargs)

@@ -17,6 +17,7 @@ from raresum.pathgen import (
     select_k,
     step_params,
 )
+from raresum.utils import replicate_rng
 
 
 def exact_conditional_head(n, k, v, sigma=1.0):
@@ -175,6 +176,7 @@ def test_path_logdensity_aborts_on_overshooting_head(expo):
     with pytest.raises(PathAbort) as err:
         rs.path_logdensity(expo, points, [0.35], 6, 5)
     assert err.value.step == 3
+    assert err.value.reason == "target outside the attainable mean range"
 
 
 @pytest.mark.parametrize("family,target", [
@@ -410,3 +412,41 @@ def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma):
         expected = math.log(np.mean(np.exp(per_v)))
         mixed = mixture_logdensity(model, path.points, vs, n, k, variant)
         assert mixed == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def drawn_step_by_step(model, v, n, k, rng, variant):
+    """Reference drawer: one rng.normal call per head step, then the tail."""
+    points, u = np.empty((n, model.d)), np.zeros(model.s)
+    for i in range(k):
+        mean, var = gaussian_step(model, v, u, i, n, variant)
+        points[i] = rng.normal(mean[0], np.sqrt(var))
+        u = u + points[i]
+    points[k:] = rng.normal((n / (n - k)) * (v - u / n),
+                            np.sqrt(model.gauss_identity_params[1]), size=(n - k, model.s))
+    return points
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("d,sigma", [(1, 1.0), (3, (0.5, 1.0, 2.0))], ids=["d1", "d3"])
+def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
+    # the batched drawer and densities give every run exactly the numbers
+    # the one-run functions give it, whatever block the run falls in, and
+    # the draws are those of rng.normal called step by step
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=sigma, d=d)
+    n, k, L, seed = 40, 20, 200, 59
+    vs = 0.3 + 0.2 * np.random.default_rng(61).standard_normal((L, d))
+    z = np.stack([replicate_rng(seed, l).standard_normal((n, d)) for l in range(L)])
+    runs = pathgen._draw_gaussian_points(model, vs, z, n, k, variant)
+    head, tail = pathgen._gaussian_logdensities(model, runs, vs[:, None], n, k, variant)
+    mixed = mixture_logdensity(model, runs, vs, n, k, variant)
+    # the runs span several head blocks and several tail sub-blocks
+    assert len(pathgen._blocks(L, L * d)) >= 2
+    assert len(pathgen._blocks(L, L * (n - k) * d)) >= 2
+    for l in range(L):
+        path = rs.sample_path(model, vs[l], n, k, replicate_rng(seed, l), variant=variant)
+        assert np.array_equal(runs[l], path.points)
+        reference = drawn_step_by_step(model, vs[l], n, k, replicate_rng(seed, l), variant)
+        assert np.array_equal(runs[l], reference)
+        assert head[l, 0] + tail[l, 0] == path.log_g
+        assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
+        assert mixed[l] == mixture_logdensity(model, runs[l], vs, n, k, variant)

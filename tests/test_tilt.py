@@ -40,6 +40,13 @@ def test_steepness_failure_on_unattainable_target(expo):
         rs.solve_tilt(expo, [-0.5])
 
 
+def test_unattainable_target_is_named(expo):
+    # Newton runs t toward -inf until the covariance underflows; the error
+    # names the unreachable target, not the singular covariance on the way
+    with pytest.raises(SteepnessError, match="target outside the attainable mean range"):
+        rs.solve_tilt(expo, [-0.3])
+
+
 @pytest.mark.parametrize("name,params,sampler", [
     ("gaussian-mean", dict(mu=0.05, sigma=1.0, d=1),
      lambda g: np.array([g.uniform(-2, 2)])),
