@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -112,40 +113,41 @@ class _RestartKernel:
 
     Windows hug the end of each interval nearest the unconditioned mean,
     where the restricted mass concentrates, with extent one proposal scale.
+    Window c is the box [lo[c], hi[c]].
     """
 
     def __init__(self, boxes, mu, scales):
-        self.windows = []
-        for box in boxes:
-            lo = np.empty(len(box))
-            hi = np.empty(len(box))
+        self.lo = np.empty((len(boxes), len(mu)))
+        self.hi = np.empty_like(self.lo)
+        for c, box in enumerate(boxes):
+            lo, hi = self.lo[c], self.hi[c]
             for j, iv in enumerate(box):
                 w = float(scales[j])
                 a, b = iv.lower, iv.upper
                 if math.isfinite(a) and math.isfinite(b):
-                    c = 0.5 * (a + b)
-                    lo[j], hi[j] = max(a, c - 0.5 * w), min(b, c + 0.5 * w)
+                    m = 0.5 * (a + b)
+                    lo[j], hi[j] = max(a, m - 0.5 * w), min(b, m + 0.5 * w)
                 elif math.isfinite(a):
                     lo[j], hi[j] = a, a + w
                 elif math.isfinite(b):
                     lo[j], hi[j] = b - w, b
                 else:
                     lo[j], hi[j] = mu[j] - 0.5 * w, mu[j] + 0.5 * w
-            self.windows.append((lo, hi))
         self._log_vols = np.array([float(np.sum(np.log(hi - lo)))
-                                   for lo, hi in self.windows])
-        self._n = len(self.windows)
+                                   for lo, hi in zip(self.lo, self.hi)])
+        self._dens = [math.exp(-lv) for lv in self._log_vols]
+        self._n = len(boxes)
 
     def sample(self, rng):
         c = rng.integers(self._n)
-        lo, hi = self.windows[c]
+        lo, hi = self.lo[c], self.hi[c]
         return lo + (hi - lo) * rng.random(lo.size)
 
     def logpdf(self, v):
+        inside = ((v >= self.lo) & (v <= self.hi)).all(axis=1)
         dens = 0.0
-        for (lo, hi), lv in zip(self.windows, self._log_vols):
-            if np.all(v >= lo) and np.all(v <= hi):
-                dens += math.exp(-lv)
+        for d in compress(self._dens, inside.tolist()):
+            dens += d
         if dens <= 0.0:
             return -math.inf
         return math.log(dens / self._n)
@@ -183,17 +185,24 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
     states = np.empty((count, model.s))
     stored = 0
     accepted = 0
+    # restart.logpdf(v) changes only when v does: rv caches it, and None
+    # marks it stale after an accepted random-walk move.
+    rv = None
     for step in range(total):
         if restart is not None and rng.random() < config.restart_prob:
             prop = restart.sample(rng)
             lp = logtarget(prop)
-            log_alpha = (lp + restart.logpdf(v)) - (lt + restart.logpdf(prop))
+            if rv is None:
+                rv = restart.logpdf(v)
+            rprop = restart.logpdf(prop)
+            log_alpha = (lp + rv) - (lt + rprop)
         else:
             prop = v + scale * rng.standard_normal(model.s)
             lp = logtarget(prop)
+            rprop = None
             log_alpha = lp - lt
         if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
-            v, lt = prop, lp
+            v, lt, rv = prop, lp, rprop
             accepted += 1
         idx = step - config.burn_in
         if idx >= 0 and idx % config.thinning == config.thinning - 1:

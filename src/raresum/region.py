@@ -40,13 +40,10 @@ class Interval:
         return False
 
     def contains(self, x: float) -> bool:
-        if x < self.lower or x > self.upper:
-            return False
-        if x == self.lower and not self.lower_closed:
-            return False
-        if x == self.upper and not self.upper_closed:
-            return False
-        return True
+        # Every comparison with NaN is false, so NaN is never a member.
+        return (self.lower <= x <= self.upper
+                and (x != self.lower or self.lower_closed)
+                and (x != self.upper or self.upper_closed))
 
     def distance(self, x: float) -> float:
         """Distance to the closure (endpoint openness does not matter)."""
@@ -111,7 +108,10 @@ class IntervalUnion:
         return len(self.intervals) == 0
 
     def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
+        for iv in self.intervals:
+            if iv.contains(x):
+                return True
+        return False
 
     def distance(self, x: float) -> float:
         if self.is_empty:
@@ -156,7 +156,12 @@ def contains(region: ProductRegion, v) -> bool:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (region.s,):
         raise ConfigurationError(f"point must have shape ({region.s},), got {v.shape}")
-    return all(c.contains(float(x)) for c, x in zip(region.components, v))
+    # Plain loops over Python floats: the chain target and the i.i.d.
+    # estimators call this once per point.
+    for c, x in zip(region.components, v.tolist()):
+        if not c.contains(x):
+            return False
+    return True
 
 
 def clamp_distance(region: ProductRegion, v) -> float:

@@ -21,6 +21,12 @@ from .region import ProductRegion, component_boxes, contains
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
+# Largest converged residual, in standard deviations of the tilted law, that
+# counts as a solve.  The bundled configs' and benchmark workloads' solves end
+# below 5e-9.  A target on the boundary of the mean range (exponential-mean at
+# 0) meets the absolute tolerance only as the tilted law collapses, and ends
+# about one standard deviation away.
+MAX_RESIDUAL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,8 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
             else:
                 r = float(np.sqrt(residual_vec @ np.linalg.solve(loc.covariance,
                                                                  residual_vec)))
+            if not r <= MAX_RESIDUAL:
+                raise SteepnessError("target outside the attainable mean range")
             return TiltSolution(target=alpha, t=t, local=loc, iterations=it - 1, residual=r)
         if scalar:
             if cov[0, 0] <= 0:

@@ -5,8 +5,10 @@ import pytest
 from scipy.stats import norm
 
 import raresum as rs
+from raresum import meanchain
 from raresum.errors import ConfigurationError
-from raresum.meanchain import _RestartKernel
+from raresum.meanchain import _RestartKernel, _log_target
+from raresum.model import local_cumulants
 from raresum.region import Interval, IntervalUnion, component_boxes
 
 
@@ -133,8 +135,100 @@ def test_restart_kernel_windows_inside_components(gauss_005):
         assert math.isfinite(kern.logpdf(v))
     # logpdf integrates to one over the union of windows
     vol = sum(math.exp(lv) for lv in kern._log_vols)
-    dens = math.exp(kern.logpdf(kern.windows[0][0] + 1e-6))
-    assert dens == pytest.approx(1.0 / (len(kern.windows) * math.exp(kern._log_vols[0])))
+    dens = math.exp(kern.logpdf(kern.lo[0] + 1e-6))
+    assert dens == pytest.approx(1.0 / (len(kern.lo) * math.exp(kern._log_vols[0])))
+
+
+class _LoopKernel(_RestartKernel):
+    """Reference restart kernel: tests the windows one by one."""
+
+    def logpdf(self, v):
+        dens = 0.0
+        for lo, hi, lv in zip(self.lo, self.hi, self._log_vols):
+            if np.all(v >= lo) and np.all(v <= hi):
+                dens += math.exp(-lv)
+        if dens <= 0.0:
+            return -math.inf
+        return math.log(dens / self._n)
+
+
+def _fig1_chain_setup(d):
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=1.0, d=d)
+    return model, rs.two_sided_region(0.28, d), np.full(d, 0.05), np.full(d, 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_restart_kernel_logpdf_equals_window_loop(d):
+    _, region, mu, scale = _fig1_chain_setup(d)
+    boxes = component_boxes(region)
+    kern = _RestartKernel(boxes, mu, scale)
+    ref = _LoopKernel(boxes, mu, scale)
+    gen = np.random.default_rng(37)
+    probes = [kern.sample(gen) for _ in range(100)]            # inside
+    probes += list(gen.uniform(-0.5, 0.5, size=(100, d)))      # mostly outside
+    for c in range(len(kern.lo)):                              # on the faces
+        probes += [kern.lo[c], kern.hi[c]]
+        for j in range(d):
+            face = kern.sample(gen)
+            face[j] = kern.lo[c, j]
+            probes.append(face.copy())
+            face[j] = kern.hi[c, j]
+            probes.append(face)
+    assert any(math.isinf(ref.logpdf(v)) for v in probes)
+    for v in probes:
+        assert kern.logpdf(v) == ref.logpdf(v)
+
+
+def test_restart_kernel_sums_overlapping_windows():
+    # hand-made boxes whose windows overlap on [0.1, 0.15] x [-0.15, 0.15]
+    full = Interval(-math.inf, math.inf)
+    boxes = [(Interval(-1.0, 1.0), full), (Interval(0.0, 0.5), full)]
+    args = (boxes, np.zeros(2), np.array([0.3, 0.3]))
+    kern, ref = _RestartKernel(*args), _LoopKernel(*args)
+    for v in ([0.12, 0.0], [0.1, 0.15], [0.15, -0.15], [0.0, 0.0], [0.3, 0.0]):
+        assert kern.logpdf(np.array(v)) == ref.logpdf(np.array(v))
+    both = kern.logpdf(np.array([0.12, 0.0]))
+    assert both == pytest.approx(math.log((1 / 0.09 + 1 / 0.09) / 2))
+
+
+def _uncached_chain(model, region, n, cfg, count, rng):
+    """run_chain's Metropolis-Hastings loop with the reference kernel,
+    recomputing the kernel density of the current state on every restart."""
+    loc0 = local_cumulants(model, np.zeros(model.s))
+    scale = np.sqrt(np.diagonal(loc0.covariance) / n)
+    logtarget = _log_target(model, region, n, "exact-gaussian", loc0)
+    restart = _LoopKernel(component_boxes(region), loc0.mean, scale)
+    v = rs.initial_point(region, model, n)
+    lt = logtarget(v)
+    states = []
+    for step in range(cfg.burn_in + cfg.thinning * count):
+        if rng.random() < cfg.restart_prob:
+            prop = restart.sample(rng)
+            lp = logtarget(prop)
+            log_alpha = (lp + restart.logpdf(v)) - (lt + restart.logpdf(prop))
+        else:
+            prop = v + scale * rng.standard_normal(model.s)
+            lp = logtarget(prop)
+            log_alpha = lp - lt
+        if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
+            v, lt = prop, lp
+        idx = step - cfg.burn_in
+        if idx >= 0 and idx % cfg.thinning == cfg.thinning - 1:
+            states.append(v)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_chain_states_equal_reference_kernel_chain(d, monkeypatch):
+    model, region, _, _ = _fig1_chain_setup(d)
+    cfg = rs.MeanChainConfig(burn_in=500, thinning=10)
+    states, diag = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
+    assert diag.acceptance_rate > 0
+    expected = _uncached_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
+    assert np.array_equal(states, expected)
+    monkeypatch.setattr(meanchain, "_RestartKernel", _LoopKernel)
+    patched, _ = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
+    assert np.array_equal(patched, expected)
 
 
 def test_saddlepoint_target_for_mean_square(mean_square):

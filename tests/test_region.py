@@ -22,6 +22,11 @@ def test_contains_two_sided():
     assert not rs.contains(region, [0.28])  # strict inequality per definition
 
 
+def test_nan_is_never_inside():
+    assert not rs.contains(rs.two_sided_region(0.28, 1), [math.nan])
+    assert not rs.contains(rs.whole_space(2), [0.0, math.nan])
+
+
 def test_contains_product():
     region = rs.ProductRegion((
         IntervalUnion((Interval(0.3, 0.4),)),

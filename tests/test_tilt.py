@@ -45,6 +45,10 @@ def test_unattainable_target_is_named(expo):
     # names the unreachable target, not the singular covariance on the way
     with pytest.raises(SteepnessError, match="target outside the attainable mean range"):
         rs.solve_tilt(expo, [-0.3])
+    # at the boundary of the mean range the absolute tolerance is met only as
+    # the tilted law collapses, a whole standard deviation from the target
+    with pytest.raises(SteepnessError, match="target outside the attainable mean range"):
+        rs.solve_tilt(expo, [0.0])
 
 
 @pytest.mark.parametrize("name,params,sampler", [
