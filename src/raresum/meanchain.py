@@ -94,9 +94,9 @@ def _log_target(model: ModelSpec, region: ProductRegion, n: int, kind: str, loc0
     return log_target
 
 
-def _saddlepoint_logdensity(model: ModelSpec, n: int, v, t_warm=None) -> float:
+def _saddlepoint_logdensity(model: ModelSpec, n: int, v) -> float:
     try:
-        sol = solve_tilt(model, v, t0=t_warm)
+        sol = solve_tilt(model, v)
     except SteepnessError:
         warnings.warn("conditioning target unattainable inside the region; "
                       "treating its density as zero", RuntimeWarning)

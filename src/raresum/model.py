@@ -1,9 +1,12 @@
 """Statistical models: a base density paired with a statistic, plus the
 cumulant generating function machinery (mean map, covariance, third-order
-terms) that the tilting and run-generation layers consume.
+terms, inverse mean map) that the tilting and run-generation layers consume.
 
-All built-in families expose analytic cumulants where available; anything
-missing falls back to central finite differences of the cumulant function.
+Every built-in family gives all of these in closed form: `mean_fn`,
+`cov_fn`, `third_fn` and `tilt_fn`, the tilt whose mean is a given target.
+A custom model may leave any of them out; the mean, covariance and third
+cumulants then fall back to central finite differences of the cumulant
+function, and the tilt to damped Newton (`tilt.solve_tilt`).
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class ModelSpec:
     mean_fn: Optional[Callable] = None
     cov_fn: Optional[Callable] = None
     third_fn: Optional[Callable] = None
+    tilt_fn: Optional[Callable] = None  # alpha -> t with m(t) = alpha, None if unattainable
     tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf hook)
     step_window_fn: Optional[Callable] = None  # (gauss_mean, beta) -> (lo, hi), d=1 only
     x_window_fn: Optional[Callable] = None  # t -> (lo, hi) effective support, d=1 only
@@ -335,6 +339,10 @@ def _gm_third(t, s):
     return np.zeros(s)
 
 
+def _gm_tilt(alpha, mu, sigma2):
+    return (alpha - mu) / sigma2
+
+
 def _gm_tilted_draw(rng, size, mean, sd):
     if size is None:
         return rng.normal(mean, sd)
@@ -375,6 +383,7 @@ def _gaussian_mean_model(mu, sigma, d) -> ModelSpec:
         mean_fn=partial(_gm_mean, mu=mu_vec, sigma2=sigma2),
         cov_fn=partial(_gm_cov, sigma2=sigma2),
         third_fn=partial(_gm_third, s=d),
+        tilt_fn=partial(_gm_tilt, mu=mu_vec, sigma2=sigma2),
         tilted_family=partial(_gm_tilted, mu=mu_vec, sigma2=sigma2),
         gauss_identity_params=(mu_vec, sigma2),
     )
@@ -410,6 +419,13 @@ def _exp_cov(t, rate):
 def _exp_third(t, rate):
     inv = 1.0 / (rate - float(np.asarray(t).reshape(())))
     return np.array([2.0 * inv * inv * inv])
+
+
+def _exp_tilt(alpha, rate):
+    a = float(alpha[0])
+    if not a > 0:
+        return None
+    return np.array([rate - 1.0 / a])
 
 
 def _exp_tilted_draw(rng, size, scale):
@@ -452,6 +468,7 @@ def _exponential_mean_model(rate) -> ModelSpec:
         mean_fn=partial(_exp_mean, rate=rate),
         cov_fn=partial(_exp_cov, rate=rate),
         third_fn=partial(_exp_third, rate=rate),
+        tilt_fn=partial(_exp_tilt, rate=rate),
         tilted_family=partial(_exp_tilted, rate=rate),
         step_window_fn=partial(_exp_step_window, rate=rate),
         x_window_fn=partial(_exp_x_window, rate=rate),
@@ -505,6 +522,23 @@ def _ms_cov(t, mu, sigma2):
         c12 = 2.0 * sigma2 * m1 / tau
         c22 = 2.0 * sigma2 * sigma2 / (tau * tau) + 4.0 * sigma2 * m1 * m1 / tau
     return np.array([[c11, c12], [c12, c22]])
+
+
+def _ms_third(t, mu, sigma2):
+    tau = _ms_tau(float(t[1]), sigma2)
+    m1 = (float(t[0]) * sigma2 + mu) / tau
+    s4 = sigma2 * sigma2 / (tau * tau)
+    return np.array([8.0 * s4 * m1,
+                     2.0 * s4 + 8.0 * s4 * sigma2 / tau + 24.0 * s4 * m1 * m1])
+
+
+def _ms_tilt(alpha, mu, sigma2):
+    # the tilted law is N(m1, var): t2 sets the variance, t1 the mean
+    a1, a2 = float(alpha[0]), float(alpha[1])
+    var = a2 - a1 * a1
+    if not var > 0:
+        return None
+    return np.array([a1 / var - mu / sigma2, 0.5 * (1.0 / sigma2 - 1.0 / var)])
 
 
 def _ms_tilted(t, mu, sigma2):
@@ -564,6 +598,8 @@ def _gaussian_mean_square_model(mu, sigma) -> ModelSpec:
         name="gaussian-mean-and-square",
         mean_fn=partial(_ms_mean, mu=mu, sigma2=sigma2),
         cov_fn=partial(_ms_cov, mu=mu, sigma2=sigma2),
+        third_fn=partial(_ms_third, mu=mu, sigma2=sigma2),
+        tilt_fn=partial(_ms_tilt, mu=mu, sigma2=sigma2),
         tilted_family=partial(_ms_tilted, mu=mu, sigma2=sigma2),
         step_window_fn=partial(_ms_step_window, mu=mu, sigma2=sigma2),
         x_window_fn=partial(_ms_x_window, mu=mu, sigma2=sigma2),

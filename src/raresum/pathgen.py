@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
 from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
@@ -155,6 +154,15 @@ class GridDensity1D:
         return float(out[0]) if single else out
 
 
+def _trapezoid_simpson(f, h):
+    """Trapezoid and composite Simpson integrals of the samples f, an odd
+    number of them, on a uniform grid of spacing h."""
+    ends = float(f[0] + f[-1])
+    odd = float(np.sum(f[1:-1:2]))
+    even = float(np.sum(f[2:-1:2]))
+    return h * (0.5 * ends + odd + even), h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
+
+
 def _build_grid_density(log_h, window, rel_tol=2e-7, n0=1001, max_refine=4):
     """Tabulate exp(log_h) on `window`, zooming to where the mass lives.
 
@@ -190,9 +198,7 @@ def _build_grid_density(log_h, window, rel_tol=2e-7, n0=1001, max_refine=4):
         grid = np.linspace(lo, hi, n)
         vals = log_h(grid)
         peak = float(np.max(vals))
-        scaled = np.exp(vals - peak)
-        trap = float(np.trapezoid(scaled, grid))
-        simp = float(simpson(scaled, x=grid))
+        trap, simp = _trapezoid_simpson(np.exp(vals - peak), (hi - lo) / (n - 1))
         if trap > 0 and abs(simp - trap) <= rel_tol * abs(simp):
             return GridDensity1D(grid, vals)
         last = (grid, vals)
@@ -278,14 +284,13 @@ def _make_step_sampler(model: ModelSpec, gauss_mean, beta):
             raise ConfigurationError(
                 "generic 1-d model needs step_window_fn or x_window_fn for grid sampling")
         chol, logdet = _chol_logdet(beta)
-        s = model.s
+        # z = (u - gauss_mean) @ whiten is chol^{-1} (u - gauss_mean) per row
+        whiten = np.linalg.inv(chol).T
+        log_const = -0.5 * (model.s * _LOG_2PI + logdet)
 
         def log_h(ys):
-            u = np.atleast_2d(model.statistic(ys))
-            dev = u - gauss_mean
-            z = np.linalg.solve(chol, dev.T)
-            log_gauss = -0.5 * (np.sum(z * z, axis=0) + s * _LOG_2PI) - 0.5 * logdet
-            return log_gauss + model.log_density_x(ys)
+            z = (np.atleast_2d(model.statistic(ys)) - gauss_mean) @ whiten
+            return log_const - 0.5 * np.sum(z * z, axis=1) + model.log_density_x(ys)
 
         grid = _build_grid_density(log_h, window)
         return grid, -grid.log_integral

@@ -21,11 +21,13 @@ from .region import ProductRegion, component_boxes, contains
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 200
-# Largest converged residual, in standard deviations of the tilted law, that
-# counts as a solve.  The bundled configs' and benchmark workloads' solves end
-# below 5e-9.  A target on the boundary of the mean range (exponential-mean at
-# 0) meets the absolute tolerance only as the tilted law collapses, and ends
-# about one standard deviation away.
+# Largest residual, in standard deviations of the tilted law, that counts as
+# a solve, closed-form or Newton.  The bundled configs' and benchmark
+# workloads' Newton solves end below 5e-9, closed-form ones at rounding level.
+# Newton meets the absolute tolerance at a target on the boundary of the mean
+# range (a custom exponential-mean at 0) only as the tilted law collapses, and
+# ends about one standard deviation away; the built-in's tilt_fn rejects that
+# target before any residual is taken.
 MAX_RESIDUAL = 1e-3
 
 
@@ -66,18 +68,49 @@ def _singular_covariance(model: ModelSpec, t, t_start) -> SteepnessError:
     return SteepnessError("singular covariance in the tilt solve")
 
 
+def _finish(model: ModelSpec, alpha, t, m, cov, iterations) -> TiltSolution:
+    """The solution at t, whose mean m must lie within MAX_RESIDUAL of alpha
+    in the norm induced by the inverse covariance."""
+    residual_vec = m - alpha
+    loc = assemble_local_cumulants(model, t, m, cov)
+    if cov.shape == (1, 1):
+        r = abs(float(residual_vec[0])) / math.sqrt(float(cov[0, 0]))
+    else:
+        r = float(np.sqrt(residual_vec @ np.linalg.solve(cov, residual_vec)))
+    if not r <= MAX_RESIDUAL:
+        raise SteepnessError("target outside the attainable mean range")
+    return TiltSolution(target=alpha, t=t, local=loc, iterations=iterations, residual=r)
+
+
+def _closed_form_tilt(model: ModelSpec, alpha) -> TiltSolution:
+    t = model.tilt_fn(alpha)
+    if t is None:
+        raise SteepnessError("target outside the attainable mean range")
+    t = np.asarray(t, dtype=float)
+    if not model.cumulant_domain.contains(t, margin=True):
+        raise SteepnessError("target outside the attainable mean range")
+    m, cov = mean_and_cov(model, t)
+    return _finish(model, alpha, t, m, cov, iterations=0)
+
+
 def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
                t0=None) -> TiltSolution:
-    """Solve m(t) = alpha by damped Newton on the dual K(t) - <t, alpha>.
+    """Solve m(t) = alpha.
 
-    Starts at t = 0 (always inside the domain) unless `t0` is given, e.g. to
-    warm-start from a neighbouring solve.  Raises SteepnessError when the
-    iteration cannot reach the target, which signals that alpha lies outside
-    the attainable mean range.
+    A model with a closed-form inverse mean map (`tilt_fn`) gets its tilt
+    from it, and `tol` and `t0` are unused.  Otherwise damped Newton on the
+    dual K(t) - <t, alpha> starts at t = 0 (always inside the domain) unless
+    `t0` is given, e.g. to warm-start from a neighbouring solve.  Either way
+    the tilt must lie inside the domain margin, have a positive definite
+    covariance and reach alpha to MAX_RESIDUAL.  Raises SteepnessError when
+    the target cannot be reached, which signals that alpha lies outside the
+    attainable mean range.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (model.s,):
         raise ConfigurationError(f"target must have shape ({model.s},)")
+    if model.tilt_fn is not None:
+        return _closed_form_tilt(model, alpha)
     t = np.zeros(model.s) if t0 is None else np.array(t0, dtype=float)
     if not model.cumulant_domain.contains(t, margin=True):
         t = np.zeros(model.s)
@@ -92,15 +125,7 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
         m, cov = mean_and_cov(model, t)
         residual_vec = m - alpha
         if np.max(np.abs(residual_vec)) <= tol:
-            loc = assemble_local_cumulants(model, t, m, cov)
-            if scalar:
-                r = abs(float(residual_vec[0])) / math.sqrt(float(cov[0, 0]))
-            else:
-                r = float(np.sqrt(residual_vec @ np.linalg.solve(loc.covariance,
-                                                                 residual_vec)))
-            if not r <= MAX_RESIDUAL:
-                raise SteepnessError("target outside the attainable mean range")
-            return TiltSolution(target=alpha, t=t, local=loc, iterations=it - 1, residual=r)
+            return _finish(model, alpha, t, m, cov, iterations=it - 1)
         if scalar:
             if cov[0, 0] <= 0:
                 raise _singular_covariance(model, t, t_start)

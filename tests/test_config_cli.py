@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,3 +228,16 @@ def test_missing_run_size_is_parse_error(tmp_path, capsys, key):
     path = write(tmp_path, SMALL.replace(key + "\n", ""), csv=str(tmp_path / "o.csv"))
     assert main(["validate", path]) == 2
     assert "ERROR: malformed configuration" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test and benchmark dependency only; importing it would
+    # more than double the start-up time of every `raresum` command
+    src = str(Path(rs.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, raresum, raresum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

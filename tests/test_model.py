@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import raresum as rs
 from raresum.errors import ConfigurationError, DomainError
-from raresum.model import _fd_gradient, _fd_hessian
+from raresum.model import _fd_gradient, _fd_hessian, _fd_third_contracted
 
 
 ALL_FAMILIES = [
@@ -66,7 +66,7 @@ def test_mean_square_cumulants_at_zero(mean_square):
     assert loc.mean == pytest.approx([0.0, 1.0])
     assert loc.covariance == pytest.approx(np.array([[1.0, 0.0], [0.0, 2.0]]))
     # contracted third cumulants of (X, X^2) for standard normal X: (0, 2+8)
-    assert loc.third == pytest.approx([0.0, 10.0], abs=1e-5)
+    assert loc.third == pytest.approx([0.0, 10.0], abs=1e-12)
 
 
 def test_mean_square_domain_requires_t2_below_half(mean_square):
@@ -104,6 +104,8 @@ def test_analytic_cumulants_match_finite_differences(name, params):
         fd_cov = _fd_hessian(model, t)
         np.testing.assert_allclose(m, fd_m, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(cov, fd_cov, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(model.third_fn(t), _fd_third_contracted(model, t),
+                                   rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("name,params", [

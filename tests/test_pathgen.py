@@ -182,10 +182,12 @@ def test_path_logdensity_aborts_on_overshooting_head(expo):
 @pytest.mark.parametrize("family,target", [
     ("exponential-mean", [1.5]), ("gaussian-mean-and-square", [0.3, 1.2])])
 def test_custom_model_grid_fallbacks(family, target):
-    # a custom d = 1 model with no closed-form tilted family and no step
-    # window: the tilted law and every step are tabulated on x_window_fn
+    # a custom d = 1 model with no closed-form tilt, third cumulant, tilted
+    # family or step window: Newton and finite differences give each tilt,
+    # and the tilted law and every step are tabulated on x_window_fn
     builtin = rs.builtin_model(family)
-    custom = dataclasses.replace(builtin, tilted_family=None, step_window_fn=None)
+    custom = dataclasses.replace(builtin, tilt_fn=None, third_fn=None, tilted_family=None,
+                                 step_window_fn=None)
     grid_law = rs.tilted_tail_sampler(custom, target)
     exact = rs.tilted_tail_sampler(builtin, target)
     xs = np.linspace(*custom.x_window_fn(grid_law.t), 200001)
@@ -335,6 +337,17 @@ def test_grid_density_sampling_is_exact():
     assert np.var(draws) == pytest.approx(0.973, abs=0.03)  # truncated normal
     total, _ = quad(lambda y: math.exp(g.logpdf(y)), -3, 3, limit=200)
     assert total == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("points", [1001, 2001, 4001])
+def test_uniform_grid_integrals_match_scipy(points):
+    from scipy.integrate import simpson
+
+    xs = np.linspace(-2.7, 5.3, points)
+    f = np.exp(-0.5 * (xs - 0.4) ** 2 / 1.7) * (1.0 + 0.3 * np.sin(3.0 * xs))
+    trap, simp = pathgen._trapezoid_simpson(f, (xs[-1] - xs[0]) / (points - 1))
+    assert trap == pytest.approx(float(np.trapezoid(f, xs)), rel=1e-12)
+    assert simp == pytest.approx(float(simpson(f, x=xs)), rel=1e-12)
 
 
 def test_generic_d2_step_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,15 +41,27 @@ def test_steepness_failure_on_unattainable_target(expo):
         rs.solve_tilt(expo, [-0.5])
 
 
-def test_unattainable_target_is_named(expo):
-    # Newton runs t toward -inf until the covariance underflows; the error
-    # names the unreachable target, not the singular covariance on the way
-    with pytest.raises(SteepnessError, match="target outside the attainable mean range"):
-        rs.solve_tilt(expo, [-0.3])
-    # at the boundary of the mean range the absolute tolerance is met only as
-    # the tilted law collapses, a whole standard deviation from the target
-    with pytest.raises(SteepnessError, match="target outside the attainable mean range"):
-        rs.solve_tilt(expo, [0.0])
+def _with_newton(model):
+    """The model and its copy without a closed-form tilt, which Newton solves."""
+    return [model, dataclasses.replace(model, tilt_fn=None)]
+
+
+def test_unattainable_target_is_named(expo, mean_square):
+    # The closed form rejects these targets outright.  Newton runs t toward
+    # -inf until the covariance underflows, and the error names the
+    # unreachable target, not the singular covariance on the way; at the
+    # boundary of the mean range it meets the absolute tolerance only as the
+    # tilted law collapses, a whole standard deviation from the target.
+    named = "target outside the attainable mean range"
+    for model in _with_newton(expo):
+        for target in ([-0.3], [0.0]):
+            with pytest.raises(SteepnessError, match=named):
+                rs.solve_tilt(model, target)
+    # a mean square at or below the squared mean leaves no variance
+    for model in _with_newton(mean_square):
+        for target in ([0.5, 0.25], [0.5, 0.2], [0.0, -1.0]):
+            with pytest.raises(SteepnessError, match=named):
+                rs.solve_tilt(model, target)
 
 
 @pytest.mark.parametrize("name,params,sampler", [
@@ -62,12 +75,12 @@ def test_unattainable_target_is_named(expo):
      lambda g: (lambda m1: np.array([m1, m1 * m1 + g.uniform(0.2, 2.5)]))(g.uniform(-1.5, 1.5))),
 ])
 def test_round_trip_fifty_targets(name, params, sampler):
-    model = rs.builtin_model(name, **params)
-    gen = np.random.default_rng(17)
-    for _ in range(50):
-        alpha = sampler(gen)
-        sol = rs.solve_tilt(model, alpha)
-        assert np.max(np.abs(rs.mean_map(model, sol.t) - alpha)) <= 1e-8
+    for model in _with_newton(rs.builtin_model(name, **params)):
+        gen = np.random.default_rng(17)
+        for _ in range(50):
+            alpha = sampler(gen)
+            sol = rs.solve_tilt(model, alpha)
+            assert np.max(np.abs(rs.mean_map(model, sol.t) - alpha)) <= 1e-8
 
 
 def test_rate_function_examples(gauss_005, expo):
