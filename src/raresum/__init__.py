@@ -28,7 +28,7 @@ from .region import (
     two_sided_region,
     whole_space,
 )
-from .tilt import TiltSolution, dominating_point, rate_function, solve_tilt
+from .tilt import TiltBatch, TiltSolution, dominating_point, rate_function, solve_tilt, solve_tilts
 from .pathgen import (
     PathConfig,
     PathSample,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, PathAbort
+from .errors import ConfigurationError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
 from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec
 from .pathgen import (
@@ -27,9 +26,9 @@ from .pathgen import (
     _blocks,
     _draw_gaussian_points,
     _gaussian_logdensities,
+    _grid_paths,
     base_sampler,
     mixture_logdensity,
-    sample_path,
     tilted_tail_sampler,
 )
 from .region import ProductRegion, contains
@@ -198,25 +197,25 @@ def _replicate_runs(model, n, k, variant, vs, seed, indices):
     """Blocks (slice of positions in `indices`, runs (B, n, d), paired log_g
     (B,)) of the replicates `indices`; an aborted run has log_g NaN.
 
-    Gaussian-identity runs are drawn and weighed a block at a time, replicate
-    l from the normals of replicate_rng(seed, l); other models' step laws are
-    built per run, so their runs come one by one from sample_path.
+    Runs are drawn and weighed a block at a time, replicate l from the
+    generator replicate_rng(seed, l): gaussian-identity runs from its
+    normals, other models' runs by the grid walker, whose step grids hold
+    up to 2001 points.
     """
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        for b in _blocks(len(indices), n * model.d):
-            ls = indices[b]
+    gaussian = model.conjugacy_tag == GAUSSIAN_IDENTITY
+    for b in _blocks(len(indices), n * model.d if gaussian else 2001 * model.s):
+        ls = indices[b]
+        if gaussian:
             z = np.stack([replicate_rng(seed, l).standard_normal((n, model.d)) for l in ls])
             points = _draw_gaussian_points(model, vs[ls], z, n, k, variant)
             head, tail = _gaussian_logdensities(model, points, vs[ls][:, None], n, k, variant)
             yield b, points, head[:, 0] + tail[:, 0]
-        return
-    for pos, l in enumerate(indices):
-        try:
-            path = sample_path(model, vs[l], n, k, replicate_rng(seed, l), variant=variant)
-        except PathAbort:
-            yield slice(pos, pos + 1), None, np.array([math.nan])
             continue
-        yield slice(pos, pos + 1), path.points[None], np.array([path.log_g])
+        points, head, tail, _, _ = _grid_paths(model, vs[ls], n, k, variant,
+                                               rngs=[replicate_rng(seed, l) for l in ls])
+        log_g = head + tail
+        log_g[~np.isfinite(log_g)] = np.nan
+        yield b, points, log_g
 
 
 def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
@@ -243,6 +242,9 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
 
     indices = list(range(L))
     if threads > 1:
+        # imported here: the process pool costs a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = _split(indices, threads * 4)
         results = [None] * len(chunks)
         with ProcessPoolExecutor(max_workers=threads) as pool:

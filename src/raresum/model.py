@@ -4,6 +4,8 @@ terms, inverse mean map) that the tilting and run-generation layers consume.
 
 Every built-in family gives all of these in closed form: `mean_fn`,
 `cov_fn`, `third_fn` and `tilt_fn`, the tilt whose mean is a given target.
+Each of the four takes a stack of rows (..., s) as well as one row, so the
+tilts of many targets are solved in one call (`tilt.solve_tilts`).
 A custom model may leave any of them out; the mean, covariance and third
 cumulants then fall back to central finite differences of the cumulant
 function, and the tilt to damped Newton (`tilt.solve_tilt`).
@@ -127,7 +129,7 @@ class ModelSpec:
     mean_fn: Optional[Callable] = None
     cov_fn: Optional[Callable] = None
     third_fn: Optional[Callable] = None
-    tilt_fn: Optional[Callable] = None  # alpha -> t with m(t) = alpha, None if unattainable
+    tilt_fn: Optional[Callable] = None  # alpha (..., s) -> t with m(t) = alpha, NaN row if unattainable
     tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf hook)
     step_window_fn: Optional[Callable] = None  # (gauss_mean, beta) -> (lo, hi), d=1 only
     x_window_fn: Optional[Callable] = None  # t -> (lo, hi) effective support, d=1 only
@@ -243,12 +245,6 @@ def local_cumulants(model: ModelSpec, t) -> LocalCumulants:
     """
     t = _as_tilt(model, t)
     mean, cov = mean_and_cov(model, t)
-    return assemble_local_cumulants(model, t, mean, cov)
-
-
-def assemble_local_cumulants(model: ModelSpec, t: Array, mean: Array,
-                             cov: Array) -> LocalCumulants:
-    """Finish a LocalCumulants from precomputed mean/covariance at t."""
     if cov.shape == (1, 1):
         if not cov[0, 0] > 0:
             raise NumericError(
@@ -332,11 +328,11 @@ def _gm_mean(t, mu, sigma2):
 
 
 def _gm_cov(t, sigma2):
-    return np.diag(sigma2)
+    return np.broadcast_to(np.diag(sigma2), np.shape(t)[:-1] + (sigma2.size,) * 2)
 
 
 def _gm_third(t, s):
-    return np.zeros(s)
+    return np.zeros(np.shape(t)[:-1] + (s,))
 
 
 def _gm_tilt(alpha, mu, sigma2):
@@ -412,20 +408,19 @@ def _exp_mean(t, rate):
 
 
 def _exp_cov(t, rate):
-    inv = 1.0 / (rate - float(np.asarray(t).reshape(())))
-    return np.array([[inv * inv]])
+    inv = _exp_mean(t, rate)
+    return (inv * inv)[..., None]
 
 
 def _exp_third(t, rate):
-    inv = 1.0 / (rate - float(np.asarray(t).reshape(())))
-    return np.array([2.0 * inv * inv * inv])
+    inv = _exp_mean(t, rate)
+    return 2.0 * inv * inv * inv
 
 
 def _exp_tilt(alpha, rate):
-    a = float(alpha[0])
-    if not a > 0:
-        return None
-    return np.array([rate - 1.0 / a])
+    a = np.asarray(alpha, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(a > 0, rate - 1.0 / a, np.nan)
 
 
 def _exp_tilted_draw(rng, size, scale):
@@ -506,39 +501,52 @@ def _ms_cumulant(t, mu, sigma2):
                      - mu * mu / (2.0 * sigma2))
 
 
+def _coord(x, j):
+    """Coordinate j of the last axis: an array for a stack, a numpy scalar
+    (cheaper to compute with than a 0-d array) for one row."""
+    return np.asarray(x, dtype=float)[..., j][()]
+
+
+def _ms_tau_m1(t, mu, sigma2):
+    tau = _ms_tau(_coord(t, 1), sigma2)
+    return tau, (_coord(t, 0) * sigma2 + mu) / tau
+
+
+def _last_axis(*columns):
+    """The columns stacked along a new last axis."""
+    out = np.empty(np.shape(columns[0]) + (len(columns),))
+    for j, c in enumerate(columns):
+        out[..., j] = c
+    return out
+
+
 def _ms_mean(t, mu, sigma2):
-    t = np.asarray(t, dtype=float)
-    tau = _ms_tau(t[1], sigma2)
-    m1 = (t[0] * sigma2 + mu) / tau
-    m2 = sigma2 / tau + m1 * m1
-    return np.array([m1, m2])
+    tau, m1 = _ms_tau_m1(t, mu, sigma2)
+    return _last_axis(m1, sigma2 / tau + m1 * m1)
 
 
 def _ms_cov(t, mu, sigma2):
-    tau = _ms_tau(float(t[1]), sigma2)
-    m1 = (float(t[0]) * sigma2 + mu) / tau
+    tau, m1 = _ms_tau_m1(t, mu, sigma2)
     with np.errstate(over="ignore"):
         c11 = sigma2 / tau
         c12 = 2.0 * sigma2 * m1 / tau
         c22 = 2.0 * sigma2 * sigma2 / (tau * tau) + 4.0 * sigma2 * m1 * m1 / tau
-    return np.array([[c11, c12], [c12, c22]])
+    return _last_axis(_last_axis(c11, c12), _last_axis(c12, c22))
 
 
 def _ms_third(t, mu, sigma2):
-    tau = _ms_tau(float(t[1]), sigma2)
-    m1 = (float(t[0]) * sigma2 + mu) / tau
+    tau, m1 = _ms_tau_m1(t, mu, sigma2)
     s4 = sigma2 * sigma2 / (tau * tau)
-    return np.array([8.0 * s4 * m1,
-                     2.0 * s4 + 8.0 * s4 * sigma2 / tau + 24.0 * s4 * m1 * m1])
+    return _last_axis(8.0 * s4 * m1,
+                      2.0 * s4 + 8.0 * s4 * sigma2 / tau + 24.0 * s4 * m1 * m1)
 
 
 def _ms_tilt(alpha, mu, sigma2):
     # the tilted law is N(m1, var): t2 sets the variance, t1 the mean
-    a1, a2 = float(alpha[0]), float(alpha[1])
+    a1, a2 = _coord(alpha, 0), _coord(alpha, 1)
     var = a2 - a1 * a1
-    if not var > 0:
-        return None
-    return np.array([a1 / var - mu / sigma2, 0.5 * (1.0 / sigma2 - 1.0 / var)])
+    var = np.where(var > 0, var, np.nan)[()]
+    return _last_axis(a1 / var - mu / sigma2, 0.5 * (1.0 / sigma2 - 1.0 / var))
 
 
 def _ms_tilted(t, mu, sigma2):

@@ -16,10 +16,15 @@ batch of one, so a run's numbers do not depend on the batch it is part of.
 For one-dimensional models with a generic statistic
 the step density is tabulated on an adaptive grid and sampled by inverse
 CDF; the recorded log-density is the exact density of that tabulated
-sampler, so importance weights stay unbiased.  One walker (`_grid_path`)
-builds each step law of such a run once and either draws the run from it
-or evaluates given points under it, so sampling and the density cannot
-drift apart.
+sampler, so importance weights stay unbiased.  One walker (`_grid_paths`)
+advances a stack of such runs one step at a time, each with its own
+conditioning point, prefix and generator.  At every step it builds the
+step laws of all live runs together (`_step_laws`: one tilt solve for the
+stack, then one (runs x grid points) tabulation per grid pass) and either
+draws the runs from them or evaluates given points under them, so sampling
+and the density cannot drift apart.  A run whose tilt or grid fails drops
+out with its step and reason.  `sample_path`, `path_logdensity` and
+`step_params` are the batches of one.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
 from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
-from .tilt import TiltSolution, solve_tilt
+from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _BLOCK_ELEMENTS = 1 << 15  # working-set budget of one block of batched Gaussian runs
@@ -77,55 +82,64 @@ class PathConfig:
         return select_k(n, self.k_mode, self.k)
 
 
-def _chol_logdet(cov: np.ndarray):
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NumericError("covariance not positive definite") from None
-    return chol, 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-
-
 # ---------------------------------------------------------------------------
-# Grid-tabulated one-dimensional density.
+# Grid-tabulated one-dimensional densities.
 # ---------------------------------------------------------------------------
 
 
 class GridDensity1D:
-    """Piecewise-linear density built from log-values on a grid.
+    """Piecewise-linear densities built from log-values on grids.
 
-    Sampling inverts the exact CDF of the piecewise-linear interpolant, and
-    `logpdf` reports exactly that interpolant's density, so sampled points
-    and recorded densities always match.
+    x and log_f have shape (G,) for one density or (R, G) for a stack of R
+    densities, one per row.  Sampling inverts the exact CDF of the
+    piecewise-linear interpolant, and `logpdf` reports exactly that
+    interpolant's density, so sampled points and recorded densities always
+    match.  A row of a stack gives the numbers the density of that row alone
+    gives.
     """
 
     def __init__(self, x: np.ndarray, log_f: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         log_f = np.asarray(log_f, dtype=float)
-        self._peak = float(np.max(log_f))
-        if not np.isfinite(self._peak):
+        peak = np.max(log_f, axis=-1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
             raise NumericError("grid density underflowed to zero everywhere")
-        f = np.exp(log_f - self._peak)
-        dx = np.diff(self.x)
-        cell_mass = 0.5 * (f[:-1] + f[1:]) * dx
-        total = float(np.sum(cell_mass))
-        if total <= 0:
+        f = np.exp(log_f - peak)
+        cell_mass = 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(self.x)
+        total = np.sum(cell_mass, axis=-1, keepdims=True)
+        if np.any(total <= 0):
             raise NumericError("grid density has zero total mass")
-        # log of the unnormalized integral of exp(log_f)
-        self.log_integral = math.log(total) + self._peak
+        # log of the unnormalized integral of exp(log_f), one per row
+        self.log_integral = np.array([math.log(m) for m in total.reshape(-1)]) + peak[..., 0]
+        if self.x.ndim == 1:
+            self.log_integral = float(self.log_integral[0])
         self._fn = f / total  # normalized knot densities
-        self._cdf = np.concatenate([[0.0], np.cumsum(cell_mass / total)])
-        self._cdf[-1] = 1.0
+        self._cdf = np.concatenate([np.zeros_like(total), np.cumsum(cell_mass / total, axis=-1)],
+                                   axis=-1)
+        self._cdf[..., -1] = 1.0
 
     def sample(self, rng, size=None):
+        """Draws by inverse CDF.  One density: `size` draws from the
+        generator `rng`, or a float when size is None.  A stack: one draw per
+        row, row j's from the generator rng[j], as an (R,) array."""
+        if self.x.ndim == 2:
+            r = np.array([g.random() for g in rng])[:, None]
+            idx = np.count_nonzero(self._cdf <= r, axis=-1, keepdims=True) - 1
+            return self._invert(idx, r)[:, 0]
         single = size is None
-        m = 1 if single else int(size)
-        r = rng.random(m)
-        idx = np.searchsorted(self._cdf, r, side="right") - 1
-        idx = np.clip(idx, 0, len(self.x) - 2)
-        a = self._fn[idx]
-        b = self._fn[idx + 1]
-        h = self.x[idx + 1] - self.x[idx]
-        resid = r - self._cdf[idx]
+        r = rng.random(1 if single else int(size))
+        out = self._invert(np.searchsorted(self._cdf, r, side="right")[None] - 1, r[None])[0]
+        return float(out[0]) if single else out
+
+    def _invert(self, idx, r):
+        """Points (R, m) at CDF levels r (R, m) that fall in the cells idx."""
+        x, fn, cdf = (np.atleast_2d(a) for a in (self.x, self._fn, self._cdf))
+        idx = np.clip(idx, 0, x.shape[-1] - 2)
+        row = np.arange(len(x))[:, None]
+        a, b = fn[row, idx], fn[row, idx + 1]
+        x0 = x[row, idx]
+        h = x[row, idx + 1] - x0
+        resid = r - cdf[row, idx]
         slope = (b - a) / h
         # Solve a*xi + slope*xi^2/2 = resid for xi in [0, h], stable form.
         disc = np.sqrt(np.maximum(a * a + 2.0 * slope * resid, 0.0))
@@ -134,76 +148,131 @@ class GridDensity1D:
                           2.0 * resid / (a + disc),
                           np.where(a > 0, resid / np.where(a > 0, a, 1.0), 0.0))
         xi = np.clip(xi, 0.0, h)
-        out = self.x[idx] + xi
-        return float(out[0]) if single else out
+        return x0 + xi
 
     def logpdf(self, y):
-        """Log-density at y; a scalar or a shape-(1,) point gives a float."""
+        """Log-density at y.  One density: a float for a scalar or a
+        shape-(1,) point, else an array.  A stack: y holds one point per row
+        and the result is an (R,) array."""
+        if self.x.ndim == 2:
+            v = np.asarray(y, dtype=float).reshape(-1, 1)
+            idx = np.count_nonzero(self.x <= v, axis=-1, keepdims=True) - 1
+            return self._logpdf(idx, v)[:, 0]
         v = np.atleast_1d(np.asarray(y, dtype=float))
-        single = v.shape == (1,)
-        out = np.full(v.shape, -np.inf)
-        inside = (v >= self.x[0]) & (v <= self.x[-1])
-        if np.any(inside):
-            vv = v[inside]
-            idx = np.clip(np.searchsorted(self.x, vv, side="right") - 1, 0, len(self.x) - 2)
-            h = self.x[idx + 1] - self.x[idx]
-            w = (vv - self.x[idx]) / h
-            dens = (1.0 - w) * self._fn[idx] + w * self._fn[idx + 1]
-            with np.errstate(divide="ignore"):
-                out[inside] = np.log(dens)
-        return float(out[0]) if single else out
+        out = self._logpdf(np.searchsorted(self.x, v, side="right")[None] - 1, v[None])[0]
+        return float(out[0]) if v.shape == (1,) else out
+
+    def _logpdf(self, idx, v):
+        """Log-densities at the points v (R, m) that fall in the cells idx."""
+        x, fn = np.atleast_2d(self.x), np.atleast_2d(self._fn)
+        inside = (v >= x[:, :1]) & (v <= x[:, -1:])
+        idx = np.clip(idx, 0, x.shape[-1] - 2)
+        row = np.arange(len(x))[:, None]
+        x0 = x[row, idx]
+        h = x[row, idx + 1] - x0
+        w = (v - x0) / h
+        dens = (1.0 - w) * fn[row, idx] + w * fn[row, idx + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(inside, np.log(np.where(inside, dens, 1.0)), -np.inf)
 
 
 def _trapezoid_simpson(f, h):
     """Trapezoid and composite Simpson integrals of the samples f, an odd
-    number of them, on a uniform grid of spacing h."""
-    ends = float(f[0] + f[-1])
-    odd = float(np.sum(f[1:-1:2]))
-    even = float(np.sum(f[2:-1:2]))
+    number of them along the last axis, on uniform grids of spacing h."""
+    ends = f[..., 0] + f[..., -1]
+    odd = np.sum(f[..., 1:-1:2], axis=-1)
+    even = np.sum(f[..., 2:-1:2], axis=-1)
     return h * (0.5 * ends + odd + even), h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
 
 
-def _build_grid_density(log_h, window, rel_tol=2e-7, n0=1001, max_refine=4):
-    """Tabulate exp(log_h) on `window`, zooming to where the mass lives.
+def _live_rows(errors) -> np.ndarray:
+    """Indices of the rows with no error."""
+    return np.array([j for j, e in enumerate(errors) if e is None], dtype=int)
 
-    The bracket is repeatedly trimmed to the set lying within 60 nats of the
+
+def _linspace_rows(lo, hi, num):
+    """np.linspace(lo, hi, num, axis=-1) for the bounds lo, hi (R,), to the
+    same bits, but laid out row by row."""
+    delta = hi - lo
+    step = delta / (num - 1)
+    y = np.arange(num, dtype=float) * step[:, None]
+    flat = step == 0
+    if np.any(flat):  # denormal steps, as linspace handles them
+        y[flat] = (np.arange(num, dtype=float) / (num - 1)) * delta[flat, None]
+    y += lo[:, None]
+    y[:, -1] = hi
+    return y
+
+
+def _build_grid_density(log_h, windows, rel_tol=2e-7, n0=1001, max_refine=4):
+    """Tabulate exp(log_h) on each row's window (R, 2), zooming to where the
+    mass lives.  log_h maps row indices (r,) and their grids (r, G) to the
+    log-values (r, G).
+
+    Each bracket is repeatedly trimmed to the set lying within 60 nats of its
     peak (re-trimming handles windows that start absurdly wide), then the
     grid is doubled until trapezoid and Simpson integrals agree to
     `rel_tol`, which controls both the normalizing constant and the fidelity
-    of the piecewise-linear sampler.
+    of the piecewise-linear sampler.  Rows advance together, each as if
+    alone.  Returns (groups, errors): groups lists (rows, x, log_f) for the
+    rows tabulated on G points, one entry per G, and errors[j] is the
+    NumericError of a row that could not be tabulated.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise NumericError("invalid grid window")
-    for _ in range(30):
-        grid = np.linspace(lo, hi, n0)
-        vals = log_h(grid)
-        peak = float(np.max(vals))
-        if not np.isfinite(peak):
-            raise NumericError("grid density underflowed to zero everywhere")
-        keep = np.nonzero(vals >= peak - 60.0)[0]
-        pad = (hi - lo) / (n0 - 1)
-        lo2 = max(lo, grid[keep[0]] - pad)
-        hi2 = min(hi, grid[keep[-1]] + pad)
-        if hi2 - lo2 < 1e-300:
-            raise NumericError("grid density support collapsed")
-        if (hi2 - lo2) > 0.6 * (hi - lo):
-            lo, hi = lo2, hi2
-            break
-        lo, hi = lo2, hi2
+    windows = np.asarray(windows, dtype=float).reshape(-1, 2)
+    lo, hi = windows[:, 0].copy(), windows[:, 1].copy()
+    errors = [None] * len(windows)
 
+    def fail(rows, message):
+        for j in rows:
+            errors[j] = NumericError(message)
+
+    fail(np.flatnonzero(~(lo < hi)), "invalid grid window")
+    active = _live_rows(errors)
+    for _ in range(30):
+        if not active.size:
+            break
+        a_lo, a_hi = lo[active], hi[active]
+        grid = _linspace_rows(a_lo, a_hi, n0)
+        vals = log_h(active, grid)
+        peak = np.max(vals, axis=-1)
+        bad = ~np.isfinite(peak)
+        fail(active[bad], "grid density underflowed to zero everywhere")
+        keep = vals >= (peak - 60.0)[:, None]
+        first = np.argmax(keep, axis=-1)
+        last = n0 - 1 - np.argmax(keep[:, ::-1], axis=-1)
+        pad = (a_hi - a_lo) / (n0 - 1)
+        rows = np.arange(len(active))
+        lo2 = np.maximum(a_lo, grid[rows, first] - pad)
+        hi2 = np.minimum(a_hi, grid[rows, last] + pad)
+        collapsed = ~bad & (hi2 - lo2 < 1e-300)
+        fail(active[collapsed], "grid density support collapsed")
+        lo[active], hi[active] = lo2, hi2
+        active = active[~(bad | collapsed | ((hi2 - lo2) > 0.6 * (a_hi - a_lo)))]
+
+    groups = []
+    todo = _live_rows(errors)
     n = 2001
-    last = None
-    for _ in range(max_refine):
-        grid = np.linspace(lo, hi, n)
-        vals = log_h(grid)
-        peak = float(np.max(vals))
-        trap, simp = _trapezoid_simpson(np.exp(vals - peak), (hi - lo) / (n - 1))
-        if trap > 0 and abs(simp - trap) <= rel_tol * abs(simp):
-            return GridDensity1D(grid, vals)
-        last = (grid, vals)
+    for level in range(max_refine):
+        if not todo.size:
+            break
+        grid = _linspace_rows(lo[todo], hi[todo], n)
+        vals = log_h(todo, grid)
+        peak = np.max(vals, axis=-1)
+        trap, simp = _trapezoid_simpson(np.exp(vals - peak[:, None]),
+                                        (hi[todo] - lo[todo]) / (n - 1))
+        done = (trap > 0) & (np.abs(simp - trap) <= rel_tol * np.abs(simp))
+        if level == max_refine - 1:
+            done[:] = True
+        bad = done & ~np.isfinite(peak)
+        fail(todo[bad], "grid density underflowed to zero everywhere")
+        take = done & ~bad
+        if np.all(take):
+            groups.append((todo, grid, vals))
+        elif np.any(take):
+            groups.append((todo[take], grid[take], vals[take]))
+        todo = todo[~done]
         n = 2 * n - 1
-    return GridDensity1D(*last)
+    return groups, errors
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +289,17 @@ class StepParams:
     gauss_mean: np.ndarray
     log_norm: float        # log of the step density's normalizing constant
     sampler: GridDensity1D = field(repr=False)
+
+
+@dataclass
+class _StepLaws:
+    """Grid step laws of a stack of runs at one step, one per row."""
+
+    t: np.ndarray           # (R, s) tilts, NaN where the solve failed
+    beta: np.ndarray        # (R, s, s)
+    gauss_mean: np.ndarray  # (R, s)
+    groups: list            # (rows, x, log_f) per grid size, as _build_grid_density
+    errors: list            # per row: None, or the error that stopped its law
 
 
 def _remaining_mean(v, u_partial, i, n):
@@ -249,54 +329,97 @@ def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
 
 def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
                 variant: str = "uniform-step", t_warm=None) -> StepParams:
-    """Grid-tabulated density of point i+1 (i points already drawn).
+    """Grid-tabulated density of point i+1 (i points already drawn): the
+    batch of one of the stacked step laws that the run walker builds.
 
     Gaussian-identity models have the closed-form gaussian_step instead.
     """
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        raise ConfigurationError("gaussian-identity steps come from gaussian_step")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
     if not 0 <= i <= n - 2:
         raise ConfigurationError(f"step index {i} out of range for n={n}")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u_partial = np.atleast_1d(np.asarray(u_partial, dtype=float))
-    m_target = _remaining_mean(v, u_partial, i, n)
-    sol = solve_tilt(model, m_target, t0=t_warm)
-    kappa = sol.local.covariance
+    T0 = None if t_warm is None else np.asarray(t_warm, dtype=float).reshape(1, -1)
+    law = _step_laws(model, v[None], u_partial[None], i, n, variant, T0)
+    if law.errors[0] is not None:
+        raise law.errors[0]
+    (_, x, log_f), = law.groups
+    sampler = GridDensity1D(x[0], log_f[0])
+    return StepParams(t=law.t[0], beta=law.beta[0], gauss_mean=law.gauss_mean[0],
+                      log_norm=-sampler.log_integral, sampler=sampler)
+
+
+def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None) -> _StepLaws:
+    """Grid step laws of point i+1 for runs conditioned toward the rows of V
+    (R, s) whose first i points sum to the rows of U, all built together.
+    T0 holds each row's previous tilt, which warm-starts a Newton solve."""
+    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
+        raise ConfigurationError("gaussian-identity steps come from gaussian_step")
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    M = _remaining_mean(V, U, i, n)
+    tilts = solve_tilts(model, M, T0=T0)
+    errors = list(tilts.errors)
+    ok = _live_rows(errors)
+    R, s = M.shape
     remaining = n - i - 1
-    corr = np.linalg.solve(kappa, np.linalg.solve(kappa, sol.local.third)) / (2.0 * remaining)
-    beta = kappa * remaining
-    center = m_target if variant == "uniform-step" else v
-    gauss_mean = beta @ (sol.t + corr) + center
-    sampler, log_norm = _make_step_sampler(model, gauss_mean, beta)
-    return StepParams(t=sol.t, beta=beta, gauss_mean=gauss_mean, log_norm=log_norm,
-                      sampler=sampler)
+    beta, gauss_mean = np.full((R, s, s), np.nan), np.full((R, s), np.nan)
+    kappa = tilts.covariance[ok]
+    corr = np.linalg.solve(kappa, np.linalg.solve(kappa, tilts.third[ok, :, None]))
+    beta[ok] = kappa * remaining
+    center = M if variant == "uniform-step" else V
+    gauss_mean[ok] = ((beta[ok] @ (tilts.t[ok] + corr[..., 0] / (2.0 * remaining))[..., None])
+                      [..., 0] + center[ok])
+    groups, grid_errors = _step_grids(model, gauss_mean[ok], beta[ok])
+    for j, err in zip(ok, grid_errors):
+        errors[j] = err
+    return _StepLaws(t=tilts.t, beta=beta, gauss_mean=gauss_mean,
+                     groups=[(ok[rows], x, log_f) for rows, x, log_f in groups],
+                     errors=errors)
 
 
-def _make_step_sampler(model: ModelSpec, gauss_mean, beta):
-    if model.conjugacy_tag == GENERIC_1D or model.d == 1:
-        if model.step_window_fn is not None:
-            window = model.step_window_fn(gauss_mean, beta)
-        elif model.x_window_fn is not None:
-            window = model.x_window_fn(np.zeros(model.s))
-        else:
-            raise ConfigurationError(
-                "generic 1-d model needs step_window_fn or x_window_fn for grid sampling")
-        chol, logdet = _chol_logdet(beta)
-        # z = (u - gauss_mean) @ whiten is chol^{-1} (u - gauss_mean) per row
-        whiten = np.linalg.inv(chol).T
-        log_const = -0.5 * (model.s * _LOG_2PI + logdet)
+def _step_grids(model: ModelSpec, gauss_mean, beta):
+    """Tabulated step densities, proportional to N(u(y); gauss_mean, beta)
+    p_X(y), for each row of gauss_mean (R, s) and beta (R, s, s); returns
+    _build_grid_density's (groups, errors)."""
+    if not (model.conjugacy_tag == GENERIC_1D or model.d == 1):
+        raise ConfigurationError(
+            "step sampling for d > 1 models without gaussian-identity structure "
+            "is not supported")
+    R, s = gauss_mean.shape
+    if model.step_window_fn is not None:
+        windows = [model.step_window_fn(gauss_mean[j], beta[j]) for j in range(R)]
+    elif model.x_window_fn is not None:
+        windows = [model.x_window_fn(np.zeros(s))] * R
+    else:
+        raise ConfigurationError(
+            "generic 1-d model needs step_window_fn or x_window_fn for grid sampling")
+    chol, ok = cholesky_rows(beta)
+    # z = (u - gauss_mean) @ whiten is chol^{-1} (u - gauss_mean) per row
+    whiten = np.swapaxes(np.linalg.inv(chol[ok]), -1, -2)
+    log_const = -0.5 * (s * _LOG_2PI
+                        + 2.0 * np.sum(np.log(np.diagonal(chol[ok], axis1=-2, axis2=-1)),
+                                       axis=-1))
+    centre = gauss_mean[ok]
 
-        def log_h(ys):
-            z = (np.atleast_2d(model.statistic(ys)) - gauss_mean) @ whiten
-            return log_const - 0.5 * np.sum(z * z, axis=1) + model.log_density_x(ys)
+    def log_h(rows, ys):
+        y = ys.reshape(-1, 1)
+        stat = np.asarray(model.statistic(y), dtype=float).reshape(len(rows), -1)
+        # the centres tiled along each row: a short broadcast last axis is slow
+        dev = (stat - np.tile(centre[rows], ys.shape[-1])).reshape(ys.shape + (s,))
+        zz = dev @ whiten[rows]
+        zz = zz * zz
+        q = zz[..., 0]
+        for j in range(1, s):  # in the order np.sum takes a short axis
+            q = q + zz[..., j]
+        return (log_const[rows, None] - 0.5 * q
+                + np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape))
 
-        grid = _build_grid_density(log_h, window)
-        return grid, -grid.log_integral
-    raise ConfigurationError(
-        "step sampling for d > 1 models without gaussian-identity structure "
-        "is not supported")
+    ok_rows = np.flatnonzero(ok)
+    groups, grid_errors = _build_grid_density(log_h, np.asarray(windows, dtype=float)[ok])
+    errors = [NumericError("covariance not positive definite")] * R
+    for j, err in zip(ok_rows, grid_errors):
+        errors[j] = err
+    return [(ok_rows[rows], x, log_f) for rows, x, log_f in groups], errors
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +442,13 @@ class TiltedDensity:
             if model.x_window_fn is None:
                 raise ConfigurationError(
                     "custom 1-d model needs x_window_fn for tilted grid sampling")
-            window = model.x_window_fn(self.t)
-            self._grid = _build_grid_density(self._exact_logpdf, window)
+            groups, errors = _build_grid_density(
+                lambda rows, ys: self._exact_logpdf(ys.reshape(-1)).reshape(ys.shape),
+                [model.x_window_fn(self.t)])
+            if errors[0] is not None:
+                raise errors[0]
+            (_, x, log_f), = groups
+            self._grid = GridDensity1D(x[0], log_f[0])
         else:
             raise ConfigurationError("no sampler available for this tilted law")
 
@@ -400,7 +528,8 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
         points = _draw_gaussian_points(model, v[None], z, n, k, variant)[0]
         dens = path_logdensity(model, points, v, n, k, variant)
     else:
-        points, dens = _grid_path(model, v, n, k, variant, rng=rng)
+        runs = _grid_paths(model, v[None], n, k, variant, rngs=[rng])
+        points, dens = runs[0][0], _one_density(runs)
     u_partial = np.cumsum(np.asarray(model.statistic(points), dtype=float), axis=0)
     if not math.isfinite(dens.log_g):
         raise PathAbort(n - 1, "non-finite sampling log-density")
@@ -425,44 +554,82 @@ def _draw_gaussian_points(model, V, Z, n, k, variant):
     return points
 
 
-def _grid_path(model, v, n, k, variant, rng=None, points=None):
-    """Points and PathDensity of a run of a model without gaussian-identity
-    structure: grid steps (or the tilted first step), then the tilted tail.
+def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
+    """Runs of a model without gaussian-identity structure, run j conditioned
+    toward V[j] (R, s): grid steps (or the tilted first step), then the
+    tilted tail.  Returns points (R, n, d), head, tail and base
+    log-densities (R,) and aborts, a list with the PathAbort of each run
+    that had to be abandoned (None for the others), whose densities are NaN.
 
-    Each step's law is built once.  With `points` None the run is drawn from
-    these laws with `rng`; otherwise the given points are evaluated under
-    them.  A tilt or grid that cannot be built aborts the run at its step.
+    The runs advance together one step at a time, and each step's laws are
+    built once for all live runs (`_step_laws`).  With `points` None run j is
+    drawn from these laws with the generator rngs[j]; otherwise the given
+    points (R, n, d) are evaluated under them.  A tilt or grid that cannot
+    be built aborts its run at its step.  A run's numbers do not depend on
+    the other runs of the stack.
     """
+    V = np.asarray(V, dtype=float)
+    R = len(V)
     draw = points is None
     if draw:
-        points = np.empty((n, model.d))
-    u_run = np.zeros(model.s)
-    log_g_head = 0.0
-    t_warm = None
+        points = np.zeros((R, n, model.d))
+    u_run = np.zeros((R, model.s))
+    t_warm = np.full((R, model.s), np.nan)  # each run's last tilt; NaN: none yet
+    head, tail, log_p = np.zeros(R), np.full(R, np.nan), np.full(R, np.nan)
+    aborts = [None] * R
+    live = np.arange(R)
     for i in range(k):
-        try:
-            if variant == "paper-literal" and i == 0:
-                law = tilted_tail_sampler(model, v)
-                t_warm = law.t
-            else:
-                params = step_params(model, v, i, u_run, n, variant, t_warm=t_warm)
-                law, t_warm = params.sampler, params.t
-        except (SteepnessError, NumericError) as exc:
-            raise PathAbort(i, str(exc)) from None
-        if draw:
-            points[i] = law.sample(rng)
-        log_g_head += float(law.logpdf(points[i]))
-        u_run = u_run + np.asarray(model.statistic(points[i]), dtype=float)
+        if not live.size:
+            break
+        if variant == "paper-literal" and i == 0:
+            for j in live:
+                try:
+                    law = tilted_tail_sampler(model, V[j])
+                except (SteepnessError, NumericError) as exc:
+                    aborts[j] = PathAbort(i, str(exc))
+                    continue
+                t_warm[j] = law.t
+                if draw:
+                    points[j, i] = law.sample(rngs[j])
+                head[j] += float(law.logpdf(points[j, i]))
+        else:
+            laws = _step_laws(model, V[live], u_run[live], i, n, variant, t_warm[live])
+            t_warm[live] = laws.t
+            for j, err in zip(live, laws.errors):
+                if err is not None:
+                    aborts[j] = PathAbort(i, str(err))
+            for rows, x, log_f in laws.groups:
+                rows = live[rows]
+                law = GridDensity1D(x, log_f)
+                if draw:
+                    points[rows, i, 0] = law.sample([rngs[j] for j in rows])
+                head[rows] += law.logpdf(points[rows, i, 0])
+        live = np.array([j for j in live if aborts[j] is None], dtype=int)
+        u_run[live] = u_run[live] + np.asarray(model.statistic(points[live, i]), dtype=float)
 
-    try:
-        tail = tilted_tail_sampler(model, _remaining_mean(v, u_run, k, n), t_warm=t_warm)
-    except (SteepnessError, NumericError) as exc:
-        raise PathAbort(k, str(exc)) from None
-    if draw:
-        points[k:] = tail.sample(rng, size=n - k)
-    log_g_tail = float(np.sum(tail.logpdf(points[k:])))
-    log_p = float(np.sum(model.log_density_x(points)))
-    return points, PathDensity(log_g_head=log_g_head, log_g_tail=log_g_tail, log_p=log_p)
+    m_k = _remaining_mean(V, u_run, k, n)
+    for j in live:
+        try:
+            law = tilted_tail_sampler(model, m_k[j], t_warm=t_warm[j])
+        except (SteepnessError, NumericError) as exc:
+            aborts[j] = PathAbort(k, str(exc))
+            continue
+        if draw:
+            points[j, k:] = law.sample(rngs[j], size=n - k)
+        tail[j] = float(np.sum(law.logpdf(points[j, k:])))
+        log_p[j] = float(np.sum(model.log_density_x(points[j])))
+    head[[j for j in range(R) if aborts[j] is not None]] = np.nan
+    return points, head, tail, log_p, aborts
+
+
+def _one_density(runs) -> PathDensity:
+    """The PathDensity of the one run that _grid_paths returned, or its
+    PathAbort raised."""
+    _, head, tail, log_p, aborts = runs
+    if aborts[0] is not None:
+        raise aborts[0]
+    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
+                       log_p=float(log_p[0]))
 
 
 def _normal_logpdf(y, mean, var):
@@ -537,7 +704,7 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
     if points.shape != (n, model.d):
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
-        return _grid_path(model, v, n, k, variant, points=points)[1]
+        return _one_density(_grid_paths(model, v[None], n, k, variant, points=points[None]))
     head, tail = _gaussian_logdensities(model, points[None], v[None, None], n, k, variant)
     return PathDensity(log_g_head=float(head[0, 0]), log_g_tail=float(tail[0, 0]),
                        log_p=float(np.sum(model.log_density_x(points))))

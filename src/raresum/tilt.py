@@ -9,11 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BaselineUnavailable, ConfigurationError, SteepnessError
+from .errors import BaselineUnavailable, ConfigurationError, NumericError, SteepnessError
 from .model import (
     LocalCumulants,
     ModelSpec,
-    assemble_local_cumulants,
+    _fd_third_contracted,
     mean_and_cov,
     mean_map,
 )
@@ -68,49 +68,147 @@ def _singular_covariance(model: ModelSpec, t, t_start) -> SteepnessError:
     return SteepnessError("singular covariance in the tilt solve")
 
 
-def _finish(model: ModelSpec, alpha, t, m, cov, iterations) -> TiltSolution:
-    """The solution at t, whose mean m must lie within MAX_RESIDUAL of alpha
-    in the norm induced by the inverse covariance."""
-    residual_vec = m - alpha
-    loc = assemble_local_cumulants(model, t, m, cov)
-    if cov.shape == (1, 1):
-        r = abs(float(residual_vec[0])) / math.sqrt(float(cov[0, 0]))
+@dataclass(frozen=True)
+class TiltBatch:
+    """Tilts solving m(t) = target for a stack of targets, one per row.  A
+    row that cannot be solved holds the error that stopped it."""
+
+    target: np.ndarray      # (R, s)
+    t: np.ndarray           # (R, s)
+    mean: np.ndarray        # (R, s)
+    covariance: np.ndarray  # (R, s, s)
+    third: np.ndarray       # (R, s) contracted third cumulants
+    iterations: np.ndarray  # (R,)
+    residual: np.ndarray    # (R,) |m(t) - target| in the kappa^{-1}-induced norm
+    errors: list            # per row: None, or its SteepnessError / NumericError
+
+    def solution(self, j: int) -> TiltSolution:
+        """Row j as a TiltSolution; raises the row's error if it failed."""
+        if self.errors[j] is not None:
+            raise self.errors[j]
+        t = self.t[j]
+        return TiltSolution(target=self.target[j], t=t,
+                            local=LocalCumulants(t=t, mean=self.mean[j],
+                                                 covariance=self.covariance[j],
+                                                 third=self.third[j]),
+                            iterations=int(self.iterations[j]),
+                            residual=float(self.residual[j]))
+
+
+def cholesky_rows(cov):
+    """(factors, ok) of a (R, s, s) stack: LAPACK's Cholesky factor of each
+    positive definite matrix (NaN for the others), and which ones are."""
+    ok = np.ones(len(cov), dtype=bool)
+    try:
+        return np.linalg.cholesky(cov), ok
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.full_like(cov, np.nan)
+    for j, c in enumerate(cov):
+        try:
+            chol[j] = np.linalg.cholesky(c)
+        except np.linalg.LinAlgError:
+            ok[j] = False
+    return chol, ok
+
+
+def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltBatch:
+    """Solve m(t) = alpha for every row alpha of A (R, s).
+
+    A model with a closed-form inverse mean map (`tilt_fn`) gets all tilts
+    from one call of it, a NaN row marking a target it cannot attain, and
+    its mean, covariance and third cumulants from one call each; `tol` and
+    `T0` are unused.  Otherwise each row runs damped Newton on the dual
+    K(t) - <t, alpha> from t = 0 (always inside the domain), or from its row
+    of `T0` when that row is finite, e.g. to warm-start from a neighbouring
+    solve.  Either way a row's tilt must lie inside the domain margin, have
+    a positive definite covariance and reach alpha to MAX_RESIDUAL.  A row
+    that fails gets SteepnessError when its target cannot be reached, which
+    signals that alpha lies outside the attainable mean range, or
+    NumericError for a covariance that is not positive definite; its other
+    entries are then meaningless.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != model.s:
+        raise ConfigurationError(f"targets must have shape (R, {model.s})")
+    R, s = A.shape
+    errors = [None] * R
+    iterations = np.zeros(R, dtype=int)
+    closed = model.tilt_fn is not None
+    if closed:
+        T = np.asarray(model.tilt_fn(A[0] if R == 1 else A), dtype=float).reshape(R, s)
+        dom = model.cumulant_domain
+        margin = dom.margin()
+        solved = np.all((T > dom.lower + margin) & (T < dom.upper - margin), axis=1)
+        if dom.predicate is not None:
+            solved = np.array([ok and bool(dom.predicate(t)) for ok, t in zip(solved.tolist(), T)])
+        M = _on_rows(model.mean_fn, T, solved, (s,))
+        C = _on_rows(model.cov_fn, T, solved, (s, s))
+        C = 0.5 * (C + np.swapaxes(C, -1, -2))
     else:
-        r = float(np.sqrt(residual_vec @ np.linalg.solve(cov, residual_vec)))
-    if not r <= MAX_RESIDUAL:
-        raise SteepnessError("target outside the attainable mean range")
-    return TiltSolution(target=alpha, t=t, local=loc, iterations=iterations, residual=r)
+        T, M, C = np.zeros((R, s)), np.zeros((R, s)), np.zeros((R, s, s))
+        for j in range(R):
+            t0 = None if T0 is None or not np.all(np.isfinite(T0[j])) else T0[j]
+            try:
+                T[j], M[j], C[j], iterations[j] = _newton(model, A[j], tol, t0)
+            except SteepnessError as exc:
+                errors[j] = exc
+        solved = np.array([e is None for e in errors], dtype=bool)
+    eye = np.eye(s)
+    pd = solved & cholesky_rows(C if solved.all() else np.where(solved[:, None, None], C, eye))[1]
+    Cpd = C if pd.all() else np.where(pd[:, None, None], C, eye)
+    if closed:
+        third = _on_rows(model.third_fn, T, pd, (s,))
+    else:
+        third = np.full((R, s), np.nan)
+        for j in np.flatnonzero(pd):
+            third[j] = (model.third_fn(T[j]) if model.third_fn is not None
+                        else _fd_third_contracted(model, T[j]))
+    res = M - A
+    if s == 1:
+        residual = np.abs(res[:, 0]) / np.sqrt(Cpd[:, 0, 0])
+    else:
+        residual = np.sqrt(np.sum(res * np.linalg.solve(Cpd, res[..., None])[..., 0], axis=-1))
+    for j, (ok, posdef, r) in enumerate(zip(solved.tolist(), pd.tolist(), residual.tolist())):
+        if errors[j] is not None:
+            continue
+        if not ok:
+            errors[j] = SteepnessError("target outside the attainable mean range")
+        elif not posdef:
+            errors[j] = NumericError(
+                f"covariance of the tilted law is not positive definite at t={T[j]}")
+        elif not r <= MAX_RESIDUAL:
+            errors[j] = SteepnessError("target outside the attainable mean range")
+    return TiltBatch(target=A, t=T, mean=M, covariance=C, third=third,
+                     iterations=iterations, residual=residual, errors=errors)
 
 
-def _closed_form_tilt(model: ModelSpec, alpha) -> TiltSolution:
-    t = model.tilt_fn(alpha)
-    if t is None:
-        raise SteepnessError("target outside the attainable mean range")
-    t = np.asarray(t, dtype=float)
-    if not model.cumulant_domain.contains(t, margin=True):
-        raise SteepnessError("target outside the attainable mean range")
-    m, cov = mean_and_cov(model, t)
-    return _finish(model, alpha, t, m, cov, iterations=0)
+def _on_rows(fn, X, rows, shape):
+    """fn of the rows of X that the mask `rows` selects, NaN for the others.
+    A batch of one is passed as its row, which the built-ins compute with
+    numpy scalars, to the same bits and several times faster."""
+    if rows.all():
+        return np.asarray(fn(X[0] if len(X) == 1 else X), dtype=float).reshape(X.shape[:1] + shape)
+    out = np.full((len(X),) + shape, np.nan)
+    out[rows] = fn(X[rows])
+    return out
 
 
 def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
                t0=None) -> TiltSolution:
-    """Solve m(t) = alpha.
-
-    A model with a closed-form inverse mean map (`tilt_fn`) gets its tilt
-    from it, and `tol` and `t0` are unused.  Otherwise damped Newton on the
-    dual K(t) - <t, alpha> starts at t = 0 (always inside the domain) unless
-    `t0` is given, e.g. to warm-start from a neighbouring solve.  Either way
-    the tilt must lie inside the domain margin, have a positive definite
-    covariance and reach alpha to MAX_RESIDUAL.  Raises SteepnessError when
-    the target cannot be reached, which signals that alpha lies outside the
-    attainable mean range.
-    """
+    """Solve m(t) = alpha: the batch of one of `solve_tilts`.  Raises
+    SteepnessError when the target cannot be reached, which signals that
+    alpha lies outside the attainable mean range."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (model.s,):
         raise ConfigurationError(f"target must have shape ({model.s},)")
-    if model.tilt_fn is not None:
-        return _closed_form_tilt(model, alpha)
+    T0 = None if t0 is None else np.asarray(t0, dtype=float).reshape(1, model.s)
+    return solve_tilts(model, alpha[None], tol, T0).solution(0)
+
+
+def _newton(model: ModelSpec, alpha, tol, t0):
+    """(t, m(t), kappa(t), iterations) of damped Newton on the dual from t0,
+    or from t = 0 when t0 is None or outside the domain margin."""
     t = np.zeros(model.s) if t0 is None else np.array(t0, dtype=float)
     if not model.cumulant_domain.contains(t, margin=True):
         t = np.zeros(model.s)
@@ -125,7 +223,7 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
         m, cov = mean_and_cov(model, t)
         residual_vec = m - alpha
         if np.max(np.abs(residual_vec)) <= tol:
-            return _finish(model, alpha, t, m, cov, iterations=it - 1)
+            return t, m, cov, it - 1
         if scalar:
             if cov[0, 0] <= 0:
                 raise _singular_covariance(model, t, t_start)

@@ -232,12 +232,14 @@ def test_missing_run_size_is_parse_error(tmp_path, capsys, key):
 
 def test_import_loads_no_scipy():
     # scipy is a test and benchmark dependency only; importing it would
-    # more than double the start-up time of every `raresum` command
+    # more than double the start-up time of every `raresum` command.  The
+    # process pool is imported only when --threads asks for workers.
     src = str(Path(rs.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, raresum, raresum.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m in ('concurrent.futures.process', 'multiprocessing')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -238,16 +238,30 @@ def test_reports_are_deterministic(gauss_005):
     assert r1.csv_row(include_timing=False) == r2.csv_row(include_timing=False)
 
 
-@pytest.mark.parametrize("weighting", ["paired", "mixture"])
-def test_threads_do_not_change_results(gauss_005, weighting):
-    region = one_sided(0.3)
+MEAN_SQUARE_REGION = rs.ProductRegion((IntervalUnion((Interval(0.2, math.inf),)),
+                                        IntervalUnion((Interval(1.0, 1.4),))))
+
+
+@pytest.mark.parametrize("family,region,n,L,k,seed,weighting", [
+    pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "paired", id="paired"),
+    pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "mixture", id="mixture"),
+    # 4 of the 24 runs abort; serial blocks hold 8 grid runs, split ones 2
+    pytest.param("gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, 34, 4, "paired",
+                 id="mean-square-paired"),
+])
+def test_threads_do_not_change_results(family, region, n, L, k, seed, weighting):
+    model = (rs.builtin_model(family, mu=0.05, sigma=1.0, d=1) if family == "gaussian-mean"
+             else rs.builtin_model(family))
     chain = rs.MeanChainConfig(burn_in=200, thinning=2)
-    kwargs = dict(chain_config=chain, seed=37, weighting=weighting,
-                  path_config=rs.PathConfig(k_mode="manual", k=10))
-    serial = rs.adaptive_estimate(gauss_005, region, 20, 240, threads=1, **kwargs)
-    parallel = rs.adaptive_estimate(gauss_005, region, 20, 240, threads=3, **kwargs)
+    kwargs = dict(chain_config=chain, seed=seed, weighting=weighting,
+                  path_config=rs.PathConfig(k_mode="manual", k=k))
+    serial = rs.adaptive_estimate(model, region, n, L, threads=1, **kwargs)
+    parallel = rs.adaptive_estimate(model, region, n, L, threads=3, **kwargs)
     assert serial.p_hat == parallel.p_hat
-    assert np.array_equal(serial.details.weights, parallel.details.weights)
+    for field in ("weights", "hits", "aborted"):
+        assert np.array_equal(getattr(serial.details, field), getattr(parallel.details, field))
+    if family != "gaussian-mean":
+        assert serial.aborts > 0 and np.any(serial.details.hits)
 
 
 def test_compare_schemes_deterministic_and_ranked(gauss_005):

@@ -115,12 +115,11 @@ def test_step_sampler_density_matches_draws(expo):
 def test_flat_steering_limit_recovers_tilted_density(expo):
     # with mean beta*alpha + m and beta huge, the steering factor flattens
     # into a pure exponential tilt, so the step tends to the tilted law
-    from raresum.pathgen import _make_step_sampler
-
     sol = rs.solve_tilt(expo, [1.5])
     beta = np.array([[1e8]])
     gauss_mean = beta @ sol.t + np.array([1.5])
-    sampler, _ = _make_step_sampler(expo, gauss_mean, beta)
+    ((_, x, log_f),), _ = pathgen._step_grids(expo, gauss_mean[None], beta[None])
+    sampler = GridDensity1D(x[0], log_f[0])
     tilted = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
     step_dens = np.exp(sampler.logpdf(xs))
@@ -463,3 +462,122 @@ def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
         assert head[l, 0] + tail[l, 0] == path.log_g
         assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
         assert mixed[l] == mixture_logdensity(model, runs[l], vs, n, k, variant)
+
+
+GRID_CASES = [("exponential-mean", [0.8, 2.0], [-0.5]),
+              ("gaussian-mean-and-square", [0.1, 0.5], [0.5, 0.2])]
+
+
+def grid_targets(family, lo_hi, count, gen):
+    a = gen.uniform(*lo_hi, size=count)
+    if family == "exponential-mean":
+        return a[:, None]
+    return np.stack([0.6 * a - 0.2, (0.6 * a - 0.2) ** 2 + a + 0.4], axis=-1)
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["closed-form", "newton"])
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("family,lo_hi,unattainable", GRID_CASES, ids=["expo", "mean-square"])
+def test_grid_walker_stack_equals_batches_of_one(family, lo_hi, unattainable, variant, newton):
+    # a stack of runs gives every run, aborted or not, the bits that run
+    # gets alone, drawn and evaluated, with closed-form and Newton tilts
+    model = rs.builtin_model(family)
+    if newton:
+        model = dataclasses.replace(model, tilt_fn=None)
+    n, k, R = 16, 12, 9
+    V = grid_targets(family, lo_hi, R, np.random.default_rng(83))
+    V[4] = unattainable  # aborts at step 0
+    seeds = range(500, 500 + R)
+    points, head, tail, log_p, aborts = pathgen._grid_paths(
+        model, V, n, k, variant, rngs=[np.random.default_rng(s) for s in seeds])
+    assert aborts[4] is not None and aborts[4].step == 0
+    # a head that overshoots the target aborts run 6 mid-way when evaluated
+    given = points.copy()
+    given[6, :5] = 20.0
+    e_points, e_head, e_tail, e_log_p, e_aborts = pathgen._grid_paths(
+        model, V, n, k, variant, points=given)
+    assert e_aborts[6] is not None and 0 < e_aborts[6].step < k
+    for j, s in enumerate(seeds):
+        one = pathgen._grid_paths(model, V[j:j + 1], n, k, variant,
+                                  rngs=[np.random.default_rng(s)])
+        one_eval = pathgen._grid_paths(model, V[j:j + 1], n, k, variant,
+                                       points=given[j:j + 1])
+        for stacked, alone in (((points, head, tail, log_p, aborts), one),
+                               ((e_points, e_head, e_tail, e_log_p, e_aborts), one_eval)):
+            step = None if stacked[4][j] is None else stacked[4][j].step
+            assert step == (None if alone[4][0] is None else alone[4][0].step)
+            if step is None:
+                assert np.array_equal(stacked[0][j], alone[0][0])
+                for a, b in zip(stacked[1:4], alone[1:4]):
+                    assert a[j] == b[0]
+            else:
+                assert all(math.isnan(a[j]) for a in stacked[1:4])
+        if aborts[j] is None:
+            path = rs.sample_path(model, V[j], n, k, np.random.default_rng(s), variant=variant)
+            assert np.array_equal(path.points, points[j])
+            assert (path.log_g_head, path.log_g_tail) == (head[j], tail[j])
+        else:
+            with pytest.raises(PathAbort) as err:
+                rs.sample_path(model, V[j], n, k, np.random.default_rng(s), variant=variant)
+            assert err.value.step == aborts[j].step
+    assert sum(a is None for a in aborts) > R // 2
+
+
+@pytest.mark.parametrize("family", ["gaussian-mean", "exponential-mean",
+                                    "gaussian-mean-and-square"])
+def test_stacked_builtin_callables_equal_rowwise(family):
+    model = rs.builtin_model(family)
+    gen = np.random.default_rng(89)
+    if family == "gaussian-mean-and-square":
+        m1 = gen.uniform(-1.0, 1.0, 12)
+        A = np.stack([m1, m1 * m1 + gen.uniform(0.1, 2.0, 12)], axis=-1)
+        A[3] = [0.5, 0.2]  # no variance left: unattainable
+    else:
+        A = gen.uniform(0.1, 3.0, (12, model.s))
+        A[3] = -0.5  # unattainable for exponential-mean
+    T = model.tilt_fn(A)
+    rows = np.array([model.tilt_fn(a) for a in A])
+    assert np.array_equal(T, rows, equal_nan=True)
+    assert np.any(np.isnan(T)) == (family != "gaussian-mean")  # NaN marks unattainable
+    T = T[~np.any(np.isnan(T), axis=1)]
+    for fn in (model.mean_fn, model.cov_fn, model.third_fn):
+        assert np.array_equal(fn(T), np.array([fn(t) for t in T]))
+    batch = rs.solve_tilts(model, A)
+    for j, alpha in enumerate(A):
+        if batch.errors[j] is None:
+            sol = rs.solve_tilt(model, alpha)
+            assert np.array_equal(sol.t, batch.t[j])
+            assert np.array_equal(sol.local.covariance, batch.covariance[j])
+            assert np.array_equal(sol.local.third, batch.third[j])
+        else:
+            with pytest.raises(type(batch.errors[j]), match=str(batch.errors[j])):
+                rs.solve_tilt(model, alpha)
+
+
+def test_grid_density_stack_equals_rows():
+    gen = np.random.default_rng(97)
+    R, G = 6, 401
+    x = np.sort(gen.uniform(-3.0, 3.0, (R, 1)), axis=0) + np.linspace(0.0, 2.0, G)
+    log_f = -0.5 * (x - gen.uniform(-1.0, 1.0, (R, 1))) ** 2 + 0.1 * np.sin(5.0 * x)
+    stack = GridDensity1D(x, log_f)
+    rows = [GridDensity1D(x[j], log_f[j]) for j in range(R)]
+    draws = stack.sample([np.random.default_rng(j) for j in range(R)])
+    probe = x[:, 0] + np.array([-0.1, 0.0, 0.3, 1.7, 2.0, 2.5])  # two outside the grids
+    dens = stack.logpdf(probe)
+    for j, row in enumerate(rows):
+        assert draws[j] == row.sample(np.random.default_rng(j))
+        assert dens[j] == row.logpdf(probe[j])
+        assert stack.log_integral[j] == row.log_integral
+    assert np.isneginf(dens[0]) and np.isneginf(dens[5])
+
+
+def test_linspace_rows_equals_numpy():
+    # the grid walker lays its grids out row by row; each row must hold the
+    # bits np.linspace gives that row's window alone
+    gen = np.random.default_rng(101)
+    lo = np.concatenate([gen.uniform(-40.0, 5.0, 499), [0.0]])
+    hi = lo + np.concatenate([gen.uniform(1e-3, 80.0, 499), [5e-324]])  # a step that underflows
+    for num in (1001, 2001):
+        rows = pathgen._linspace_rows(lo, hi, num)
+        for j in range(len(lo)):
+            assert np.array_equal(rows[j], np.linspace(lo[j], hi[j], num))
