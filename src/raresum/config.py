@@ -4,10 +4,12 @@ Blocks and keys (see README for the full grammar):
 
     [model]   family, d, mu, sigma, rate
     [region]  two_sided_threshold  OR  constraint_1..constraint_s
-    [run]     n, L, schemes, k_mode, k, variant, seed
+    [run]     n, L, schemes, k_mode, k, variant, weighting, seed
     [chain]   burn_in, thinning, proposal_scale, target_kind, restart_prob
     [sweep]   parameter, values          (optional)
     [output]  csv, timing
+
+Any other block or key is a parse error.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ _MODEL_PARAM_KEYS = {
     "gaussian-mean-and-square": ("mu", "sigma"),
 }
 
+# Keys of every block but [model], in configparser's lower-case form; [region]
+# also takes constraint_1..constraint_s.
+_BLOCK_KEYS = {
+    "region": ("two_sided_threshold",),
+    "run": ("n", "l", "schemes", "k_mode", "k", "variant", "weighting", "seed"),
+    "chain": ("burn_in", "thinning", "proposal_scale", "target_kind", "restart_prob"),
+    "sweep": ("parameter", "values"),
+    "output": ("csv", "timing"),
+}
+
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a configuration file; raises ConfigParseError on malformed input."""
@@ -128,6 +140,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ValueError("missing [run] section")
     model_sec = parser["model"]
     family = model_sec.get("family", "").strip()
+    _check_keys(parser, family)
     d = model_sec.getint("d", fallback=1)
     params = {}
     for key in _MODEL_PARAM_KEYS.get(family, ()):
@@ -199,6 +212,22 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         out_csv=out_csv,
         timing=timing,
     )
+
+
+def _check_keys(parser: configparser.ConfigParser, family: str) -> None:
+    """Raise ValueError for a block or key that _from_parser does not read, so
+    a misspelt key cannot silently leave its default in place.  An unknown
+    family may take any family's parameters; validate_config reports it."""
+    params = _MODEL_PARAM_KEYS.get(family) or [k for ks in _MODEL_PARAM_KEYS.values()
+                                               for k in ks]
+    known = dict(_BLOCK_KEYS, model=("family", "d", *params))
+    for block in parser.sections():
+        if block not in known:
+            raise ValueError(f"unknown block [{block}]")
+        for key in parser[block]:
+            if key not in known[block] and not (block == "region"
+                                                and key.startswith("constraint")):
+                raise ValueError(f"unknown key {key!r} in [{block}]")
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:

@@ -25,7 +25,7 @@ from .pathgen import (
     PathConfig,
     _blocks,
     _draw_gaussian_points,
-    _gaussian_logdensities,
+    _gaussian_quadratic,
     _grid_paths,
     base_sampler,
     mixture_logdensity,
@@ -208,11 +208,10 @@ def _replicate_runs(model, n, k, variant, vs, seed, indices):
         if gaussian:
             z = np.stack([replicate_rng(seed, l).standard_normal((n, model.d)) for l in ls])
             points = _draw_gaussian_points(model, vs[ls], z, n, k, variant)
-            head, tail = _gaussian_logdensities(model, points, vs[ls][:, None], n, k, variant)
-            yield b, points, head[:, 0] + tail[:, 0]
-            continue
-        points, head, tail, _, _ = _grid_paths(model, vs[ls], n, k, variant,
-                                               rngs=[replicate_rng(seed, l) for l in ls])
+            head, tail, _, _ = _gaussian_quadratic(model, points, vs[ls], n, k, variant)
+        else:
+            points, head, tail, _, _ = _grid_paths(model, vs[ls], n, k, variant,
+                                                   rngs=[replicate_rng(seed, l) for l in ls])
         log_g = head + tail
         log_g[~np.isfinite(log_g)] = np.nan
         yield b, points, log_g
@@ -255,10 +254,7 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
             }
             for fut, ci in futures.items():
                 results[ci] = fut.result()
-        weights = np.concatenate([r[0] for r in results])
-        hits = np.concatenate([r[1] for r in results])
-        aborted = np.concatenate([r[2] for r in results])
-        path_mean = np.concatenate([r[3] for r in results])
+        weights, hits, aborted, path_mean = (np.concatenate(parts) for parts in zip(*results))
     else:
         weights, hits, aborted, path_mean = _adaptive_batch(
             model, region, n, k, path_config.variant, weighting, vs, seed, indices)

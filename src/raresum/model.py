@@ -364,8 +364,10 @@ def _broadcast(value, d, what):
 def _gaussian_mean_model(mu, sigma, d) -> ModelSpec:
     mu_vec = _broadcast(mu, d, "mu")
     sigma_vec = _broadcast(sigma, d, "sigma")
-    if np.any(sigma_vec <= 0):
-        raise ConfigurationError("sigma must be positive")
+    if not np.all(np.isfinite(mu_vec)):
+        raise ConfigurationError("mu must be finite")
+    if not np.all((sigma_vec > 0) & (sigma_vec < np.inf)):
+        raise ConfigurationError("sigma must be finite and positive")
     sigma2 = sigma_vec**2
     return ModelSpec(
         d=d,
@@ -449,8 +451,8 @@ def _exp_x_window(t, rate):
 
 def _exponential_mean_model(rate) -> ModelSpec:
     rate = float(rate)
-    if rate <= 0:
-        raise ConfigurationError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ConfigurationError("rate must be finite and positive")
     return ModelSpec(
         d=1,
         s=1,
@@ -587,8 +589,10 @@ def _ms_predicate(t, sigma2):
 def _gaussian_mean_square_model(mu, sigma) -> ModelSpec:
     mu = float(mu)
     sigma = float(sigma)
-    if sigma <= 0:
-        raise ConfigurationError("sigma must be positive")
+    if not math.isfinite(mu):
+        raise ConfigurationError("mu must be finite")
+    if not 0 < sigma < math.inf:
+        raise ConfigurationError("sigma must be finite and positive")
     sigma2 = sigma * sigma
     domain = CumulantDomain(
         np.array([-np.inf, -np.inf]),

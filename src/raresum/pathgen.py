@@ -10,9 +10,10 @@ For gaussian-identity models every head step and the tail follow one
 closed-form Gaussian law (`gaussian_step`); sampling, the paired density and
 the mixture density all read it, and no tilt is solved.  They work on whole
 batches of runs as array steps: `_draw_gaussian_points` draws L runs from
-pre-drawn normals, and `_gaussian_logdensities` scores H runs under m
-conditioning points each, a bounded block of runs at a time.  One run is the
-batch of one, so a run's numbers do not depend on the batch it is part of.
+pre-drawn normals, and `_gaussian_quadratic` writes H runs' log-densities as
+quadratics in the conditioning point, read at each run's own point (paired)
+or at every point of a set (mixture).  One run is the batch of one, so a
+run's numbers do not depend on the batch it is part of.
 For one-dimensional models with a generic statistic
 the step density is tabulated on an adaptive grid and sampled by inverse
 CDF; the recorded log-density is the exact density of that tabulated
@@ -40,7 +41,7 @@ from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
 from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_BLOCK_ELEMENTS = 1 << 15  # working-set budget of one block of batched Gaussian runs
+_BLOCK_ELEMENTS = 1 << 15  # working-set budget of one block of batched runs or mixture rows
 
 VARIANTS = ("uniform-step", "paper-literal")
 K_MODES = ("default", "gaussian-exact", "manual")
@@ -313,7 +314,9 @@ def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
     conditioning point (row) of V (m, s); stacked V and u_partial broadcast
     against each other.  With r = n - i - 1 and remaining mean
     m_i, uniform-step gives N(m_i, sigma^2 r/(r+1)), paper-literal
-    N((r m_i + v)/(r+1), sigma^2 r/(r+1)) and, at i = 0, N(v, sigma^2)."""
+    N((r m_i + v)/(r+1), sigma^2 r/(r+1)) and, at i = 0, N(v, sigma^2).
+    The mean is affine in v with no offset at u_partial = 0, so
+    gaussian_step(model, 1.0, 0.0, i, n, variant)[0] is its slope dmean/dv."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     sigma2 = model.gauss_identity_params[1]
@@ -632,36 +635,30 @@ def _one_density(runs) -> PathDensity:
                        log_p=float(log_p[0]))
 
 
-def _normal_logpdf(y, mean, var):
-    """log N(y; mean, diag(var)), summed over the last axis."""
-    dev = y - mean
-    return -0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
-
-
-def _gaussian_logdensities(model, P, V, n, k, variant):
-    """Head and tail log-densities, each (H, m), of the gaussian-identity runs
-    P (H, n, s) under the scheme conditioned on V, which broadcasts to
-    (H, m, s): V[:, None] pairs run h with row h, vs[None] scores every run
-    under every row of vs.  Runs are taken in blocks whose (block, m, s) head
-    steps, and sub-blocks whose (block, m, n - k, s) tails, stay within
-    _BLOCK_ELEMENTS."""
-    H, m, s = P.shape[0], V.shape[1], model.s
-    V = np.broadcast_to(V, (H, m, s))
-    prefix = np.concatenate([np.zeros((H, 1, s)), np.cumsum(P, axis=1)], axis=1)
-    head, tail = np.empty((H, m)), np.empty((H, m))
-    for b in _blocks(H, m * s):
-        Vb, pb = V[b], prefix[b, :, None, :]
-        h = 0.0
-        for i in range(k):
-            mean, var = gaussian_step(model, Vb, pb[:, i], i, n, variant)
-            h = h + _normal_logpdf(P[b, i, None, :], mean, var)
-        head[b] = h
-        tail_mean = _remaining_mean(Vb, pb[:, k], k, n)[:, :, None, :]
-        yb, tb = P[b, None, k:, :], tail[b]
-        for c in _blocks(len(tb), m * (n - k) * s):
-            tb[c] = np.sum(_normal_logpdf(yb[c], tail_mean[c], model.gauss_identity_params[1]),
-                           axis=-1)
-    return head, tail
+def _gaussian_quadratic(model, P, V0, n, k, variant):
+    """Log-densities of the gaussian-identity runs P (H, n, s) as quadratics
+    in the conditioning point w: head and tail (H,) at V0, which broadcasts
+    to (H, s), b (H, s) and q (s,), with log g_w = head + tail + b.(w - V0)
+    - q.(w - V0)^2 / 2 exactly, as step means are affine in v and variances
+    do not depend on it.  A run's numbers depend on that run alone."""
+    sigma2 = model.gauss_identity_params[1]
+    u_run = np.zeros((P.shape[0], model.s))
+    head, b, q = 0.0, 0.0, 0.0
+    for i in range(k):
+        mean, var = gaussian_step(model, V0, u_run, i, n, variant)
+        slope = gaussian_step(model, 1.0, 0.0, i, n, variant)[0].item()
+        dev = P[:, i] - mean
+        head = head - 0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
+        b = b + slope * (dev / var)
+        q = q + slope * slope / var
+        u_run = u_run + P[:, i]
+    dev = P[:, k:] - _remaining_mean(V0, u_run, k, n)[:, None]
+    tail = np.sum(-0.5 * np.sum(dev * dev / sigma2 + np.log(2.0 * np.pi * sigma2), axis=-1),
+                  axis=-1)
+    slope = _remaining_mean(1.0, 0.0, k, n)
+    b = b + slope * (np.sum(dev, axis=1) / sigma2)
+    q = q + (n - k) * slope * slope / sigma2
+    return head, tail, b, q
 
 
 def _blocks(count, per_item):
@@ -676,9 +673,9 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     """Log of the equal-weight mixture over `v_set` of the run densities, for
     one run (n, s) as a float or for a stack of runs (H, n, s) as an (H,) array.
 
-    Only available for gaussian-identity models, whose run densities come in
-    closed form for the whole set of conditioning points at once; the value
-    at a single v is path_logdensity's log_g.
+    Only available for gaussian-identity models, whose log run density is a
+    quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
+    value at a single v is path_logdensity's log_g.
     """
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
         raise ConfigurationError("mixture density needs a gaussian-identity model")
@@ -687,12 +684,17 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
         raise ConfigurationError(
             f"points must have shape ({n}, {model.s}) or (H, {n}, {model.s})")
     vs = np.atleast_2d(np.asarray(v_set, dtype=float))
-    head, tail = _gaussian_logdensities(model, y.reshape(-1, n, model.s), vs[None],
-                                        n, k, variant)
-    total = head + tail
-    peak = np.max(total, axis=1)
-    mean = np.mean(np.exp(total - peak[:, None]), axis=1)
-    out = np.array([float(p) + math.log(float(q)) for p, q in zip(peak, mean)])
+    V0 = np.mean(vs, axis=0)
+    head, tail, b, q = _gaussian_quadratic(model, y.reshape(-1, n, model.s), V0, n, k, variant)
+    base, delta = head + tail, vs - V0
+    out = np.empty(len(base))
+    for c in _blocks(len(base), len(vs)):
+        total = base[c, None]  # (runs x points) log-densities, a coordinate at a time
+        for j in range(model.s):
+            total = total + delta[:, j] * (b[c, j, None] - 0.5 * q[j] * delta[:, j])
+        peak = np.max(total, axis=1)
+        mean = np.mean(np.exp(total - peak[:, None]), axis=1)
+        out[c] = [float(p) + math.log(float(m)) for p, m in zip(peak, mean)]
     return float(out[0]) if y.ndim == 2 else out
 
 
@@ -705,6 +707,6 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
     if model.conjugacy_tag != GAUSSIAN_IDENTITY:
         return _one_density(_grid_paths(model, v[None], n, k, variant, points=points[None]))
-    head, tail = _gaussian_logdensities(model, points[None], v[None, None], n, k, variant)
-    return PathDensity(log_g_head=float(head[0, 0]), log_g_tail=float(tail[0, 0]),
+    head, tail, _, _ = _gaussian_quadratic(model, points[None], v, n, k, variant)
+    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
                        log_p=float(np.sum(model.log_density_x(points))))

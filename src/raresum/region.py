@@ -246,9 +246,12 @@ def _parse_endpoint(tok: str) -> float:
     if t in ("-inf", "-infinity"):
         return -math.inf
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ConfigurationError(f"cannot parse interval endpoint {tok!r}") from None
+    if math.isnan(value):
+        raise ConfigurationError(f"interval endpoint {tok!r} is not a number")
+    return value
 
 
 def parse_interval_union(text: str) -> IntervalUnion:
@@ -274,7 +277,7 @@ def parse_interval_union(text: str) -> IntervalUnion:
 
 def two_sided_region(threshold: float, s: int) -> ProductRegion:
     """{|v_j| > threshold for every j}, the two-branch set per coordinate."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ConfigurationError("two-sided threshold must be positive")
     union = IntervalUnion((
         Interval(-math.inf, -threshold, upper_closed=False),

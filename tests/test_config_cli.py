@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -84,15 +85,21 @@ def test_manual_k_out_of_range(tmp_path):
     assert any("manual k" in d.message for d in diags if d.level == "error")
 
 
-def test_parse_error_exit_code(tmp_path):
+def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    fractional_sweep = (SMALL.format(csv=tmp_path / "o.csv")
-                        + "\n[sweep]\nparameter = n\nvalues = 20.7, 30\n")
-    for text in ("[model\nfamily = gaussian-mean\n", fractional_sweep):
+    small = SMALL.format(csv=tmp_path / "o.csv")
+    fractional_sweep = small + "\n[sweep]\nparameter = n\nvalues = 20.7, 30\n"
+    # a misspelt key or block would otherwise leave its default in place
+    misspelt = [small.replace("seed = 5", "seed = 5\nwieghting = mixture"),
+                small.replace("thinning = 2", "thining = 2"),
+                small.replace("[output]", "[outptu]")]
+    for text in ["[model\nfamily = gaussian-mean\n", fractional_sweep, *misspelt]:
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2
         assert main(["validate", str(bad)]) == 2
     assert not (tmp_path / "o.csv").exists()
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("wieghting", "thining", "outptu"))
 
 
 def test_missing_file_exit_code(tmp_path):
@@ -100,10 +107,14 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_validation_error_exit_code(tmp_path):
-    text = SMALL.replace("family = gaussian-mean", "family = mystery")
-    path = write(tmp_path, text, csv=str(tmp_path / "o.csv"))
-    assert main(["run", path]) == 3
-    assert main(["validate", path]) == 3
+    for old, new in [("family = gaussian-mean", "family = mystery"),
+                     ("sigma = 1.0", "sigma = inf"),
+                     ("sigma = 1.0", "sigma = nan"),
+                     ("two_sided_threshold = 0.28", "two_sided_threshold = nan")]:
+        path = write(tmp_path, SMALL.replace(old, new), csv=str(tmp_path / "o.csv"))
+        assert main(["run", path]) == 3
+        assert main(["validate", path]) == 3
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_validate_ok_exit_code(tmp_path, capsys):
@@ -221,6 +232,24 @@ def test_library_matches_cli_rows(tmp_path):
                                  weighting=cfg.weighting)
     rows = [r.csv_row(include_timing=False) for r in reports]
     assert rows == out.read_text().strip().split("\n")[1:]
+
+
+def test_benchmark_configs_validate_cleanly(tmp_path, monkeypatch):
+    # every config the benchmark writes, formatted as its write_configs does,
+    # parses and validates; the benchmark's files are only read
+    monkeypatch.syspath_prepend(str(CONFIG_DIR.parent / "raresum_bench"))
+    bench = importlib.import_module("run")
+    templates = set()
+    path = tmp_path / "bench.cfg"
+    for workload in bench.WORKLOADS.values():
+        for call in workload.calls:
+            templates.add(call.template)
+            path.write_text(call.template.format(d=workload.d, L=call.L, scheme=call.scheme,
+                                                 seed=workload.quality_seed,
+                                                 csv=(tmp_path / "o.csv").as_posix()))
+            diags = validate_config(load_config(str(path)))
+            assert not [d for d in diags if d.level == "error"]
+    assert templates == {bench.FIG1, bench.MEAN_SQUARE}
 
 
 @pytest.mark.parametrize("key", ["n = 20", "L = 60"])

@@ -245,13 +245,17 @@ MEAN_SQUARE_REGION = rs.ProductRegion((IntervalUnion((Interval(0.2, math.inf),))
 @pytest.mark.parametrize("family,region,n,L,k,seed,weighting", [
     pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "paired", id="paired"),
     pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "mixture", id="mixture"),
+    # both branches of three coordinates; the serial run's 99 hits are one
+    # mixture block, split over 12 chunks in parallel
+    pytest.param("gaussian-mean", rs.two_sided_region(0.28, 3), 20, 240, 10, 37, "mixture",
+                 id="mixture-d3-two-sided"),
     # 4 of the 24 runs abort; serial blocks hold 8 grid runs, split ones 2
     pytest.param("gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, 34, 4, "paired",
                  id="mean-square-paired"),
 ])
 def test_threads_do_not_change_results(family, region, n, L, k, seed, weighting):
-    model = (rs.builtin_model(family, mu=0.05, sigma=1.0, d=1) if family == "gaussian-mean"
-             else rs.builtin_model(family))
+    model = (rs.builtin_model(family, mu=0.05, sigma=1.0, d=region.s)
+             if family == "gaussian-mean" else rs.builtin_model(family))
     chain = rs.MeanChainConfig(burn_in=200, thinning=2)
     kwargs = dict(chain_config=chain, seed=seed, weighting=weighting,
                   path_config=rs.PathConfig(k_mode="manual", k=k))
@@ -260,8 +264,9 @@ def test_threads_do_not_change_results(family, region, n, L, k, seed, weighting)
     assert serial.p_hat == parallel.p_hat
     for field in ("weights", "hits", "aborted"):
         assert np.array_equal(getattr(serial.details, field), getattr(parallel.details, field))
+    assert np.any(serial.details.hits)
     if family != "gaussian-mean":
-        assert serial.aborts > 0 and np.any(serial.details.hits)
+        assert serial.aborts > 0
 
 
 def test_compare_schemes_deterministic_and_ranked(gauss_005):

@@ -90,6 +90,15 @@ def test_builtin_rejects_bad_params():
         rs.builtin_model("no-such-family")
     with pytest.raises(ConfigurationError):
         rs.builtin_model("exponential-mean", rate=1.0, bogus=2)
+    for name, params in [("gaussian-mean", dict(sigma=math.nan)),
+                         ("gaussian-mean", dict(sigma=math.inf)),
+                         ("gaussian-mean", dict(mu=math.nan, d=2)),
+                         ("exponential-mean", dict(rate=math.nan)),
+                         ("exponential-mean", dict(rate=math.inf)),
+                         ("gaussian-mean-and-square", dict(mu=math.nan)),
+                         ("gaussian-mean-and-square", dict(sigma=math.inf))]:
+        with pytest.raises(ConfigurationError):
+            rs.builtin_model(name, **params)
 
 
 @pytest.mark.parametrize("name,params", ALL_FAMILIES)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 import raresum as rs
@@ -409,19 +410,26 @@ def test_gaussian_draws_follow_recorded_law(variant):
 
 
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
-@pytest.mark.parametrize("d,sigma", [(1, 1.0), (3, (0.5, 1.0, 2.0))], ids=["d1", "d3"])
-def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma):
+@pytest.mark.parametrize("d,sigma,n,k,two_sided", [
+    (1, 1.0, 12, 8, False),
+    (3, (0.5, 1.0, 2.0), 12, 8, False),
+    (5, 1.0, 100, 75, True),  # configs/fig1.cfg at d = 5
+], ids=["d1", "d3", "fig1-d5"])
+def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma, n, k, two_sided):
     model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=sigma, d=d)
-    n, k = 12, 8
     gen = np.random.default_rng(67)
     vs = 0.3 + 0.2 * gen.standard_normal((5, d))
+    if two_sided:
+        size = 0.28 + 0.1 * np.abs(gen.standard_normal((8, d)))
+        vs = gen.choice([-1.0, 1.0], size=(8, d)) * size
+        assert np.any(vs < 0) and np.any(vs > 0)
     for v in vs:
         path = rs.sample_path(model, v, n, k, gen, variant=variant)
         per_v = np.array([rs.path_logdensity(model, path.points, w, n, k, variant).log_g
                           for w in vs])
         single = mixture_logdensity(model, path.points, v[None, :], n, k, variant)
         assert single == pytest.approx(path.log_g, rel=1e-12, abs=1e-12)
-        expected = math.log(np.mean(np.exp(per_v)))
+        expected = logsumexp(per_v) - math.log(len(vs))
         mixed = mixture_logdensity(model, path.points, vs, n, k, variant)
         assert mixed == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -449,17 +457,16 @@ def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
     vs = 0.3 + 0.2 * np.random.default_rng(61).standard_normal((L, d))
     z = np.stack([replicate_rng(seed, l).standard_normal((n, d)) for l in range(L)])
     runs = pathgen._draw_gaussian_points(model, vs, z, n, k, variant)
-    head, tail = pathgen._gaussian_logdensities(model, runs, vs[:, None], n, k, variant)
+    head, tail, _, _ = pathgen._gaussian_quadratic(model, runs, vs, n, k, variant)
     mixed = mixture_logdensity(model, runs, vs, n, k, variant)
-    # the runs span several head blocks and several tail sub-blocks
-    assert len(pathgen._blocks(L, L * d)) >= 2
-    assert len(pathgen._blocks(L, L * (n - k) * d)) >= 2
+    # the runs span several blocks of the mixture's (runs x points) matrix
+    assert len(pathgen._blocks(L, L)) >= 2
     for l in range(L):
         path = rs.sample_path(model, vs[l], n, k, replicate_rng(seed, l), variant=variant)
         assert np.array_equal(runs[l], path.points)
         reference = drawn_step_by_step(model, vs[l], n, k, replicate_rng(seed, l), variant)
         assert np.array_equal(runs[l], reference)
-        assert head[l, 0] + tail[l, 0] == path.log_g
+        assert head[l] + tail[l] == path.log_g
         assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
         assert mixed[l] == mixture_logdensity(model, runs[l], vs, n, k, variant)
 

@@ -113,6 +113,10 @@ def test_parse_rejects_bad_syntax():
         parse_interval_union("0.3 to 0.4")
     with pytest.raises(ConfigurationError):
         parse_interval_union("[0.4, 0.3]")
+    with pytest.raises(ConfigurationError):
+        parse_interval_union("[nan, 1.0]")
+    with pytest.raises(ConfigurationError):
+        rs.two_sided_region(math.nan, 1)
 
 
 def test_component_boxes_counts():
