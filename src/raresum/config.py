@@ -153,9 +153,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         reg = parser["region"]
         if "two_sided_threshold" in reg:
             region_two_sided = reg.getfloat("two_sided_threshold")
-        keys = sorted(k for k in reg.keys() if k.startswith("constraint"))
-        if keys:
-            region_constraints = [reg.get(k) for k in keys]
+        region_constraints = _constraints(reg) or None
 
     run = parser["run"]
     schemes = [s.strip() for s in run.get("schemes", "adaptive").split(",") if s.strip()]
@@ -212,6 +210,27 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         out_csv=out_csv,
         timing=timing,
     )
+
+
+def _constraints(reg) -> list:
+    """The values of [region]'s constraint_1..constraint_s keys, in the
+    order of their integer suffixes; ValueError for a suffix that is not an
+    integer, a repeated one, or a gap in 1..s."""
+    by_index = {}
+    for key in reg:
+        if not key.startswith("constraint"):
+            continue
+        name, _, suffix = key.partition("_")
+        if name != "constraint" or not (suffix.isascii() and suffix.isdigit()):
+            raise ValueError(f"constraint key {key!r} needs an integer suffix, as in constraint_1")
+        if int(suffix) in by_index:
+            raise ValueError(f"constraint keys {by_index[int(suffix)]!r} and {key!r} "
+                             f"both give constraint {int(suffix)}")
+        by_index[int(suffix)] = key
+    missing = next(i for i in range(1, len(by_index) + 2) if i not in by_index)
+    if missing <= len(by_index):
+        raise ValueError(f"constraint_{missing} is missing: constraint keys must number 1..s")
+    return [reg.get(by_index[i]) for i in range(1, missing)]
 
 
 def _check_keys(parser: configparser.ConfigParser, family: str) -> None:

@@ -22,11 +22,13 @@ from .errors import ConfigurationError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
 from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec
 from .pathgen import (
+    _GRID_STACK_ELEMENTS,
     PathConfig,
     _blocks,
     _draw_gaussian_points,
     _gaussian_quadratic,
     _grid_paths,
+    _grid_row_elements,
     base_sampler,
     mixture_logdensity,
     tilted_tail_sampler,
@@ -199,11 +201,15 @@ def _replicate_runs(model, n, k, variant, vs, seed, indices):
 
     Runs are drawn and weighed a block at a time, replicate l from the
     generator replicate_rng(seed, l): gaussian-identity runs from its
-    normals, other models' runs by the grid walker, whose step grids hold
-    up to 2001 points.
+    normals, in blocks of _BLOCK_ELEMENTS values; other models' runs by the
+    grid walker, in stacks sized by the working set of one step of one run
+    (_grid_row_elements) against _GRID_STACK_ELEMENTS, which holds 43
+    mean-square runs: one stack at L = 30, bounded stacks at any L.
     """
     gaussian = model.conjugacy_tag == GAUSSIAN_IDENTITY
-    for b in _blocks(len(indices), n * model.d if gaussian else 2001 * model.s):
+    blocks = (_blocks(len(indices), n * model.d) if gaussian else
+              _blocks(len(indices), _grid_row_elements(model.s), _GRID_STACK_ELEMENTS))
+    for b in blocks:
         ls = indices[b]
         if gaussian:
             z = np.stack([replicate_rng(seed, l).standard_normal((n, model.d)) for l in ls])

@@ -73,6 +73,16 @@ class CumulantDomain:
         object.__setattr__(self, "_margin", out)
         return out
 
+    def inner(self) -> tuple:
+        """(lower + margin, upper - margin): the box that tilts must lie
+        strictly inside."""
+        cached = getattr(self, "_inner", None)
+        if cached is None:
+            m = self.margin()
+            cached = (self.lower + m, self.upper - m)
+            object.__setattr__(self, "_inner", cached)
+        return cached
+
     def violation(self, t: Array) -> Optional[int]:
         """Index of the first coordinate outside the open box, else None."""
         t = np.asarray(t, dtype=float)
@@ -83,10 +93,7 @@ class CumulantDomain:
 
     def contains(self, t: Array, margin: bool = False) -> bool:
         t = np.asarray(t, dtype=float)
-        lo, hi = self.lower, self.upper
-        if margin:
-            m = self.margin()
-            lo, hi = lo + m, hi - m
+        lo, hi = self.inner() if margin else (self.lower, self.upper)
         if np.any(t <= lo) or np.any(t >= hi):
             return False
         if self.predicate is not None and not self.predicate(t):
@@ -485,7 +492,9 @@ def _ms_logp(x, mu, sigma2):
 def _ms_stat(x):
     pts, single = _points(x, 1)
     v = pts[..., 0]
-    out = np.stack([v, v * v], axis=-1)
+    out = np.empty(v.shape + (2,))
+    out[..., 0] = v
+    np.multiply(v, v, out=out[..., 1])
     return out[0] if single else out
 
 

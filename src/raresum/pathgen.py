@@ -41,7 +41,10 @@ from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec, mean_map
 from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_BLOCK_ELEMENTS = 1 << 15  # working-set budget of one block of batched runs or mixture rows
+# Working-set budgets, in float64 values: one block of batched Gaussian runs
+# or mixture rows (256 KiB), and one stack of grid-walked runs (4 MiB).
+_BLOCK_ELEMENTS = 1 << 15
+_GRID_STACK_ELEMENTS = 1 << 19
 
 VARIANTS = ("uniform-step", "paper-literal")
 K_MODES = ("default", "gaussian-exact", "manual")
@@ -105,8 +108,12 @@ class GridDensity1D:
         peak = np.max(log_f, axis=-1, keepdims=True)
         if not np.all(np.isfinite(peak)):
             raise NumericError("grid density underflowed to zero everywhere")
-        f = np.exp(log_f - peak)
-        cell_mass = 0.5 * (f[..., :-1] + f[..., 1:]) * np.diff(self.x)
+        # each buffer is worked in place, to the bits of the plain expressions
+        f = np.subtract(log_f, peak)
+        np.exp(f, out=f)
+        cell_mass = f[..., :-1] + f[..., 1:]
+        cell_mass *= 0.5
+        cell_mass *= np.diff(self.x)
         total = np.sum(cell_mass, axis=-1, keepdims=True)
         if np.any(total <= 0):
             raise NumericError("grid density has zero total mass")
@@ -114,9 +121,12 @@ class GridDensity1D:
         self.log_integral = np.array([math.log(m) for m in total.reshape(-1)]) + peak[..., 0]
         if self.x.ndim == 1:
             self.log_integral = float(self.log_integral[0])
-        self._fn = f / total  # normalized knot densities
-        self._cdf = np.concatenate([np.zeros_like(total), np.cumsum(cell_mass / total, axis=-1)],
-                                   axis=-1)
+        f /= total
+        self._fn = f  # normalized knot densities
+        cell_mass /= total
+        self._cdf = np.empty_like(f)
+        self._cdf[..., 0] = 0.0
+        np.cumsum(cell_mass, axis=-1, out=self._cdf[..., 1:])
         self._cdf[..., -1] = 1.0
 
     def sample(self, rng, size=None):
@@ -205,30 +215,11 @@ def _linspace_rows(lo, hi, num):
     return y
 
 
-def _build_grid_density(log_h, windows, rel_tol=2e-7, n0=1001, max_refine=4):
-    """Tabulate exp(log_h) on each row's window (R, 2), zooming to where the
-    mass lives.  log_h maps row indices (r,) and their grids (r, G) to the
-    log-values (r, G).
-
-    Each bracket is repeatedly trimmed to the set lying within 60 nats of its
-    peak (re-trimming handles windows that start absurdly wide), then the
-    grid is doubled until trapezoid and Simpson integrals agree to
-    `rel_tol`, which controls both the normalizing constant and the fidelity
-    of the piecewise-linear sampler.  Rows advance together, each as if
-    alone.  Returns (groups, errors): groups lists (rows, x, log_f) for the
-    rows tabulated on G points, one entry per G, and errors[j] is the
-    NumericError of a row that could not be tabulated.
-    """
-    windows = np.asarray(windows, dtype=float).reshape(-1, 2)
-    lo, hi = windows[:, 0].copy(), windows[:, 1].copy()
-    errors = [None] * len(windows)
-
-    def fail(rows, message):
-        for j in rows:
-            errors[j] = NumericError(message)
-
-    fail(np.flatnonzero(~(lo < hi)), "invalid grid window")
-    active = _live_rows(errors)
+def _trim_windows(log_h, lo, hi, active, n0, fail):
+    """Trim the windows [lo, hi] of the rows `active` in place, each to the
+    set lying within 60 nats of its peak on an n0-point grid, until a pass
+    shrinks it by less than 40 %; fail(rows, message) marks rows whose
+    density underflows or whose support collapses."""
     for _ in range(30):
         if not active.size:
             break
@@ -250,6 +241,35 @@ def _build_grid_density(log_h, windows, rel_tol=2e-7, n0=1001, max_refine=4):
         lo[active], hi[active] = lo2, hi2
         active = active[~(bad | collapsed | ((hi2 - lo2) > 0.6 * (a_hi - a_lo)))]
 
+
+def _build_grid_density(log_h, windows, rel_tol=2e-7, n0=1001, max_refine=4):
+    """Tabulate exp(log_h) on each row's window (R, 2), zooming to where the
+    mass lives.  log_h maps row indices (r,) and their grids (r, G) to the
+    log-values (r, G).
+
+    Each bracket is repeatedly trimmed to the set lying within 60 nats of its
+    peak (re-trimming handles windows that start absurdly wide), then the
+    grid is doubled until trapezoid and Simpson integrals agree to
+    `rel_tol`, which controls both the normalizing constant and the fidelity
+    of the piecewise-linear sampler.  Rows advance together, each as if
+    alone, and each pass holds a few (rows x G) arrays at a time: with the
+    grid walker's log_h, about 4 + s values per row and grid point at the
+    peak (_grid_row_elements), which sizes the estimator's stacks.  Returns
+    (groups, errors): groups lists (rows, x, log_f) for the rows tabulated
+    on G points, one entry per G, and errors[j] is the NumericError of a
+    row that could not be tabulated.
+    """
+    windows = np.asarray(windows, dtype=float).reshape(-1, 2)
+    lo, hi = windows[:, 0].copy(), windows[:, 1].copy()
+    errors = [None] * len(windows)
+
+    def fail(rows, message):
+        for j in rows:
+            errors[j] = NumericError(message)
+
+    fail(np.flatnonzero(~(lo < hi)), "invalid grid window")
+    _trim_windows(log_h, lo, hi, _live_rows(errors), n0, fail)
+
     groups = []
     todo = _live_rows(errors)
     n = 2001
@@ -259,8 +279,9 @@ def _build_grid_density(log_h, windows, rel_tol=2e-7, n0=1001, max_refine=4):
         grid = _linspace_rows(lo[todo], hi[todo], n)
         vals = log_h(todo, grid)
         peak = np.max(vals, axis=-1)
-        trap, simp = _trapezoid_simpson(np.exp(vals - peak[:, None]),
-                                        (hi[todo] - lo[todo]) / (n - 1))
+        f = np.subtract(vals, peak[:, None])
+        trap, simp = _trapezoid_simpson(np.exp(f, out=f), (hi[todo] - lo[todo]) / (n - 1))
+        del f
         done = (trap > 0) & (np.abs(simp - trap) <= rel_tol * np.abs(simp))
         if level == max_refine - 1:
             done[:] = True
@@ -405,17 +426,27 @@ def _step_grids(model: ModelSpec, gauss_mean, beta):
     centre = gauss_mean[ok]
 
     def log_h(rows, ys):
+        # log_const - q/2 + log p_X, folded into one buffer; every step works
+        # in place on a buffer of its own, to the bits of the plain expression
         y = ys.reshape(-1, 1)
         stat = np.asarray(model.statistic(y), dtype=float).reshape(len(rows), -1)
-        # the centres tiled along each row: a short broadcast last axis is slow
-        dev = (stat - np.tile(centre[rows], ys.shape[-1])).reshape(ys.shape + (s,))
-        zz = dev @ whiten[rows]
-        zz = zz * zz
-        q = zz[..., 0]
-        for j in range(1, s):  # in the order np.sum takes a short axis
-            q = q + zz[..., j]
-        return (log_const[rows, None] - 0.5 * q
-                + np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape))
+        # the centres tiled along each row (a short broadcast last axis is
+        # slow), then overwritten by the deviations; the statistic may be y
+        # itself, so it is not written to
+        dev = np.tile(centre[rows], ys.shape[-1])
+        np.subtract(stat, dev, out=dev)
+        del stat
+        zz = dev.reshape(ys.shape + (s,)) @ whiten[rows]
+        del dev
+        np.square(zz, out=zz)
+        q = zz[..., 0] if s == 1 else zz[..., 0] + zz[..., 1]
+        for j in range(2, s):  # in the order np.sum takes a short axis
+            q += zz[..., j]
+        del zz
+        q *= -0.5
+        q += log_const[rows, None]
+        q += np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape)
+        return q
 
     ok_rows = np.flatnonzero(ok)
     groups, grid_errors = _build_grid_density(log_h, np.asarray(windows, dtype=float)[ok])
@@ -596,17 +627,11 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
                     points[j, i] = law.sample(rngs[j])
                 head[j] += float(law.logpdf(points[j, i]))
         else:
-            laws = _step_laws(model, V[live], u_run[live], i, n, variant, t_warm[live])
-            t_warm[live] = laws.t
-            for j, err in zip(live, laws.errors):
+            t_warm[live], errors = _grid_step(model, V, u_run, t_warm, live, i, n, variant,
+                                              points, head, rngs if draw else None)
+            for j, err in zip(live, errors):
                 if err is not None:
                     aborts[j] = PathAbort(i, str(err))
-            for rows, x, log_f in laws.groups:
-                rows = live[rows]
-                law = GridDensity1D(x, log_f)
-                if draw:
-                    points[rows, i, 0] = law.sample([rngs[j] for j in rows])
-                head[rows] += law.logpdf(points[rows, i, 0])
         live = np.array([j for j in live if aborts[j] is None], dtype=int)
         u_run[live] = u_run[live] + np.asarray(model.statistic(points[live, i]), dtype=float)
 
@@ -623,6 +648,31 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
         log_p[j] = float(np.sum(model.log_density_x(points[j])))
     head[[j for j in range(R) if aborts[j] is not None]] = np.nan
     return points, head, tail, log_p, aborts
+
+
+def _grid_step(model, V, U, T, live, i, n, variant, points, head, rngs):
+    """Step i of the runs `live` of a stack (V, prefix sums U and last tilts
+    T are the stack's): builds their grid step laws, draws point i of each
+    from them with its generator rngs[j] (rngs None: evaluates points[:, i])
+    and adds its log-density to head.  Returns the tilts and per-run errors.
+    The step's grids die on return, before the next step builds its own."""
+    laws = _step_laws(model, V[live], U[live], i, n, variant, T[live])
+    for rows, x, log_f in laws.groups:
+        rows = live[rows]
+        law = GridDensity1D(x, log_f)
+        if rngs is not None:
+            points[rows, i, 0] = law.sample([rngs[j] for j in rows])
+        head[rows] += law.logpdf(points[rows, i, 0])
+    return laws.t, laws.errors
+
+
+def _grid_row_elements(s: int) -> int:
+    """Float64 values that one run of a stack holds at the peak of a grid
+    step on 2001 points: about 4 + s per point, the statistic's deviations
+    and their whitened copy beside the grid and the log-values (tracemalloc:
+    87 kB per mean-square run, s = 2, walking a 30-run stack).  A row that
+    refines its grid holds proportionally more."""
+    return (4 + s) * 2001
 
 
 def _one_density(runs) -> PathDensity:
@@ -661,10 +711,10 @@ def _gaussian_quadratic(model, P, V0, n, k, variant):
     return head, tail, b, q
 
 
-def _blocks(count, per_item):
-    """Slices covering range(count), each of at most _BLOCK_ELEMENTS / per_item
-    items (and at least one)."""
-    size = max(1, _BLOCK_ELEMENTS // per_item)
+def _blocks(count, per_item, budget=_BLOCK_ELEMENTS):
+    """Slices covering range(count), each of at most budget / per_item items
+    (and at least one)."""
+    size = max(1, budget // per_item)
     return [slice(a, a + size) for a in range(0, count, size)]
 
 

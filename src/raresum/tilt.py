@@ -137,13 +137,14 @@ def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltB
     closed = model.tilt_fn is not None
     if closed:
         T = np.asarray(model.tilt_fn(A[0] if R == 1 else A), dtype=float).reshape(R, s)
-        dom = model.cumulant_domain
-        margin = dom.margin()
-        solved = np.all((T > dom.lower + margin) & (T < dom.upper - margin), axis=1)
-        if dom.predicate is not None:
-            solved = np.array([ok and bool(dom.predicate(t)) for ok, t in zip(solved.tolist(), T)])
-        M = _on_rows(model.mean_fn, T, solved, (s,))
-        C = _on_rows(model.cov_fn, T, solved, (s, s))
+        lower, upper = model.cumulant_domain.inner()
+        solved = ((T > lower) & (T < upper)).all(axis=1)
+        predicate = model.cumulant_domain.predicate
+        if predicate is not None:
+            solved = np.array([ok and bool(predicate(t)) for ok, t in zip(solved.tolist(), T)])
+        rows = None if solved.all() else solved
+        M = _on_rows(model.mean_fn, T, rows, (s,))
+        C = _on_rows(model.cov_fn, T, rows, (s, s))
         C = 0.5 * (C + np.swapaxes(C, -1, -2))
     else:
         T, M, C = np.zeros((R, s)), np.zeros((R, s)), np.zeros((R, s, s))
@@ -154,21 +155,29 @@ def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltB
             except SteepnessError as exc:
                 errors[j] = exc
         solved = np.array([e is None for e in errors], dtype=bool)
-    eye = np.eye(s)
-    pd = solved & cholesky_rows(C if solved.all() else np.where(solved[:, None, None], C, eye))[1]
-    Cpd = C if pd.all() else np.where(pd[:, None, None], C, eye)
+        rows = None if solved.all() else solved
+    chol, pd = cholesky_rows(C if rows is None else np.where(solved[:, None, None], C, np.eye(s)))
+    pd &= solved
+    rows = None if pd.all() else pd
     if closed:
-        third = _on_rows(model.third_fn, T, pd, (s,))
+        third = _on_rows(model.third_fn, T, rows, (s,))
     else:
         third = np.full((R, s), np.nan)
         for j in np.flatnonzero(pd):
             third[j] = (model.third_fn(T[j]) if model.third_fn is not None
                         else _fd_third_contracted(model, T[j]))
-    res = M - A
-    if s == 1:
-        residual = np.abs(res[:, 0]) / np.sqrt(Cpd[:, 0, 0])
-    else:
-        residual = np.sqrt(np.sum(res * np.linalg.solve(Cpd, res[..., None])[..., 0], axis=-1))
+    # |m(t) - target| in the kappa^{-1} norm, the length of chol^{-1} (m(t) - target):
+    # forward substitution, one coordinate of all rows at a time
+    res, L, z = (M - A).T, chol.transpose(1, 2, 0), []
+    for i in range(s):
+        zi = res[i]
+        for j in range(i):
+            zi = zi - L[i, j] * z[j]
+        z.append(zi / L[i, i])
+    quad = z[0] * z[0]
+    for zi in z[1:]:
+        quad += zi * zi
+    residual = np.sqrt(quad)
     for j, (ok, posdef, r) in enumerate(zip(solved.tolist(), pd.tolist(), residual.tolist())):
         if errors[j] is not None:
             continue
@@ -184,10 +193,11 @@ def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltB
 
 
 def _on_rows(fn, X, rows, shape):
-    """fn of the rows of X that the mask `rows` selects, NaN for the others.
-    A batch of one is passed as its row, which the built-ins compute with
-    numpy scalars, to the same bits and several times faster."""
-    if rows.all():
+    """fn of the rows of X that the mask `rows` selects (None: every row),
+    NaN for the others.  A batch of one is passed as its row, which the
+    built-ins compute with numpy scalars, to the same bits and several times
+    faster."""
+    if rows is None:
         return np.asarray(fn(X[0] if len(X) == 1 else X), dtype=float).reshape(X.shape[:1] + shape)
     out = np.full((len(X),) + shape, np.nan)
     out[rows] = fn(X[rows])

@@ -10,7 +10,7 @@ import pytest
 
 import raresum as rs
 from raresum.cli import main, run_experiment, validate_file
-from raresum.config import load_config, validate_config
+from raresum.config import ConfigParseError, load_config, validate_config
 from raresum.estimate import CSV_HEADER
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -184,6 +184,36 @@ def test_explicit_constraint_region_round_trip(tmp_path):
     model, region, n, L = cfg.instantiate()
     assert rs.contains(region, [0.5]) and rs.contains(region, [-0.5])
     assert not rs.contains(region, [0.0])
+
+
+def test_constraints_load_in_suffix_order(tmp_path):
+    # constraint_10 is the tenth coordinate, not the second (as sorted keys gave)
+    lines = ["constraint_1 = [0.1, 0.2]"] + [f"constraint_{j} = [0.3, 0.4]" for j in range(2, 10)]
+    lines.append("constraint_10 = [0.5, 0.6]")
+    text = SMALL.replace("two_sided_threshold = 0.28", "\n".join(lines)).replace("d = 1", "d = 10")
+    cfg = load_config(write(tmp_path, text, csv=str(tmp_path / "o.csv")))
+    assert cfg.region_constraints == ["[0.1, 0.2]"] + ["[0.3, 0.4]"] * 8 + ["[0.5, 0.6]"]
+    model, region, n, L = cfg.instantiate()
+    assert model.s == 10
+    assert rs.contains(region, [0.15] + [0.35] * 8 + [0.55])
+    assert not rs.contains(region, [0.15, 0.55] + [0.35] * 8)
+
+
+@pytest.mark.parametrize("keys", [
+    ["constraint_x"],                                               # not an integer
+    ["constraint"],
+    ["constraint_1", "constraint_01"],                              # constraint 1 twice
+    ["constraint_1", "constraint_2", "constraint_3", "constraint_5"],  # no constraint_4
+    ["constraint_2"],                                               # no constraint_1
+], ids=["non-integer", "bare", "duplicate", "gap", "no-first"])
+def test_bad_constraint_keys_are_parse_errors(tmp_path, keys):
+    lines = "\n".join(f"{key} = [0.3, 0.4]" for key in keys)
+    text = SMALL.replace("two_sided_threshold = 0.28", lines).replace("d = 1", f"d = {len(keys)}")
+    path = write(tmp_path, text, csv=str(tmp_path / "o.csv"))
+    with pytest.raises(ConfigParseError, match="constraint"):
+        load_config(path)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
 
 
 def test_mixture_weighting_validated_against_family(tmp_path):

@@ -249,7 +249,8 @@ MEAN_SQUARE_REGION = rs.ProductRegion((IntervalUnion((Interval(0.2, math.inf),))
     # mixture block, split over 12 chunks in parallel
     pytest.param("gaussian-mean", rs.two_sided_region(0.28, 3), 20, 240, 10, 37, "mixture",
                  id="mixture-d3-two-sided"),
-    # 4 of the 24 runs abort; serial blocks hold 8 grid runs, split ones 2
+    # 4 of the 24 runs abort; the serial run walks them as one stack, the split
+    # runs 2 at a time
     pytest.param("gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, 34, 4, "paired",
                  id="mean-square-paired"),
 ])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import multivariate_normal, norm
 
 import raresum as rs
 from raresum.errors import ConfigurationError, PathAbort
-from raresum import pathgen
+from raresum import estimate, pathgen
 from raresum.pathgen import (
     GridDensity1D,
     base_sampler,
@@ -528,6 +529,67 @@ def test_grid_walker_stack_equals_batches_of_one(family, lo_hi, unattainable, va
                 rs.sample_path(model, V[j], n, k, np.random.default_rng(s), variant=variant)
             assert err.value.step == aborts[j].step
     assert sum(a is None for a in aborts) > R // 2
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+def test_grid_stack_size_does_not_change_runs(variant):
+    # the estimator walks an L = 30 estimate's mean-square runs as one stack;
+    # 8-run blocks and batches of one give every run the same bits, drawn and
+    # evaluated, aborted or not
+    model = rs.builtin_model("gaussian-mean-and-square")
+    n, k, L = 30, 25, 30
+    V = grid_targets("gaussian-mean-and-square", [0.1, 0.5], L, np.random.default_rng(103))
+    V[11] = [0.5, 0.2]  # unattainable: aborts at step 0
+    # one stack: _replicate_runs yields a single block
+    (_, runs, log_g), = estimate._replicate_runs(model, n, k, variant, V, 7, list(range(L)))
+
+    def walk(size, points=None):
+        parts = [pathgen._grid_paths(model, V[b], n, k, variant,
+                                     rngs=[replicate_rng(7, l) for l in range(L)[b]],
+                                     points=None if points is None else points[b])
+                 for b in (slice(a, a + size) for a in range(0, L, size))]
+        arrays = [np.concatenate(part) for part in list(zip(*parts))[:4]]
+        steps = [None if a is None else a.step for part in parts for a in part[4]]
+        return arrays, steps
+
+    (points, *dens), steps = walk(L)
+    assert steps[11] == 0
+    assert np.array_equal(runs, points)
+    walked = dens[0] + dens[1]
+    walked[~np.isfinite(walked)] = np.nan
+    assert np.array_equal(log_g, walked, equal_nan=True)
+    given = points.copy()
+    given[6, :5] = 20.0  # a head that overshoots: aborts run 6 mid-way when evaluated
+    (_, *e_dens), e_steps = walk(L, given)
+    assert 0 < e_steps[6] < k
+    for size in (8, 1):
+        (p_b, *dens_b), steps_b = walk(size)
+        assert np.array_equal(p_b, points) and steps_b == steps
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(dens_b, dens))
+        (_, *e_dens_b), e_steps_b = walk(size, given)
+        assert e_steps_b == e_steps
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(e_dens_b, e_dens))
+
+
+def test_grid_stack_working_set_per_run():
+    # a 30-run mean-square stack peaks at about 87 kB per run (the 8-run
+    # blocks it replaced peaked at 255 kB per run); L = 600 still walks in
+    # bounded stacks
+    model = rs.builtin_model("gaussian-mean-and-square")
+    L = 30
+    V = grid_targets("gaussian-mean-and-square", [0.1, 0.5], L, np.random.default_rng(107))
+    rngs = [replicate_rng(7, l) for l in range(L)]
+    tracemalloc.start()
+    try:
+        _, _, _, _, aborts = pathgen._grid_paths(model, V, 100, 90, "uniform-step", rngs=rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a is None for a in aborts) > L // 2
+    assert peak / L < 0.13e6
+    stacks = pathgen._blocks(600, pathgen._grid_row_elements(model.s),
+                             pathgen._GRID_STACK_ELEMENTS)
+    assert len(stacks) > 1 and all(b.stop - b.start <= 64 for b in stacks)
 
 
 @pytest.mark.parametrize("family", ["gaussian-mean", "exponential-mean",

@@ -36,6 +36,29 @@ def test_solve_tilt_mean_square_closed_form(mean_square):
     assert sol.t == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
+def test_residual_is_kappa_inverse_norm(family):
+    # with tilts 0.1 % off, every row's residual is |m(t) - target| in the
+    # kappa^{-1} norm, and the rows past MAX_RESIDUAL fail
+    model = rs.builtin_model(family)
+    off = dataclasses.replace(model, tilt_fn=lambda a, f=model.tilt_fn: f(a) * 1.001)
+    gen = np.random.default_rng(17)
+    if model.s == 1:
+        A = gen.uniform(0.2, 5.0, (40, 1))
+    else:
+        m1 = gen.uniform(-2.0, 2.0, 40)
+        A = np.stack([m1, m1 * m1 + gen.uniform(0.05, 3.0, 40)], axis=-1)
+    batch = rs.solve_tilts(off, A)
+    for j, alpha in enumerate(A):
+        r = batch.mean[j] - alpha
+        expected = math.sqrt(r @ np.linalg.solve(batch.covariance[j], r))
+        assert batch.residual[j] == pytest.approx(expected, rel=1e-9)
+        assert (batch.errors[j] is None) == (expected <= rs.tilt.MAX_RESIDUAL)
+        one = rs.solve_tilts(off, alpha[None])
+        assert one.residual[0] == batch.residual[j]
+    assert 0 < sum(e is None for e in batch.errors) < len(A)
+
+
 def test_steepness_failure_on_unattainable_target(expo):
     with pytest.raises(SteepnessError):
         rs.solve_tilt(expo, [-0.5])
