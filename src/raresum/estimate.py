@@ -203,7 +203,7 @@ def _replicate_runs(model, n, k, variant, vs, seed, indices):
     generator replicate_rng(seed, l): gaussian-identity runs from its
     normals, in blocks of _BLOCK_ELEMENTS values; other models' runs by the
     grid walker, in stacks sized by the working set of one step of one run
-    (_grid_row_elements) against _GRID_STACK_ELEMENTS, which holds 43
+    (_grid_row_elements) against _GRID_STACK_ELEMENTS, which holds 37
     mean-square runs: one stack at L = 30, bounded stacks at any L.
     """
     gaussian = model.conjugacy_tag == GAUSSIAN_IDENTITY

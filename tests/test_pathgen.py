@@ -120,14 +120,150 @@ def test_flat_steering_limit_recovers_tilted_density(expo):
     sol = rs.solve_tilt(expo, [1.5])
     beta = np.array([[1e8]])
     gauss_mean = beta @ sol.t + np.array([1.5])
-    ((_, x, log_f),), _ = pathgen._step_grids(expo, gauss_mean[None], beta[None])
-    sampler = GridDensity1D(x[0], log_f[0])
+    (_, grid), = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])
+    sampler = grid._row(0)
     tilted = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
     step_dens = np.exp(sampler.logpdf(xs))
     tilt_dens = np.exp(tilted.logpdf(xs))
     tv = 0.5 * np.trapezoid(np.abs(step_dens - tilt_dens), xs)
     assert tv < 1e-4
+
+
+
+def random_step_laws(model, variant, count, gen, n=100, k=90):
+    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws that runs
+    conditioned toward random targets build after random prefixes of i.i.d.
+    points, as the walker builds them (rows whose tilt fails dropped)."""
+    means, betas = [], []
+    for _ in range(count):
+        i = int(gen.integers(0, k))
+        if model.s == 1:
+            v = gen.uniform(0.5, 2.5, 1)
+            prefix = gen.exponential(v[0], i)
+        else:
+            m1, var = gen.uniform(-0.4, 0.5), gen.uniform(0.4, 1.5)
+            v = np.array([m1, m1 * m1 + var])
+            prefix = m1 + math.sqrt(var) * gen.standard_normal(i)
+        u = np.sum(model.statistic(prefix.reshape(-1, 1)), axis=0) if i else np.zeros(model.s)
+        law = pathgen._step_laws(model, v[None], u.reshape(1, -1), i, n, variant)
+        if law.errors[0] is None:
+            means.append(law.gauss_mean[0])
+            betas.append(law.beta[0])
+    return np.array(means), np.array(betas)
+
+
+def step_log_h(model, gauss_mean, beta):
+    """log_h(rows, ys) of the step densities N(u(y); gauss_mean, beta) p_X(y),
+    up to a constant per row."""
+    prec = np.linalg.inv(beta)
+
+    def log_h(rows, ys):
+        y = ys.reshape(-1, 1)
+        dev = np.asarray(model.statistic(y)).reshape(ys.shape + (-1,)) - gauss_mean[rows, None]
+        q = np.einsum("rgi,rij,rgj->rg", dev, prec[rows], dev)
+        return np.asarray(model.log_density_x(y)).reshape(ys.shape) - 0.5 * q
+
+    return log_h
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
+def test_step_windows_hold_the_trimmed_windows(family, variant):
+    # a built-in step window, computed from the law, holds the window that
+    # trimming a wide grid finds on the same law, and is at most two of that
+    # window's cells wider on either side
+    model = rs.builtin_model(family)
+    gauss_mean, beta = random_step_laws(model, variant, 120, np.random.default_rng(211))
+    assert len(gauss_mean) > 100
+    windows = model.step_window_fn(gauss_mean, beta)
+    R = len(windows)
+    width = windows[:, 1] - windows[:, 0]
+    lo, hi = windows[:, 0] - 3.0 * width, windows[:, 1] + 3.0 * width
+    if family == "exponential-mean":
+        lo = np.maximum(lo, 0.0)
+    failed = []
+    pathgen._trim_windows(step_log_h(model, gauss_mean, beta), lo, hi, np.arange(R), 1001,
+                          lambda rows, message: failed.extend(rows), pathgen._GridWork(R, 1))
+    assert not failed
+    cell = (hi - lo) / 1000
+    assert np.all(windows[:, 0] <= lo) and np.all(windows[:, 1] >= hi)
+    assert np.all(windows[:, 0] >= lo - 2.0 * cell) and np.all(windows[:, 1] <= hi + 2.0 * cell)
+
+
+def drawn_step_laws(model, variant, runs, steps, gen, n=100, k=90):
+    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws at random
+    steps of runs drawn toward random targets."""
+    lo_hi = [0.8, 2.0] if model.s == 1 else [0.1, 0.5]
+    V = grid_targets(model.name, lo_hi, runs, gen)
+    points, _, _, _, aborts = pathgen._grid_paths(model, V, n, k, variant,
+                                                  rngs=[np.random.default_rng(gen.integers(1 << 32))
+                                                        for _ in range(runs)])
+    means, betas = [], []
+    for j in np.flatnonzero([a is None for a in aborts]):
+        u = np.cumsum(np.asarray(model.statistic(points[j])), axis=0)
+        for i in gen.integers(1, k, steps):
+            law = pathgen._step_laws(model, V[j][None], u[i - 1][None], i, n, variant)
+            means.append(law.gauss_mean[0])
+            betas.append(law.beta[0])
+    return np.array(means), np.array(betas)
+
+
+def step_sampler_tvs(model, gauss_mean, beta):
+    """Total variation between the tabulated sampler of each grid step law
+    and its smooth step density, integrated on 400,001 points."""
+    log_h = step_log_h(model, gauss_mean, beta)
+    errors = [None] * len(gauss_mean)
+    tvs = []
+    for rows, law in pathgen._step_grids(model, gauss_mean, beta, errors):
+        for j, row in enumerate(rows):
+            lo, hi = law.x[j, 0], law.x[j, -1]
+            pad = hi - lo
+            xs = np.linspace(max(lo - pad, 0.0) if model.name == "exponential-mean" else lo - pad,
+                             hi + pad, 400001)
+            smooth = np.exp(log_h(np.array([row]), xs[None])[0])
+            smooth /= np.trapezoid(smooth, xs)
+            sampled = np.exp(law._row(j).logpdf(xs))
+            tvs.append(0.5 * np.trapezoid(np.abs(sampled - smooth), xs))
+    assert all(e is None for e in errors)
+    return np.array(tvs)
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
+def test_builtin_step_sampler_fidelity(family, variant):
+    # on the step laws of drawn runs, the tabulated sampler of a built-in grid
+    # step lies within total variation 1e-5 of its smooth step density
+    model = rs.builtin_model(family)
+    gauss_mean, beta = drawn_step_laws(model, variant, 4, 3, np.random.default_rng(223))
+    assert len(gauss_mean) >= 9
+    assert np.all(step_sampler_tvs(model, gauss_mean, beta) < 1e-5)
+
+
+@pytest.mark.xfail(strict=True, reason="off-track mean-square laws pass the trapezoid/Simpson "
+                   "check at 2001 points 8.9e-5 from their smooth density; see the FOUND line "
+                   "on off-track laws in CHANGES.md")
+def test_off_track_step_sampler_fidelity():
+    # the laws that evaluating given points under another target builds can
+    # lie far off track: after an unsteered i.i.d. prefix, one of these 12
+    # mean-square laws (gauss_mean about (-3.02, 22.5)) is tabulated too
+    # coarsely for the 1e-5 bound that drawn runs meet
+    model = rs.builtin_model("gaussian-mean-and-square")
+    gauss_mean, beta = random_step_laws(model, "uniform-step", 12, np.random.default_rng(223))
+    assert len(gauss_mean) == 12
+    assert np.all(step_sampler_tvs(model, gauss_mean, beta) < 1e-5)
+
+
+def test_step_window_fn_must_return_stacked_windows():
+    # a window function to the one-row contract, (lo, hi), is refused rather
+    # than broadcast over the stack untrimmed
+    model = dataclasses.replace(rs.builtin_model("exponential-mean"),
+                                step_window_fn=lambda gauss_mean, beta: (0.0, 50.0))
+    with pytest.raises(ConfigurationError, match="step_window_fn"):
+        pathgen._grid_paths(model, np.full((3, 1), 1.5), 8, 5, "uniform-step",
+                            rngs=[np.random.default_rng(l) for l in range(3)])
+    with pytest.raises(ConfigurationError, match="step_window_fn"):
+        step_params(model, [1.5], 0, [0.0], 8)
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -572,8 +708,9 @@ def test_grid_stack_size_does_not_change_runs(variant):
 
 
 def test_grid_stack_working_set_per_run():
-    # a 30-run mean-square stack peaks at about 87 kB per run (the 8-run
-    # blocks it replaced peaked at 255 kB per run); L = 600 still walks in
+    # a 30-run mean-square stack peaks at about 116 kB per run, its buffers
+    # kept for the whole walk (87 kB when every step allocated its own, and
+    # 255 kB in the 8-run blocks before that); L = 600 still walks in
     # bounded stacks
     model = rs.builtin_model("gaussian-mean-and-square")
     L = 30
@@ -590,6 +727,25 @@ def test_grid_stack_working_set_per_run():
     stacks = pathgen._blocks(600, pathgen._grid_row_elements(model.s),
                              pathgen._GRID_STACK_ELEMENTS)
     assert len(stacks) > 1 and all(b.stop - b.start <= 64 for b in stacks)
+
+
+def test_exponential_stack_working_set_per_run():
+    # exponential-mean steps peak at the y = 0 edge and refine to 16,001
+    # points; refined rows are tabulated a few at a time in the stack's
+    # buffers, so a 30-run stack peaks at about 84 kB per run (643 kB when
+    # every refined row of a step was tabulated at once)
+    model = rs.builtin_model("exponential-mean")
+    L = 30
+    rngs = [replicate_rng(7, l) for l in range(L)]
+    tracemalloc.start()
+    try:
+        _, _, _, _, aborts = pathgen._grid_paths(model, np.full((L, 1), 1.6), 100, 90,
+                                                 "uniform-step", rngs=rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(a is None for a in aborts)
+    assert peak / L < 0.125e6
 
 
 @pytest.mark.parametrize("family", ["gaussian-mean", "exponential-mean",
