@@ -5,7 +5,7 @@ Blocks and keys (see README for the full grammar):
     [model]   family, d, mu, sigma, rate
     [region]  two_sided_threshold  OR  constraint_1..constraint_s
     [run]     n, L, schemes, k_mode, k, variant, weighting, seed
-    [chain]   burn_in, thinning, proposal_scale, target_kind, restart_prob
+    [chain]   burn_in, thinning, proposal_scale
     [sweep]   parameter, values          (optional)
     [output]  csv, timing
 
@@ -110,7 +110,7 @@ _MODEL_PARAM_KEYS = {
 _BLOCK_KEYS = {
     "region": ("two_sided_threshold",),
     "run": ("n", "l", "schemes", "k_mode", "k", "variant", "weighting", "seed"),
-    "chain": ("burn_in", "thinning", "proposal_scale", "target_kind", "restart_prob"),
+    "chain": ("burn_in", "thinning", "proposal_scale"),
     "sweep": ("parameter", "values"),
     "output": ("csv", "timing"),
 }
@@ -168,10 +168,6 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         if "proposal_scale" in ch:
             chain_kwargs["proposal_scale"] = np.array(
                 [float(x) for x in ch.get("proposal_scale").split(",")])
-        if "target_kind" in ch:
-            chain_kwargs["target_kind"] = ch.get("target_kind").strip()
-        if "restart_prob" in ch:
-            chain_kwargs["restart_prob"] = ch.getfloat("restart_prob")
 
     sweep_parameter = None
     sweep_values = None

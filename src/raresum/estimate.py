@@ -20,18 +20,14 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
-from .model import GAUSSIAN_IDENTITY, GENERIC_1D, ModelSpec
+from .model import ModelSpec
 from .pathgen import (
-    _GRID_STACK_ELEMENTS,
     PathConfig,
-    _blocks,
-    _draw_gaussian_points,
-    _gaussian_quadratic,
-    _grid_paths,
-    _grid_row_elements,
     base_sampler,
+    engine_errors,
     mixture_logdensity,
     tilted_tail_sampler,
+    walk_runs,
 )
 from .region import ProductRegion, contains
 from .tilt import dominating_point
@@ -153,12 +149,9 @@ def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
         (path_config or PathConfig()).resolve_k(n)
     except ConfigurationError as exc:
         errors.append(str(exc))
-    if model.conjugacy_tag not in (GAUSSIAN_IDENTITY, GENERIC_1D) and model.d > 1:
-        errors.append("adaptive scheme requires gaussian-identity structure or d = 1")
+    errors += engine_errors(model, mixture=weighting == "mixture")
     if weighting not in WEIGHTINGS:
         errors.append(f"unknown weighting {weighting!r}")
-    elif weighting == "mixture" and model.conjugacy_tag != GAUSSIAN_IDENTITY:
-        errors.append("mixture weighting needs a gaussian-identity model")
     scale = (chain_config or MeanChainConfig()).proposal_scale
     if scale is not None and scale.size not in (1, model.s):
         errors.append(f"proposal_scale size must be 1 or s={model.s}, got {scale.size}")
@@ -172,55 +165,26 @@ def _check_point(*args, **kwargs) -> None:
 
 
 def _adaptive_batch(model, region, n, k, variant, weighting, vs, seed, indices):
-    """Weights, hits, aborts and final means of the replicates `indices`.
+    """Weights, hits, aborts and final means of the replicates `indices`,
+    replicate l's run drawn with the generator replicate_rng(seed, l).
     Each value depends only on its replicate's index, so any split of the
     indices (--threads) gives the same numbers."""
+    points, head, tail, log_p, _ = walk_runs(model, vs[indices], n, k, variant,
+                                             rngs=[replicate_rng(seed, l) for l in indices])
+    log_g = head + tail
+    aborted = ~np.isfinite(log_g)
     out_w = np.zeros(len(indices))
     out_hit = np.zeros(len(indices), dtype=bool)
-    out_abort = np.zeros(len(indices), dtype=bool)
     out_mean = np.zeros((len(indices), model.s))
-    for b, points, log_g in _replicate_runs(model, n, k, variant, vs, seed, indices):
-        for j, pos in enumerate(range(len(indices))[b]):
-            if not math.isfinite(log_g[j]):
-                out_abort[pos] = True
-                continue
-            out_mean[pos] = np.cumsum(model.statistic(points[j]), axis=0)[-1] / n
-            out_hit[pos] = contains(region, out_mean[pos])
-        hits = np.flatnonzero(out_hit[b])
-        if weighting == "mixture" and hits.size:
-            log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
-        for j in hits:
-            log_p = float(np.sum(model.log_density_x(points[j])))
-            out_w[b][j] = math.exp(log_p - log_g[j])
-    return out_w, out_hit, out_abort, out_mean
-
-
-def _replicate_runs(model, n, k, variant, vs, seed, indices):
-    """Blocks (slice of positions in `indices`, runs (B, n, d), paired log_g
-    (B,)) of the replicates `indices`; an aborted run has log_g NaN.
-
-    Runs are drawn and weighed a block at a time, replicate l from the
-    generator replicate_rng(seed, l): gaussian-identity runs from its
-    normals, in blocks of _BLOCK_ELEMENTS values; other models' runs by the
-    grid walker, in stacks sized by the working set of one step of one run
-    (_grid_row_elements) against _GRID_STACK_ELEMENTS, which holds 37
-    mean-square runs: one stack at L = 30, bounded stacks at any L.
-    """
-    gaussian = model.conjugacy_tag == GAUSSIAN_IDENTITY
-    blocks = (_blocks(len(indices), n * model.d) if gaussian else
-              _blocks(len(indices), _grid_row_elements(model.s), _GRID_STACK_ELEMENTS))
-    for b in blocks:
-        ls = indices[b]
-        if gaussian:
-            z = np.stack([replicate_rng(seed, l).standard_normal((n, model.d)) for l in ls])
-            points = _draw_gaussian_points(model, vs[ls], z, n, k, variant)
-            head, tail, _, _ = _gaussian_quadratic(model, points, vs[ls], n, k, variant)
-        else:
-            points, head, tail, _, _ = _grid_paths(model, vs[ls], n, k, variant,
-                                                   rngs=[replicate_rng(seed, l) for l in ls])
-        log_g = head + tail
-        log_g[~np.isfinite(log_g)] = np.nan
-        yield b, points, log_g
+    for j in np.flatnonzero(~aborted):
+        out_mean[j] = np.cumsum(model.statistic(points[j]), axis=0)[-1] / n
+        out_hit[j] = contains(region, out_mean[j])
+    hits = np.flatnonzero(out_hit)
+    if weighting == "mixture" and hits.size:
+        log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
+    for j in hits:
+        out_w[j] = math.exp(log_p[j] - log_g[j])
+    return out_w, out_hit, aborted, out_mean
 
 
 def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
@@ -231,7 +195,7 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     """Adaptive importance-sampling estimate of P(mean of u over n points in region).
 
     weighting="paired" divides each replicate by its own conditional density
-    g_{v_l}; "mixture" (gaussian-identity models only) divides by the
+    g_{v_l}; "mixture" (models with gauss_identity_params only) divides by the
     equal-weight mixture of the run densities over all L drawn conditioning
     points, which is also exactly unbiased and keeps typical estimates
     centred when the region has several well-separated components.

@@ -1,14 +1,16 @@
 """Metropolis-Hastings sampling of conditioning points.
 
 The chain targets the law of the sample mean of u(X) restricted to the
-region: exactly Gaussian for gaussian-identity models, a first-order
-saddlepoint surrogate otherwise.  Normalizing constants drop out of the
-acceptance ratio, so neither target needs the rare-event probability.
+region: exactly Gaussian for a model with `gauss_identity_params`, a
+first-order saddlepoint surrogate for any other.  Normalizing constants drop
+out of the acceptance ratio, so neither target needs the rare-event
+probability.
 
 Disconnected regions are handled by mixing the random walk with an
 independence proposal that draws uniformly from a small window inside each
-connected component; both kernels are Metropolis-corrected, so the mixture
-leaves the target invariant.
+connected component, chosen at a step with probability RESTART_PROB; both
+kernels are Metropolis-corrected, so the mixture leaves the target
+invariant.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, SteepnessError
-from .model import GAUSSIAN_IDENTITY, ModelSpec, local_cumulants
+from .model import ModelSpec, local_cumulants
 from .region import ProductRegion, component_boxes, contains, initial_point
 from .tilt import solve_tilt
 
-TARGET_KINDS = ("exact-gaussian", "saddlepoint", "auto")
+# Probability that a step of a chain on a disconnected region proposes a restart.
+RESTART_PROB = 0.1
 
 
 @dataclass
@@ -34,16 +37,12 @@ class MeanChainConfig:
     burn_in: int = 1000
     thinning: int = 5
     proposal_scale: Optional[np.ndarray] = None  # default: sqrt(kappa_jj(0)/n)
-    target_kind: str = "auto"
-    restart_prob: float = 0.1
 
     def __post_init__(self):
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
         if self.thinning < 1:
             raise ConfigurationError("thinning must be >= 1")
-        if self.target_kind not in TARGET_KINDS:
-            raise ConfigurationError(f"unknown target kind {self.target_kind!r}")
         if self.proposal_scale is not None:
             scale = np.atleast_1d(np.asarray(self.proposal_scale, dtype=float))
             if np.any(scale <= 0):
@@ -61,24 +60,18 @@ class MeanChainDiagnostics:
     stuck: bool = False
 
 
-def target_logdensity(model: ModelSpec, region: ProductRegion, n: int, v,
-                      kind: str = "auto") -> float:
+def target_logdensity(model: ModelSpec, region: ProductRegion, n: int, v) -> float:
     """Unnormalized log-density of the restricted sample-mean law at v."""
     loc0 = local_cumulants(model, np.zeros(model.s))
-    log_target = _log_target(model, region, n, _resolve_kind(model, kind), loc0)
+    _, log_target = _log_target(model, region, n, loc0)
     return log_target(np.atleast_1d(np.asarray(v, dtype=float)))
 
 
-def _resolve_kind(model: ModelSpec, kind: str) -> str:
-    if kind == "auto":
-        return "exact-gaussian" if model.conjugacy_tag == GAUSSIAN_IDENTITY else "saddlepoint"
-    return kind
-
-
-def _log_target(model: ModelSpec, region: ProductRegion, n: int, kind: str, loc0):
-    """v -> unnormalized log-density of the restricted sample-mean law, where
-    loc0 holds the untilted mean and covariance."""
-    if kind == "exact-gaussian":
+def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
+    """(kind, v -> unnormalized log-density of the restricted sample-mean
+    law), where loc0 holds the untilted mean and covariance: "exact-gaussian"
+    for a model with gauss_identity_params, else "saddlepoint"."""
+    if model.gauss_identity_params is not None:
         prec_chol = np.linalg.cholesky(np.linalg.inv(loc0.covariance))
 
         def log_target(v):
@@ -86,12 +79,13 @@ def _log_target(model: ModelSpec, region: ProductRegion, n: int, kind: str, loc0
                 return -math.inf
             z = prec_chol.T @ (v - loc0.mean)
             return float(-0.5 * n * z @ z)
-    else:
-        def log_target(v):
-            if not contains(region, v):
-                return -math.inf
-            return _saddlepoint_logdensity(model, n, v)
-    return log_target
+        return "exact-gaussian", log_target
+
+    def log_target(v):
+        if not contains(region, v):
+            return -math.inf
+        return _saddlepoint_logdensity(model, n, v)
+    return "saddlepoint", log_target
 
 
 def _saddlepoint_logdensity(model: ModelSpec, n: int, v) -> float:
@@ -165,13 +159,12 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
         raise ConfigurationError("count must be >= 1")
     if region.is_empty:
         raise ConfigurationError("region is empty")
-    kind = _resolve_kind(model, config.target_kind)
     loc0 = local_cumulants(model, np.zeros(model.s))
     if config.proposal_scale is not None:
         scale = np.broadcast_to(config.proposal_scale, (model.s,)).astype(float)
     else:
         scale = np.sqrt(np.diagonal(loc0.covariance) / n)
-    logtarget = _log_target(model, region, n, kind, loc0)
+    kind, logtarget = _log_target(model, region, n, loc0)
 
     v = initial_point(region, model, n)
     lt = logtarget(v)
@@ -189,7 +182,7 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
     # marks it stale after an accepted random-walk move.
     rv = None
     for step in range(total):
-        if restart is not None and rng.random() < config.restart_prob:
+        if restart is not None and rng.random() < RESTART_PROB:
             prop = restart.sample(rng)
             lp = logtarget(prop)
             if rv is None:

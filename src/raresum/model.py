@@ -35,10 +35,6 @@ DOMAIN_MARGIN = 1e-8
 WINDOW_NATS = 60.0
 WINDOW_PAD = 2e-3
 
-GAUSSIAN_IDENTITY = "gaussian-identity"
-GENERIC_1D = "generic-1d"
-GENERIC = "generic"
-
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -137,27 +133,28 @@ class ModelSpec:
     statistic: Callable
     cumulant: Callable
     cumulant_domain: CumulantDomain
-    conjugacy_tag: str
     name: str = "custom"
     mean_fn: Optional[Callable] = None
     cov_fn: Optional[Callable] = None
     third_fn: Optional[Callable] = None
     tilt_fn: Optional[Callable] = None  # alpha (..., s) -> t with m(t) = alpha, NaN row if unattainable
-    tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf hook)
+    tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf(x))
     # (gauss_mean (R, s), beta (R, s, s)) -> windows (R, 2) of R grid step laws, d = 1
     # only: each holds every y within WINDOW_NATS of its step density's peak, and the
     # step is tabulated on it without trimming
     step_window_fn: Optional[Callable] = None
     x_window_fn: Optional[Callable] = None  # t -> (lo, hi) effective support, d=1 only
-    gauss_identity_params: Optional[tuple] = None  # (mu (s,), sigma2 (s,))
+    # (mu (s,), sigma2 (s,)) when X ~ N(mu, diag(sigma2)) and u = identity (s = d): runs
+    # follow the closed-form Gaussian law; other models' runs are grid-walked, d = 1 only
+    gauss_identity_params: Optional[tuple] = None
 
     def __post_init__(self):
         if self.d < 1 or self.s < 1:
             raise ConfigurationError("dimensions d and s must be positive")
         if self.cumulant_domain.s != self.s:
             raise ConfigurationError("cumulant domain dimension must equal s")
-        if self.conjugacy_tag not in (GAUSSIAN_IDENTITY, GENERIC_1D, GENERIC):
-            raise ConfigurationError(f"unknown conjugacy tag {self.conjugacy_tag!r}")
+        if self.gauss_identity_params is not None and self.s != self.d:
+            raise ConfigurationError("gauss_identity_params need the identity statistic, s = d")
 
 
 def _as_tilt(model: ModelSpec, t) -> Array:
@@ -305,20 +302,6 @@ def _points(x, d):
     return x, single
 
 
-class TiltedFamily:
-    """Closed-form sampler + exact log-density of a tilted built-in family."""
-
-    def __init__(self, draw, logpdf):
-        self._draw = draw
-        self._logpdf = logpdf
-
-    def sample(self, rng, size=None):
-        return self._draw(rng, size)
-
-    def logpdf(self, x):
-        return self._logpdf(x)
-
-
 # -- step windows: where a grid step density is tabulated -------------------
 
 
@@ -410,16 +393,14 @@ def _gm_tilt(alpha, mu, sigma2):
 
 
 def _gm_tilted_draw(rng, size, mean, sd):
-    if size is None:
-        return rng.normal(mean, sd)
     return rng.normal(mean, sd, size=(size, mean.size))
 
 
 def _gm_tilted(t, mu, sigma2):
     mean = mu + sigma2 * np.asarray(t, dtype=float)
     sd = np.sqrt(sigma2)
-    return TiltedFamily(partial(_gm_tilted_draw, mean=mean, sd=sd),
-                        partial(_gm_logp, mu=mean, sigma2=sigma2))
+    return (partial(_gm_tilted_draw, mean=mean, sd=sd),
+            partial(_gm_logp, mu=mean, sigma2=sigma2))
 
 
 def _broadcast(value, d, what):
@@ -446,7 +427,6 @@ def _gaussian_mean_model(mu, sigma, d) -> ModelSpec:
         statistic=partial(_gm_stat, d=d),
         cumulant=partial(_gm_cumulant, mu=mu_vec, sigma2=sigma2),
         cumulant_domain=unbounded_domain(d),
-        conjugacy_tag=GAUSSIAN_IDENTITY,
         name="gaussian-mean",
         mean_fn=partial(_gm_mean, mu=mu_vec, sigma2=sigma2),
         cov_fn=partial(_gm_cov, sigma2=sigma2),
@@ -496,8 +476,6 @@ def _exp_tilt(alpha, rate):
 
 
 def _exp_tilted_draw(rng, size, scale):
-    if size is None:
-        return np.array([rng.exponential(scale)])
     return rng.exponential(scale, size=(size, 1))
 
 
@@ -505,8 +483,8 @@ def _exp_tilted(t, rate):
     tilted_rate = rate - float(np.asarray(t).reshape(()))
     if tilted_rate <= 0:
         raise DomainError("tilt at or beyond the exponential rate", coord=0)
-    return TiltedFamily(partial(_exp_tilted_draw, scale=1.0 / tilted_rate),
-                        partial(_exp_logp, rate=tilted_rate))
+    return (partial(_exp_tilted_draw, scale=1.0 / tilted_rate),
+            partial(_exp_logp, rate=tilted_rate))
 
 
 def _exp_step_window(gauss_mean, beta, rate):
@@ -537,7 +515,6 @@ def _exponential_mean_model(rate) -> ModelSpec:
         statistic=partial(_gm_stat, d=1),
         cumulant=partial(_exp_cumulant, rate=rate),
         cumulant_domain=CumulantDomain(np.array([-np.inf]), np.array([rate])),
-        conjugacy_tag=GENERIC_1D,
         name="exponential-mean",
         mean_fn=partial(_exp_mean, rate=rate),
         cov_fn=partial(_exp_cov, rate=rate),
@@ -637,10 +614,8 @@ def _ms_tilted(t, mu, sigma2):
         raise DomainError("second tilt coordinate beyond 1/(2 sigma^2)", coord=1)
     var = sigma2 / tau
     mean = var * (t[0] + mu / sigma2)
-    return TiltedFamily(
-        partial(_gm_tilted_draw, mean=np.array([mean]), sd=np.array([math.sqrt(var)])),
-        partial(_ms_logp, mu=mean, sigma2=var),
-    )
+    return (partial(_gm_tilted_draw, mean=np.array([mean]), sd=np.array([math.sqrt(var)])),
+            partial(_ms_logp, mu=mean, sigma2=var))
 
 
 def _ms_step_window(gauss_mean, beta, mu, sigma2):
@@ -690,7 +665,6 @@ def _gaussian_mean_square_model(mu, sigma) -> ModelSpec:
         statistic=_ms_stat,
         cumulant=partial(_ms_cumulant, mu=mu, sigma2=sigma2),
         cumulant_domain=domain,
-        conjugacy_tag=GENERIC_1D,
         name="gaussian-mean-and-square",
         mean_fn=partial(_ms_mean, mu=mu, sigma2=sigma2),
         cov_fn=partial(_ms_cov, mu=mu, sigma2=sigma2),

@@ -6,27 +6,26 @@ density p_X(y); the factor is re-centred after every draw so the running
 statistic is steered toward the conditioning point v.  The remaining n - k
 points are i.i.d. draws from the tilted density whose mean closes the gap.
 
-For gaussian-identity models every head step and the tail follow one
-closed-form Gaussian law (`gaussian_step`); sampling, the paired density and
-the mixture density all read it, and no tilt is solved.  They work on whole
-batches of runs as array steps: `_draw_gaussian_points` draws L runs from
-pre-drawn normals, and `_gaussian_quadratic` writes H runs' log-densities as
-quadratics in the conditioning point, read at each run's own point (paired)
-or at every point of a set (mixture).  One run is the batch of one, so a
-run's numbers do not depend on the batch it is part of.
-For one-dimensional models with a generic statistic
-the step density is tabulated on an adaptive grid and sampled by inverse
-CDF; the recorded log-density is the exact density of that tabulated
-sampler, so importance weights stay unbiased.  One walker (`_grid_paths`)
-advances a stack of such runs one step at a time, each with its own
-conditioning point, prefix and generator.  At every step it builds the
-step laws of all live runs together (`_step_laws`: one tilt solve for the
-stack, then one (runs x grid points) tabulation, on windows the model
-computes from the laws, in buffers the walk keeps) and either draws the
-runs from them or evaluates given points under them, so sampling and the
-density cannot drift apart.  A run whose tilt or grid fails drops
-out with its step and reason.  `sample_path`, `path_logdensity` and
-`step_params` are the batches of one.
+`walk_runs` draws a stack of runs, or scores given ones, for any model, and
+is the one place that picks an engine.  For a model with
+`gauss_identity_params` every head step and the tail follow one closed-form
+Gaussian law (`gaussian_step`), and no tilt is solved: `_draw_gaussian_points`
+draws runs from pre-drawn normals, and `_gaussian_quadratic` writes their
+log-densities as quadratics in the conditioning point, read at each run's
+own point (paired) or at every point of a set (`mixture_logdensity`).
+Any other model must have d = 1.  Its step density is tabulated on a grid
+and sampled by inverse CDF; the recorded log-density is the exact density
+of that tabulated sampler, so importance weights stay unbiased.  The grid
+walker (`_grid_paths`) advances a stack of runs one step at a time, each
+with its own conditioning point, prefix and generator.  At every step it
+builds the step laws of all live runs together (`_step_laws`: one tilt
+solve for the stack, then one (runs x grid points) tabulation, on windows
+the model computes from the laws, in buffers the walk keeps), and the
+tilted laws of the tail with one tilt solve too; it either draws the runs
+or evaluates given points under the same laws, so sampling and the density
+cannot drift apart.  A run whose tilt or grid fails drops out with its step
+and reason.  A run's numbers never depend on its stack: `sample_path`,
+`path_logdensity` and `step_params` are the batches of one.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
-from .model import GAUSSIAN_IDENTITY, GENERIC_1D, WINDOW_NATS, ModelSpec, mean_map
+from .model import WINDOW_NATS, ModelSpec, mean_map
 from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -369,7 +368,7 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e
 
 @dataclass
 class StepParams:
-    """Grid step for point i+1 of a model without gaussian-identity structure."""
+    """Grid step for point i+1 of a d = 1 model without gauss_identity_params."""
 
     t: np.ndarray          # tilt solving m(t) = remaining mean; warm-starts the next solve
     beta: np.ndarray       # covariance of the Gaussian steering factor
@@ -418,18 +417,18 @@ def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
 
 
 def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
-                variant: str = "uniform-step", t_warm=None) -> StepParams:
+                variant: str = "uniform-step") -> StepParams:
     """Grid-tabulated density of point i+1 (i points already drawn): the
     batch of one of the stacked step laws that the run walker builds.
 
-    Gaussian-identity models have the closed-form gaussian_step instead.
+    Models with gauss_identity_params have the closed-form gaussian_step
+    instead.
     """
     if not 0 <= i <= n - 2:
         raise ConfigurationError(f"step index {i} out of range for n={n}")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u_partial = np.atleast_1d(np.asarray(u_partial, dtype=float))
-    T0 = None if t_warm is None else np.asarray(t_warm, dtype=float).reshape(1, -1)
-    law = _step_laws(model, v[None], u_partial[None], i, n, variant, T0)
+    law = _step_laws(model, v[None], u_partial[None], i, n, variant)
     groups = list(law.groups)
     if law.errors[0] is not None:
         raise law.errors[0]
@@ -444,8 +443,9 @@ def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
     (R, s) whose first i points sum to the rows of U, all built together.
     T0 holds each row's previous tilt, which warm-starts a Newton solve; the
     grids are tabulated in the buffers of `work`, as _step_grids."""
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        raise ConfigurationError("gaussian-identity steps come from gaussian_step")
+    if model.gauss_identity_params is not None or model.d != 1:
+        raise ConfigurationError("grid steps serve d = 1 models without gauss_identity_params; "
+                                 "Gaussian steps come from gaussian_step")
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     M = _remaining_mean(V, U, i, n)
@@ -473,10 +473,6 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
     and sets errors[j] for a row that cannot be tabulated.  A row's window
     comes from the model's step_window_fn, which holds the density's mass,
     else it is x_window_fn(0) trimmed to that mass."""
-    if not (model.conjugacy_tag == GENERIC_1D or model.d == 1):
-        raise ConfigurationError(
-            "step sampling for d > 1 models without gaussian-identity structure "
-            "is not supported")
     if model.step_window_fn is None and model.x_window_fn is None:
         raise ConfigurationError(
             "generic 1-d model needs step_window_fn or x_window_fn for grid sampling")
@@ -550,7 +546,7 @@ class TiltedDensity:
         self._family = None
         self._grid = None
         if model.tilted_family is not None:
-            self._family = model.tilted_family(self.t)
+            self._family = model.tilted_family(self.t)  # (draw, logpdf)
         elif model.d == 1:
             if model.x_window_fn is None:
                 raise ConfigurationError(
@@ -570,23 +566,21 @@ class TiltedDensity:
         out = stat @ self.t - self.log_phi + self.model.log_density_x(x)
         return np.asarray(out).reshape(-1)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size: int):
+        """`size` draws (size, d) from the generator rng."""
         if self._family is not None:
-            return self._family.sample(rng, size=size)
-        if size is None:
-            return np.array([self._grid.sample(rng)])
+            return self._family[0](rng, size)
         return self._grid.sample(rng, size=size).reshape(size, 1)
 
     def logpdf(self, x):
         if self._family is not None:
-            return self._family.logpdf(x)
+            return self._family[1](x)
         return self._grid.logpdf(np.reshape(x, -1))
 
 
-def tilted_tail_sampler(model: ModelSpec, m_k, t_warm=None) -> TiltedDensity:
+def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
     """Tilted density with mean m_k: exp(<t,u(x)> - K(t)) p_X(x)."""
-    sol = solve_tilt(model, m_k, t0=t_warm)
-    return TiltedDensity(model, sol)
+    return TiltedDensity(model, solve_tilt(model, m_k))
 
 
 def base_sampler(model: ModelSpec) -> TiltedDensity:
@@ -636,19 +630,67 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
                 variant: str = "uniform-step") -> PathSample:
     """Draw a full n-point run conditioned toward v and record its densities."""
     v = _check_path_args(model, v, n, k)
-    if model.conjugacy_tag == GAUSSIAN_IDENTITY:
-        z = rng.standard_normal((1, n, model.d))
-        points = _draw_gaussian_points(model, v[None], z, n, k, variant)[0]
-        dens = path_logdensity(model, points, v, n, k, variant)
-    else:
-        runs = _grid_paths(model, v[None], n, k, variant, rngs=[rng])
-        points, dens = runs[0][0], _one_density(runs)
+    runs = walk_runs(model, v[None], n, k, variant, rngs=[rng])
+    points, dens = runs[0][0], _one_density(runs)
     u_partial = np.cumsum(np.asarray(model.statistic(points), dtype=float), axis=0)
     if not math.isfinite(dens.log_g):
         raise PathAbort(n - 1, "non-finite sampling log-density")
     return PathSample(points=points, u_partial=u_partial, log_g=dens.log_g,
                       log_p=dens.log_p, v=v, k=k, log_g_head=dens.log_g_head,
                       log_g_tail=dens.log_g_tail)
+
+
+def engine_errors(model: ModelSpec, mixture: bool = False) -> list[str]:
+    """Why walk_runs (and, with `mixture`, mixture_logdensity) cannot serve
+    `model`: nothing for a model with gauss_identity_params; the grid walker
+    serves other models of d = 1, with no mixture density."""
+    if model.gauss_identity_params is not None:
+        return []
+    errors = [] if model.d == 1 else ["runs of a model without gauss_identity_params need d = 1"]
+    if mixture:
+        errors.append("mixture weighting needs a model with gauss_identity_params")
+    return errors
+
+
+def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step",
+              rngs=None, points=None):
+    """Runs conditioned toward the rows of V (R, s): run j drawn with the
+    generator rngs[j], or, with `points` (R, n, d) given, those points
+    evaluated.  Returns points (R, n, d), head, tail and base log-densities
+    (R,) and aborts, a list with the PathAbort of each run that had to be
+    abandoned (None for the others), whose densities are NaN.
+
+    A model with gauss_identity_params gets the closed-form Gaussian engine,
+    a run drawn from its generator's normals, in blocks of _BLOCK_ELEMENTS
+    values; any other d = 1 model the grid walker (_grid_paths), in stacks
+    sized by the working set of one step of one run (_grid_row_elements)
+    against _GRID_STACK_ELEMENTS, which holds 37 mean-square runs.  A run's
+    numbers do not depend on the other runs, nor on the blocks.
+    """
+    errors = engine_errors(model)
+    if errors:
+        raise ConfigurationError(errors[0])
+    V = np.asarray(V, dtype=float)
+    points = None if points is None else np.asarray(points, dtype=float)
+    gaussian = model.gauss_identity_params is not None
+    parts = []
+    for b in (_blocks(len(V), n * model.d) if gaussian else
+              _blocks(len(V), _grid_row_elements(model.s), _GRID_STACK_ELEMENTS)):
+        given = None if points is None else points[b]
+        if not gaussian:
+            parts.append(_grid_paths(model, V[b], n, k, variant,
+                                     rngs=None if rngs is None else rngs[b], points=given))
+            continue
+        if given is None:
+            z = np.stack([g.standard_normal((n, model.d)) for g in rngs[b]])
+            given = _draw_gaussian_points(model, V[b], z, n, k, variant)
+        head, tail, _, _ = _gaussian_quadratic(model, given, V[b], n, k, variant)
+        log_p = np.array([float(np.sum(model.log_density_x(p))) for p in given])
+        parts.append((given, head, tail, log_p, [None] * len(given)))
+    if len(parts) == 1:
+        return parts[0]
+    *arrays, aborts = zip(*parts)
+    return (*(np.concatenate(a) for a in arrays), [a for part in aborts for a in part])
 
 
 def _draw_gaussian_points(model, V, Z, n, k, variant):
@@ -668,11 +710,9 @@ def _draw_gaussian_points(model, V, Z, n, k, variant):
 
 
 def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
-    """Runs of a model without gaussian-identity structure, run j conditioned
-    toward V[j] (R, s): grid steps (or the tilted first step), then the
-    tilted tail.  Returns points (R, n, d), head, tail and base
-    log-densities (R,) and aborts, a list with the PathAbort of each run
-    that had to be abandoned (None for the others), whose densities are NaN.
+    """Grid-model runs, run j conditioned toward V[j] (R, s): grid steps (or
+    the tilted first step), then the tilted tail; returns what walk_runs
+    returns, for one stack.
 
     The runs advance together one step at a time, and each step's laws are
     built once for all live runs (`_step_laws`).  With `points` None run j is
@@ -683,9 +723,10 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
     """
     V = np.asarray(V, dtype=float)
     R = len(V)
-    draw = points is None
-    if draw:
+    if points is None:
         points = np.zeros((R, n, model.d))
+    else:
+        rngs = None  # given points are evaluated, never drawn
     u_run = np.zeros((R, model.s))
     t_warm = np.full((R, model.s), np.nan)  # each run's last tilt; NaN: none yet
     head, tail, log_p = np.zeros(R), np.full(R, np.nan), np.full(R, np.nan)
@@ -696,53 +737,51 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
         if not live.size:
             break
         if variant == "paper-literal" and i == 0:
-            for j in live:
-                try:
-                    law = tilted_tail_sampler(model, V[j])
-                except (SteepnessError, NumericError) as exc:
-                    aborts[j] = PathAbort(i, str(exc))
-                    continue
-                t_warm[j] = law.t
-                if draw:
-                    points[j, i] = law.sample(rngs[j])
-                head[j] += float(law.logpdf(points[j, i]))
+            t_warm[live], head[live] = _tilted_points(model, V[live], None, live, 0, 1,
+                                                      points, rngs, aborts)
         else:
-            t_warm[live], errors = _grid_step(model, V, u_run, t_warm, live, i, n, variant,
-                                              points, head, rngs if draw else None, work)
-            for j, err in zip(live, errors):
+            laws = _step_laws(model, V[live], u_run[live], i, n, variant, t_warm[live], work)
+            for rows, law in laws.groups:
+                rows = live[rows]
+                if rngs is not None:
+                    points[rows, i, 0] = law.sample([rngs[j] for j in rows])
+                head[rows] += law.logpdf(points[rows, i, 0])
+            t_warm[live] = laws.t
+            for j, err in zip(live, laws.errors):
                 if err is not None:
                     aborts[j] = PathAbort(i, str(err))
         live = np.array([j for j in live if aborts[j] is None], dtype=int)
         u_run[live] = u_run[live] + np.asarray(model.statistic(points[live, i]), dtype=float)
 
-    m_k = _remaining_mean(V, u_run, k, n)
+    if live.size:
+        m_k = _remaining_mean(V[live], u_run[live], k, n)
+        _, tail[live] = _tilted_points(model, m_k, t_warm[live], live, k, n, points, rngs, aborts)
     for j in live:
-        try:
-            law = tilted_tail_sampler(model, m_k[j], t_warm=t_warm[j])
-        except (SteepnessError, NumericError) as exc:
-            aborts[j] = PathAbort(k, str(exc))
-            continue
-        if draw:
-            points[j, k:] = law.sample(rngs[j], size=n - k)
-        tail[j] = float(np.sum(law.logpdf(points[j, k:])))
-        log_p[j] = float(np.sum(model.log_density_x(points[j])))
+        if aborts[j] is None:
+            log_p[j] = float(np.sum(model.log_density_x(points[j])))
     head[[j for j in range(R) if aborts[j] is not None]] = np.nan
     return points, head, tail, log_p, aborts
 
 
-def _grid_step(model, V, U, T, live, i, n, variant, points, head, rngs, work):
-    """Step i of the runs `live` of a stack (V, prefix sums U and last tilts
-    T are the stack's): builds their grid step laws in the buffers of
-    `work`, draws point i of each from them with its generator rngs[j]
-    (rngs None: evaluates points[:, i]) and adds its log-density to head.
-    Returns the tilts and per-run errors."""
-    laws = _step_laws(model, V[live], U[live], i, n, variant, T[live], work)
-    for rows, law in laws.groups:
-        rows = live[rows]
+def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
+    """Points a..b-1 of the runs `runs`, i.i.d. from the tilted laws with
+    means the rows of A, their tilts from one solve_tilts call warm-started
+    from T0: drawn from run j's law with the generator rngs[j] (rngs None:
+    the points as given) and scored.  Returns the tilts and each run's
+    summed log-density, NaN for a run whose law cannot be built, which gets
+    a PathAbort at step a."""
+    tilts = solve_tilts(model, A, T0=T0)
+    log_g = np.full(len(runs), np.nan)
+    for r, j in enumerate(runs):
+        try:
+            law = TiltedDensity(model, tilts.solution(r))
+        except (SteepnessError, NumericError) as exc:
+            aborts[j] = PathAbort(a, str(exc))
+            continue
         if rngs is not None:
-            points[rows, i, 0] = law.sample([rngs[j] for j in rows])
-        head[rows] += law.logpdf(points[rows, i, 0])
-    return laws.t, laws.errors
+            points[j, a:b] = law.sample(rngs[j], size=b - a)
+        log_g[r] = float(np.sum(law.logpdf(points[j, a:b])))
+    return tilts.t, log_g
 
 
 def _grid_row_elements(s: int) -> int:
@@ -756,7 +795,7 @@ def _grid_row_elements(s: int) -> int:
 
 
 def _one_density(runs) -> PathDensity:
-    """The PathDensity of the one run that _grid_paths returned, or its
+    """The PathDensity of the one run that walk_runs returned, or its
     PathAbort raised."""
     _, head, tail, log_p, aborts = runs
     if aborts[0] is not None:
@@ -807,8 +846,9 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
     value at a single v is path_logdensity's log_g.
     """
-    if model.conjugacy_tag != GAUSSIAN_IDENTITY:
-        raise ConfigurationError("mixture density needs a gaussian-identity model")
+    errors = engine_errors(model, mixture=True)
+    if errors:
+        raise ConfigurationError(errors[-1])
     y = np.asarray(points, dtype=float)  # u = identity
     if y.shape[-2:] != (n, model.s) or y.ndim not in (2, 3):
         raise ConfigurationError(
@@ -835,8 +875,4 @@ def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape != (n, model.d):
         raise ConfigurationError(f"points must have shape ({n}, {model.d})")
-    if model.conjugacy_tag != GAUSSIAN_IDENTITY:
-        return _one_density(_grid_paths(model, v[None], n, k, variant, points=points[None]))
-    head, tail, _, _ = _gaussian_quadratic(model, points[None], v, n, k, variant)
-    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
-                       log_p=float(np.sum(model.log_density_x(points))))
+    return _one_density(walk_runs(model, v[None], n, k, variant, points=points[None]))

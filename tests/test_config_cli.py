@@ -227,8 +227,9 @@ def test_mixture_weighting_validated_against_family(tmp_path):
     assert any("mixture weighting" in d.message for d in diags if d.level == "error")
 
 
-@pytest.mark.parametrize("chain", ["thinning = 2\ntarget_kind = bogus", "thinning = 0"],
-                         ids=["target_kind", "thinning"])
+@pytest.mark.parametrize("chain", ["thinning = 2\ntarget_kind = auto", "thinning = 0",
+                                   "thinning = 2\nrestart_prob = 0.1"],
+                         ids=["target_kind", "thinning", "restart_prob"])
 def test_chain_block_error_is_parse_error(tmp_path, capsys, chain):
     text = SMALL.replace("thinning = 2", chain)
     path = write(tmp_path, text, csv=str(tmp_path / "o.csv"))

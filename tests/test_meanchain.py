@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,14 +24,19 @@ def test_target_logdensity_examples(gauss_005):
 
 
 def test_saddlepoint_matches_gaussian_up_to_constant(gauss_005):
+    # the same Gaussian model without gauss_identity_params gets the
+    # saddlepoint target, which is exact for it up to a constant
+    generic = dataclasses.replace(gauss_005, gauss_identity_params=None)
     region = rs.whole_space(1)
     vs = np.linspace(-0.3, 0.5, 9)
     diffs = []
     for v in vs:
-        exact = rs.target_logdensity(gauss_005, region, 50, [v], kind="exact-gaussian")
-        sp = rs.target_logdensity(gauss_005, region, 50, [v], kind="saddlepoint")
+        exact = rs.target_logdensity(gauss_005, region, 50, [v])
+        sp = rs.target_logdensity(generic, region, 50, [v])
         diffs.append(sp - exact)
     assert np.ptp(diffs) < 1e-6
+    for model, kind in ((gauss_005, "exact-gaussian"), (generic, "saddlepoint")):
+        assert _log_target(model, region, 50, local_cumulants(model, np.zeros(1)))[0] == kind
 
 
 def test_acceptance_uses_target_ratio(gauss_005):
@@ -120,8 +126,11 @@ def test_config_validation():
         rs.MeanChainConfig(thinning=0)
     with pytest.raises(ConfigurationError):
         rs.MeanChainConfig(proposal_scale=np.array([0.0]))
-    with pytest.raises(ConfigurationError):
-        rs.MeanChainConfig(target_kind="bogus")
+    # the model fixes the target, and RESTART_PROB the restart share
+    with pytest.raises(TypeError):
+        rs.MeanChainConfig(target_kind="auto")
+    with pytest.raises(TypeError):
+        rs.MeanChainConfig(restart_prob=0.1)
 
 
 def test_restart_kernel_windows_inside_components(gauss_005):
@@ -196,13 +205,14 @@ def _uncached_chain(model, region, n, cfg, count, rng):
     recomputing the kernel density of the current state on every restart."""
     loc0 = local_cumulants(model, np.zeros(model.s))
     scale = np.sqrt(np.diagonal(loc0.covariance) / n)
-    logtarget = _log_target(model, region, n, "exact-gaussian", loc0)
+    kind, logtarget = _log_target(model, region, n, loc0)
+    assert kind == "exact-gaussian"
     restart = _LoopKernel(component_boxes(region), loc0.mean, scale)
     v = rs.initial_point(region, model, n)
     lt = logtarget(v)
     states = []
     for step in range(cfg.burn_in + cfg.thinning * count):
-        if rng.random() < cfg.restart_prob:
+        if rng.random() < meanchain.RESTART_PROB:
             prop = restart.sample(rng)
             lp = logtarget(prop)
             log_alpha = (lp + restart.logpdf(v)) - (lt + restart.logpdf(prop))

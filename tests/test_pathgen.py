@@ -490,11 +490,46 @@ def test_uniform_grid_integrals_match_scipy(points):
 def test_generic_d2_step_rejected():
     # the grid step serves d = 1 models; gaussian-identity ones use gaussian_step
     gaussian = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
-    generic = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
-    object.__setattr__(generic, "conjugacy_tag", "generic")
+    generic = dataclasses.replace(gaussian, gauss_identity_params=None)
     for model in (gaussian, generic):
         with pytest.raises(ConfigurationError):
             step_params(model, [0.1, 0.1], 0, [0.0, 0.0], 5)
+
+
+def test_d2_model_without_gauss_identity_params_is_refused(monkeypatch):
+    # a d = 2 model without gauss_identity_params has no run engine: the
+    # estimators' checks, `raresum validate` and every run entry refuse it
+    # rather than walk coordinate 0 alone
+    from raresum import config
+
+    generic = dataclasses.replace(rs.builtin_model("gaussian-mean", d=2),
+                                  gauss_identity_params=None)
+    region = rs.two_sided_region(0.28, 2)
+    assert estimate.point_errors(rs.builtin_model("gaussian-mean", d=2), region, 20, 10,
+                                 "adaptive") == []
+    errors = estimate.point_errors(generic, region, 20, 10, "adaptive")
+    assert any("d = 1" in e for e in errors)
+    with pytest.raises(ConfigurationError, match="d = 1"):
+        rs.adaptive_estimate(generic, region, 20, 10,
+                             chain_config=rs.MeanChainConfig(burn_in=10, thinning=1))
+    cfg = rs.ExperimentConfig(family="gaussian-mean", model_params={}, d=2,
+                              region_two_sided=0.28, region_constraints=None,
+                              n=20, L=10, schemes=["adaptive"])
+    assert not [d for d in rs.validate_config(cfg) if d.level == "error"]
+    monkeypatch.setattr(config, "builtin_model", lambda *a, **kw: generic)
+    assert any("d = 1" in d.message for d in rs.validate_config(cfg) if d.level == "error")
+    with pytest.raises(ConfigurationError):
+        step_params(generic, [0.1, 0.1], 0, [0.0, 0.0], 5)
+    with pytest.raises(ConfigurationError):
+        rs.sample_path(generic, [0.3, 0.3], 10, 8, np.random.default_rng(1))
+    with pytest.raises(ConfigurationError):
+        rs.path_logdensity(generic, np.zeros((10, 2)), [0.3, 0.3], 10, 8)
+
+
+def test_gauss_identity_params_need_identity_statistic(mean_square):
+    # the closed-form Gaussian engine reads u as the identity, so s = d
+    with pytest.raises(ConfigurationError, match="s = d"):
+        dataclasses.replace(mean_square, gauss_identity_params=(np.zeros(2), np.ones(2)))
 
 
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
@@ -676,8 +711,12 @@ def test_grid_stack_size_does_not_change_runs(variant):
     n, k, L = 30, 25, 30
     V = grid_targets("gaussian-mean-and-square", [0.1, 0.5], L, np.random.default_rng(103))
     V[11] = [0.5, 0.2]  # unattainable: aborts at step 0
-    # one stack: _replicate_runs yields a single block
-    (_, runs, log_g), = estimate._replicate_runs(model, n, k, variant, V, 7, list(range(L)))
+    # one stack: walk_runs walks all L runs together
+    assert len(pathgen._blocks(L, pathgen._grid_row_elements(model.s),
+                               pathgen._GRID_STACK_ELEMENTS)) == 1
+    runs, head, tail, _, _ = pathgen.walk_runs(model, V, n, k, variant,
+                                               rngs=[replicate_rng(7, l) for l in range(L)])
+    log_g = head + tail
 
     def walk(size, points=None):
         parts = [pathgen._grid_paths(model, V[b], n, k, variant,
@@ -691,9 +730,7 @@ def test_grid_stack_size_does_not_change_runs(variant):
     (points, *dens), steps = walk(L)
     assert steps[11] == 0
     assert np.array_equal(runs, points)
-    walked = dens[0] + dens[1]
-    walked[~np.isfinite(walked)] = np.nan
-    assert np.array_equal(log_g, walked, equal_nan=True)
+    assert np.array_equal(log_g, dens[0] + dens[1], equal_nan=True)
     given = points.copy()
     given[6, :5] = 20.0  # a head that overshoots: aborts run 6 mid-way when evaluated
     (_, *e_dens), e_steps = walk(L, given)
