@@ -6,7 +6,9 @@ and 2, each into a temporary directory, and compares
 the CSV bytes across thread counts.  With --rev it also extracts that
 revision with `git archive`, runs its configs the same way, alternating the
 two trees, and reports for each config and thread count whether the bytes
-match the revision's.  Prints one line per run with its wall time.
+match the revision's; where they do not, it prints the largest relative
+difference in each numeric column but wall_time, so that a change of
+rounding reads as one.  Prints one line per run with its wall time.
 
     python3 scripts/check_csv.py --rev HEAD~1
 
@@ -17,7 +19,10 @@ difference from --rev is reported, since a change may mean to make one.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +56,32 @@ def run_config(tree: Path, config: str, threads: int, out: Path) -> tuple[float,
     return seconds, out.read_bytes()
 
 
+def largest_differences(ours: bytes, theirs: bytes) -> dict[str, float]:
+    """For each numeric column but wall_time, the largest relative difference
+    |a - b| / max(|a|, |b|) between the rows of two CSVs, row by row (inf
+    where one value is NaN and the other is not).  Empty when the two do not
+    have the same columns and number of rows."""
+    a_rows, b_rows = (list(csv.DictReader(io.StringIO(text.decode()))) for text in (ours, theirs))
+    if not a_rows or len(a_rows) != len(b_rows) or a_rows[0].keys() != b_rows[0].keys():
+        return {}
+    out = {}
+    for column in a_rows[0]:
+        if column == "wall_time":
+            continue
+        try:
+            pairs = [(float(a[column]), float(b[column])) for a, b in zip(a_rows, b_rows)]
+        except ValueError:  # not a numeric column
+            continue
+        worst = 0.0
+        for a, b in pairs:
+            if math.isnan(a) or math.isnan(b):
+                worst = max(worst, 0.0 if math.isnan(a) and math.isnan(b) else math.inf)
+            elif a != b:
+                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        out[column] = worst
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default=None, help="also run this git revision and compare")
@@ -63,27 +94,33 @@ def main(argv=None) -> int:
         trees = {"this": ROOT}
         if args.rev:
             trees[args.rev] = extract(args.rev, tmp / "rev")
-        csv = {}
+        csvs = {}
         order = list(trees)
         for config in configs:
             for t in threads:
                 for name in order:
                     out = tmp / f"{name.replace('/', '_')}-{config}-t{t}.csv"
-                    seconds, csv[name, config, t] = run_config(trees[name], config, t, out)
-                    digest = hashlib.sha256(csv[name, config, t]).hexdigest()[:12]
+                    seconds, csvs[name, config, t] = run_config(trees[name], config, t, out)
+                    digest = hashlib.sha256(csvs[name, config, t]).hexdigest()[:12]
                     print(f"{config} --threads {t} [{name}]: {seconds:.2f} s, sha256 {digest}")
                 order.reverse()
 
     ok = True
     for config in configs:
         for name in trees:
-            same = all(csv[name, config, t] == csv[name, config, threads[0]] for t in threads)
+            same = all(csvs[name, config, t] == csvs[name, config, threads[0]] for t in threads)
             ok &= same
             print(f"{config} [{name}]: " + ("equal" if same else "DIFFERENT")
                   + " across --threads 1 and 2")
         if args.rev:
-            same = all(csv["this", config, t] == csv[args.rev, config, t] for t in threads)
+            same = all(csvs["this", config, t] == csvs[args.rev, config, t] for t in threads)
             print(f"{config}: " + ("equal to" if same else "different from") + f" {args.rev}")
+            for t in threads:
+                if csvs["this", config, t] != csvs[args.rev, config, t]:
+                    diffs = largest_differences(csvs["this", config, t], csvs[args.rev, config, t])
+                    print(f"  --threads {t}, largest relative difference: "
+                          + (", ".join(f"{c} {d:.3g}" for c, d in diffs.items())
+                             or "rows or columns differ"))
     return 0 if ok else 1
 
 

@@ -95,6 +95,14 @@ def validate_file(config_path: str) -> int:
     return EXIT_OK
 
 
+def _worker_count(text: str) -> int:
+    """A --threads value: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="raresum",
                                      description="Rare-event estimation experiments")
@@ -102,7 +110,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment configuration")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_worker_count, default=1,
                        help="worker processes for replicate generation")
     p_run.add_argument("--out", default=None, help="override the CSV output path")
     p_run.add_argument("--seed", type=int, default=None, help="override the base seed")

@@ -201,6 +201,8 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     centred when the region has several well-separated components.
     """
     start = time.perf_counter()
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     path_config = path_config or PathConfig()
     chain_config = chain_config or MeanChainConfig()
     _check_point(model, region, n, L, "adaptive", path_config, chain_config, weighting)

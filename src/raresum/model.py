@@ -6,8 +6,9 @@ Every built-in family gives all of these in closed form: `mean_fn`,
 `cov_fn`, `third_fn` and `tilt_fn`, the tilt whose mean is a given target.
 Each of the four takes a stack of rows (..., s) as well as one row, so the
 tilts of many targets are solved in one call (`tilt.solve_tilts`).  The
-d = 1 families also give `step_window_fn`, where a stack of grid step laws
-is tabulated, computed from the laws.
+d = 1 families also give `step_poly_fn`: the log-density of each of a
+stack of grid step laws as a polynomial in y, from which the run walker
+computes where to tabulate it and tabulates it.
 A custom model may leave any of them out; the mean, covariance and third
 cumulants then fall back to central finite differences of the cumulant
 function, and the tilt to damped Newton (`tilt.solve_tilt`).
@@ -30,10 +31,6 @@ Array = np.ndarray
 FD_BASE_STEP = 1e-4
 # Iterates are kept strictly inside the cumulant domain by this relative margin.
 DOMAIN_MARGIN = 1e-8
-# A grid step density is tabulated where it lies within WINDOW_NATS of its
-# peak; step windows are padded by WINDOW_PAD of their width on each side.
-WINDOW_NATS = 60.0
-WINDOW_PAD = 2e-3
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -139,10 +136,11 @@ class ModelSpec:
     third_fn: Optional[Callable] = None
     tilt_fn: Optional[Callable] = None  # alpha (..., s) -> t with m(t) = alpha, NaN row if unattainable
     tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf(x))
-    # (gauss_mean (R, s), beta (R, s, s)) -> windows (R, 2) of R grid step laws, d = 1
-    # only: each holds every y within WINDOW_NATS of its step density's peak, and the
-    # step is tabulated on it without trimming
-    step_window_fn: Optional[Callable] = None
+    # (gauss_mean (R, s), beta (R, s, s)) -> (coef (R, p + 1), start) for R grid step
+    # laws, d = 1 only: each law's log step density log N(u(y); gauss_mean, beta)
+    # + log p_X(y) as a polynomial in y on its support y >= start, highest power
+    # first, with p even and a negative leading coefficient
+    step_poly_fn: Optional[Callable] = None
     x_window_fn: Optional[Callable] = None  # t -> (lo, hi) effective support, d=1 only
     # (mu (s,), sigma2 (s,)) when X ~ N(mu, diag(sigma2)) and u = identity (s = d): runs
     # follow the closed-form Gaussian law; other models' runs are grid-walked, d = 1 only
@@ -302,60 +300,6 @@ def _points(x, d):
     return x, single
 
 
-# -- step windows: where a grid step density is tabulated -------------------
-
-
-def _padded(lo, hi, floor=-np.inf):
-    """Windows (R, 2) [lo, hi] widened by WINDOW_PAD of their width on each
-    side, lo no lower than floor."""
-    pad = WINDOW_PAD * (hi - lo)
-    return _last_axis(np.maximum(lo - pad, floor), hi + pad)
-
-
-def _polyval(coef, y):
-    """Row j of the polynomials coef (R, p + 1), highest power first, at the
-    points y[j] (R, m)."""
-    out = np.repeat(coef[:, :1], y.shape[-1], axis=-1)
-    for j in range(1, coef.shape[-1]):
-        out *= y
-        out += coef[:, j:j + 1]
-    return out
-
-
-def _roots(coef):
-    """Roots (R, p) of the polynomials coef (R, p + 1), highest power first,
-    as the eigenvalues of their companion matrices."""
-    R, p = coef.shape[0], coef.shape[1] - 1
-    companion = np.zeros((R, p, p))
-    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    return np.linalg.eigvals(companion)
-
-
-def _level_window(coef):
-    """Windows (R, 2) holding every y within WINDOW_NATS of the maximum of the
-    polynomial whose coefficients, highest power first, are each row of coef
-    (R, p + 1); the leading one must be negative and p even, so that the
-    polynomial peaks at one of its critical points and falls to -inf on both
-    sides.  The outermost real roots of the polynomial minus (peak -
-    WINDOW_NATS) bound the window.  Rows that are not finite get NaN."""
-    out = np.full((len(coef), 2), np.nan)
-    ok = np.all(np.isfinite(coef), axis=-1) & (coef[:, 0] < 0)
-    c = coef[ok]
-    p = c.shape[-1] - 1
-    # the real parts of the derivative's roots include its real roots, and a
-    # polynomial is no higher at any other point than at its peak
-    peak = np.max(_polyval(c, _roots(c[:, :-1] * np.arange(p, 0, -1)).real), axis=-1)
-    level = c.copy()
-    level[:, -1] += WINDOW_NATS - peak
-    roots = _roots(level)
-    real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))
-    lo = np.min(np.where(real, roots.real, np.inf), axis=-1)
-    hi = np.max(np.where(real, roots.real, -np.inf), axis=-1)
-    out[ok] = _padded(lo, hi)
-    return out
-
-
 # -- gaussian-mean: X ~ N(mu, diag(sigma^2)) on R^d, u = identity -----------
 
 
@@ -487,16 +431,13 @@ def _exp_tilted(t, rate):
             partial(_exp_logp, rate=tilted_rate))
 
 
-def _exp_step_window(gauss_mean, beta, rate):
-    # the log step density is -(y - c)^2 / (2 beta) + const on y >= 0, with
-    # c = gauss_mean - rate beta: it peaks at max(c, 0), and lies within
-    # WINDOW_NATS of that peak where (y - c)^2 <= min(c, 0)^2 + r
+def _exp_step_poly(gauss_mean, beta, rate):
+    # log N(y; m, b) + log(rate) - rate y on y >= 0, with m = gauss_mean and
+    # b = beta: a quadratic
     b = np.asarray(beta, dtype=float)[..., 0, 0]
-    c = np.asarray(gauss_mean, dtype=float)[..., 0] - rate * b
-    r = 2.0 * WINDOW_NATS * b
-    lo = np.maximum(c - np.sqrt(r), 0.0)
-    hi = c + np.sqrt(np.minimum(c, 0.0) ** 2 + r)
-    return _padded(lo, hi, floor=0.0)
+    m = np.asarray(gauss_mean, dtype=float)[..., 0]
+    return _last_axis(-0.5 / b, m / b - rate,
+                      math.log(rate) - 0.5 * (m * m / b + _LOG_2PI + np.log(b))), 0.0
 
 
 def _exp_x_window(t, rate):
@@ -521,7 +462,7 @@ def _exponential_mean_model(rate) -> ModelSpec:
         third_fn=partial(_exp_third, rate=rate),
         tilt_fn=partial(_exp_tilt, rate=rate),
         tilted_family=partial(_exp_tilted, rate=rate),
-        step_window_fn=partial(_exp_step_window, rate=rate),
+        step_poly_fn=partial(_exp_step_poly, rate=rate),
         x_window_fn=partial(_exp_x_window, rate=rate),
     )
 
@@ -618,18 +559,19 @@ def _ms_tilted(t, mu, sigma2):
             partial(_ms_logp, mu=mean, sigma2=var))
 
 
-def _ms_step_window(gauss_mean, beta, mu, sigma2):
-    # the log step density is a quartic in y, -(u(y) - m)' P (u(y) - m) / 2
-    # - (y - mu)^2 / (2 sigma^2) + const with m = gauss_mean and P = beta^-1,
-    # whose y^4 coefficient -P22 / 2 is negative
+def _ms_step_poly(gauss_mean, beta, mu, sigma2):
+    # log N(u(y); m, beta) + log p_X(y) with u(y) = (y, y^2), m = gauss_mean
+    # and P = beta^-1: a quartic on the whole line, whose y^4 coefficient
+    # -P22 / 2 is negative
     m1, m2 = _coord(gauss_mean, 0), _coord(gauss_mean, 1)
     beta = np.asarray(beta, dtype=float)
     b11, b12, b22 = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 1]
     det = b11 * b22 - b12 * b12
     p11, p12, p22 = b22 / det, -b12 / det, b11 / det
-    quartic = _last_axis(-0.5 * p22, -p12, p12 * m1 + p22 * m2 - 0.5 * (p11 + 1.0 / sigma2),
-                         p11 * m1 + p12 * m2 + mu / sigma2, np.zeros_like(m1))
-    return _level_window(quartic)
+    const = (-0.5 * (p11 * m1 * m1 + 2.0 * p12 * m1 * m2 + p22 * m2 * m2 + np.log(det))
+             - _LOG_2PI - 0.5 * (mu * mu / sigma2 + math.log(2.0 * math.pi * sigma2)))
+    return _last_axis(-0.5 * p22, -p12, p12 * m1 + p22 * m2 - 0.5 * (p11 + 1.0 / sigma2),
+                      p11 * m1 + p12 * m2 + mu / sigma2, const), -math.inf
 
 
 def _ms_x_window(t, mu, sigma2):
@@ -671,7 +613,7 @@ def _gaussian_mean_square_model(mu, sigma) -> ModelSpec:
         third_fn=partial(_ms_third, mu=mu, sigma2=sigma2),
         tilt_fn=partial(_ms_tilt, mu=mu, sigma2=sigma2),
         tilted_family=partial(_ms_tilted, mu=mu, sigma2=sigma2),
-        step_window_fn=partial(_ms_step_window, mu=mu, sigma2=sigma2),
+        step_poly_fn=partial(_ms_step_poly, mu=mu, sigma2=sigma2),
         x_window_fn=partial(_ms_x_window, mu=mu, sigma2=sigma2),
     )
 

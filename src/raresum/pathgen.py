@@ -19,13 +19,19 @@ of that tabulated sampler, so importance weights stay unbiased.  The grid
 walker (`_grid_paths`) advances a stack of runs one step at a time, each
 with its own conditioning point, prefix and generator.  At every step it
 builds the step laws of all live runs together (`_step_laws`: one tilt
-solve for the stack, then one (runs x grid points) tabulation, on windows
-the model computes from the laws, in buffers the walk keeps), and the
-tilted laws of the tail with one tilt solve too; it either draws the runs
-or evaluates given points under the same laws, so sampling and the density
-cannot drift apart.  A run whose tilt or grid fails drops out with its step
-and reason.  A run's numbers never depend on its stack: `sample_path`,
-`path_logdensity` and `step_params` are the batches of one.
+solve for the stack, then one (runs x grid points) tabulation in buffers
+the walk keeps), and the tilted laws of the tail with one tilt solve too;
+it either draws the runs or evaluates given points under the same laws, so
+sampling and the density cannot drift apart.  A model with `step_poly_fn`
+(every built-in grid family) gives each step's log-density as a
+polynomial in y: the window is its WINDOW_NATS level set, and the
+tabulation one Horner pass over the grid.  Other models tabulate the
+statistic's whitened Gaussian factor on a trimmed window.  A tabulated
+density (`GridDensity1D`) keeps cell masses and block ends rather than a
+CDF, and finds a draw's cell by a two-level search.  A run whose tilt or
+grid fails drops out with its step and reason.  A run's numbers never
+depend on its stack: `sample_path`, `path_logdensity` and `step_params`
+are the batches of one.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
-from .model import WINDOW_NATS, ModelSpec, mean_map
+from .model import ModelSpec, mean_map
 from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -45,6 +51,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # or mixture rows (256 KiB), and one stack of grid-walked runs (4 MiB).
 _BLOCK_ELEMENTS = 1 << 15
 _GRID_STACK_ELEMENTS = 1 << 19
+# Cells per block of a grid density's two-level inverse-CDF search.
+_SAMPLER_BLOCK = 48
+# A grid step density is tabulated where it lies within WINDOW_NATS of its
+# peak; windows from a step polynomial are padded by WINDOW_PAD of their
+# width on each side.
+WINDOW_NATS = 60.0
+WINDOW_PAD = 2e-3
 
 VARIANTS = ("uniform-step", "paper-literal")
 K_MODES = ("default", "gaussian-exact", "manual")
@@ -93,12 +106,12 @@ class PathConfig:
 
 class _Values(NamedTuple):
     """Knot values exp(log_f - peak) (R, G), with peak (R,) each row's finite
-    maximum of log_f, that a GridDensity1D takes in place of log_f, working
-    them in place; the CDF goes into `cdf` when it is given."""
+    maximum of log_f, that a GridDensity1D takes in place of log_f, keeping
+    them; the cell masses go into `mass` (R, G - 1) when it is given."""
 
     f: np.ndarray
     peak: np.ndarray
-    cdf: Optional[np.ndarray] = None
+    mass: Optional[np.ndarray] = None
 
 
 class GridDensity1D:
@@ -110,43 +123,46 @@ class GridDensity1D:
     reports exactly that interpolant's density, so sampled points and
     recorded densities always match.  A row of a stack gives the numbers the
     density of that row alone gives.
+
+    No CDF is tabulated: the density keeps its unnormalized knot values,
+    its cell masses and the cumulative mass at the end of each block of
+    _SAMPLER_BLOCK cells.  A draw scales its level by the total mass, finds
+    its block among these ends, then its cell from a cumulative sum within
+    that block; `logpdf` normalizes only the knot values it gathers.
     """
 
     def __init__(self, x: np.ndarray, log_f: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         if isinstance(log_f, _Values):
-            f, peak, cdf = log_f
+            f, peak, mass = log_f
         else:
             log_f = np.asarray(log_f, dtype=float)
             peak = np.max(log_f, axis=-1)
             if not np.all(np.isfinite(peak)):
                 raise NumericError("grid density underflowed to zero everywhere")
             f = np.subtract(log_f, peak[..., None])
-            f, cdf = np.exp(f, out=f), None
+            f, mass = np.exp(f, out=f), None
+        if mass is None:
+            mass = np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
         # each buffer is worked in place, to the bits of the plain expressions
-        self._cdf = np.empty_like(f) if cdf is None else cdf
-        cell_mass = self._cdf[..., 1:]
-        np.add(f[..., :-1], f[..., 1:], out=cell_mass)
-        cell_mass *= 0.5
-        cell_mass *= np.diff(self.x)
-        total = np.sum(cell_mass, axis=-1, keepdims=True)
+        np.add(f[..., :-1], f[..., 1:], out=mass)
+        mass *= 0.5
+        mass *= np.diff(self.x)
+        blocks = np.add.reduceat(mass, np.arange(0, mass.shape[-1], _SAMPLER_BLOCK), axis=-1)
+        self._ends = np.cumsum(blocks, axis=-1)
+        total = self._ends[..., -1]
         if np.any(total <= 0):
             raise NumericError("grid density has zero total mass")
         # log of the unnormalized integral of exp(log_f), one per row
         self.log_integral = np.array([math.log(m) for m in total.reshape(-1)]) + peak
         if self.x.ndim == 1:
             self.log_integral = float(self.log_integral[0])
-        f /= total
-        self._fn = f  # normalized knot densities
-        cell_mass /= total
-        np.cumsum(cell_mass, axis=-1, out=cell_mass)
-        self._cdf[..., 0] = 0.0
-        self._cdf[..., -1] = 1.0
+        self._f, self._mass = f, mass
 
     def _row(self, j):
         """The density of row j of a stack, as a single density."""
         one = GridDensity1D.__new__(GridDensity1D)
-        one.x, one._fn, one._cdf = self.x[j], self._fn[j], self._cdf[j]
+        one.x, one._f, one._mass, one._ends = self.x[j], self._f[j], self._mass[j], self._ends[j]
         one.log_integral = float(self.log_integral[j])
         return one
 
@@ -155,29 +171,46 @@ class GridDensity1D:
         generator `rng`, or a float when size is None.  A stack: one draw per
         row, row j's from the generator rng[j], as an (R,) array."""
         if self.x.ndim == 2:
-            r = np.array([g.random() for g in rng])[:, None]
-            idx = np.count_nonzero(self._cdf <= r, axis=-1, keepdims=True) - 1
-            return self._invert(idx, r)[:, 0]
+            return self._invert(np.array([g.random() for g in rng])[:, None])[:, 0]
         single = size is None
         r = rng.random(1 if single else int(size))
-        out = self._invert(np.searchsorted(self._cdf, r, side="right")[None] - 1, r[None])[0]
+        out = self._invert(r[None])[0]
         return float(out[0]) if single else out
 
-    def _invert(self, idx, r):
-        """Points (R, m) at CDF levels r (R, m) that fall in the cells idx."""
-        x, fn, cdf = (np.atleast_2d(a) for a in (self.x, self._fn, self._cdf))
-        idx = np.clip(idx, 0, x.shape[-1] - 2)
+    def _invert(self, r):
+        """Points (R, m) at the CDF levels r (R, m)."""
+        x, f, mass, ends = (np.atleast_2d(a) for a in (self.x, self._f, self._mass, self._ends))
+        cells = mass.shape[-1]
         row = np.arange(len(x))[:, None]
-        a, b = fn[row, idx], fn[row, idx + 1]
+        target = r * ends[:, -1:]  # the mass below each point; less than the total as r < 1
+        # its block: the first whose end exceeds it, which has mass
+        block = np.minimum(np.count_nonzero(ends[:, None] <= target[..., None], axis=-1),
+                           ends.shape[-1] - 1)
+        first = block * _SAMPLER_BLOCK
+        cols = first[..., None] + np.arange(_SAMPLER_BLOCK)
+        inside = cols < cells
+        start = np.where(block > 0, ends[row, block - 1], 0.0)
+        cum = np.cumsum(np.where(inside, mass[row[..., None], np.minimum(cols, cells - 1)], 0.0),
+                        axis=-1)
+        cum += start[..., None]
+        # its cell: the first of the block whose end exceeds it (the block's
+        # sum may round apart from its cumulative one)
+        j = np.minimum(np.count_nonzero(cum <= target[..., None], axis=-1),
+                       np.count_nonzero(inside, axis=-1) - 1)
+        below = np.where(j > 0, np.take_along_axis(cum, np.maximum(j - 1, 0)[..., None],
+                                                   axis=-1)[..., 0], start)
+        idx = first + j
+        a, b = f[row, idx], f[row, idx + 1]
         x0 = x[row, idx]
         h = x[row, idx + 1] - x0
-        resid = r - cdf[row, idx]
+        resid = target - below
         slope = (b - a) / h
-        # Solve a*xi + slope*xi^2/2 = resid for xi in [0, h], stable form.
+        # Solve a*xi + slope*xi^2/2 = resid for xi in [0, h], stable form;
+        # a + disc is 0 only at resid = 0 on a cell that starts at density 0
         disc = np.sqrt(np.maximum(a * a + 2.0 * slope * resid, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = np.where(np.abs(slope) * h > 1e-12 * (a + b),
-                          2.0 * resid / (a + disc),
+                          np.where(a + disc > 0, 2.0 * resid / (a + disc), 0.0),
                           np.where(a > 0, resid / np.where(a > 0, a, 1.0), 0.0))
         xi = np.clip(xi, 0.0, h)
         return x0 + xi
@@ -196,14 +229,15 @@ class GridDensity1D:
 
     def _logpdf(self, idx, v):
         """Log-densities at the points v (R, m) that fall in the cells idx."""
-        x, fn = np.atleast_2d(self.x), np.atleast_2d(self._fn)
+        x, f, ends = (np.atleast_2d(a) for a in (self.x, self._f, self._ends))
         inside = (v >= x[:, :1]) & (v <= x[:, -1:])
         idx = np.clip(idx, 0, x.shape[-1] - 2)
         row = np.arange(len(x))[:, None]
         x0 = x[row, idx]
         h = x[row, idx + 1] - x0
         w = (v - x0) / h
-        dens = (1.0 - w) * fn[row, idx] + w * fn[row, idx + 1]
+        total = ends[:, -1:]
+        dens = (1.0 - w) * (f[row, idx] / total) + w * (f[row, idx + 1] / total)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(inside, np.log(np.where(inside, dens, 1.0)), -np.inf)
 
@@ -239,16 +273,18 @@ def _linspace_rows(lo, hi, num, out=None):
 class _GridWork:
     """Flat buffers that the grid passes of a stack of R runs write into,
     each sized for R first-pass grids (2001 points): "x" holds the grids,
-    "dev" the statistic's deviations from the step mean (s values a point)
-    and then the log-values and density values, and "zz" their whitened
-    copy and then the CDF.  The run walker keeps them for a whole walk, so
+    "dev" the log-values and then the density values, and "zz" the cell
+    masses.  A step whose log-values come from the statistic (a model
+    without step_poly_fn) takes `width` = s values a point in "dev", for the
+    statistic's deviations from the step mean, and in "zz", for their
+    whitened copy.  The run walker keeps the buffers for a whole walk, so
     its steps do not fault their memory in again; a pass on a finer grid
     takes fewer rows at a time."""
 
-    def __init__(self, rows: int, s: int):
+    def __init__(self, rows: int, width: int):
         self.points = rows * 2001
-        self._flat = {"x": np.empty(self.points), "dev": np.empty(self.points * s),
-                      "zz": np.empty(self.points * s)}
+        self._flat = {"x": np.empty(self.points), "dev": np.empty(self.points * width),
+                      "zz": np.empty(self.points * width)}
 
     def take(self, name, shape):
         """Buffer `name` viewed as an array of `shape`, or a new array when
@@ -301,13 +337,13 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e
     With `trim`, each window is first trimmed to the set lying within
     WINDOW_NATS of its peak (_trim_windows; re-trimming handles windows that
     start absurdly wide); without it, the windows must already hold that
-    set, as a step_window_fn's do.  Then the grid (2001 points) is doubled
-    until trapezoid and Simpson integrals agree to `rel_tol`, which pins the
-    normalizing constant.  It does not bound the fidelity of the
-    piecewise-linear sampler: on mean-square step windows the two agree to
-    1e-15 at 129 points already, where the sampler lies 8e-4 off the smooth
-    density in total variation (3e-6 at 2001 points).  Rows advance
-    together, each as if alone.
+    set, as the level sets of step polynomials do.  Then the grid (2001
+    points) is doubled until trapezoid and Simpson integrals agree to
+    `rel_tol`, which pins the normalizing constant.  It does not bound the
+    fidelity of the piecewise-linear sampler: on mean-square step windows
+    the two agree to 1e-15 at 129 points already, where the sampler lies
+    8e-4 off the smooth density in total variation (3e-6 at 2001 points).
+    Rows advance together, each as if alone.
 
     Yields (rows, density) for each group of rows tabulated together on G
     points, a stacked GridDensity1D.  A pass holds a few (rows x G) arrays
@@ -354,7 +390,8 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e
             take = done & ~bad
             refine.append(rows[~done])
             if np.all(take):
-                yield rows, GridDensity1D(grid, _Values(f, peak, work.take("zz", shape)))
+                mass = work.take("zz", (len(rows), n - 1))
+                yield rows, GridDensity1D(grid, _Values(f, peak, mass))
             elif np.any(take):
                 yield rows[take], GridDensity1D(grid[take], _Values(f[take], peak[take]))
         todo = np.concatenate(refine)
@@ -465,20 +502,84 @@ def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
                      groups=_step_grids(model, gauss_mean, beta, errors, work), errors=errors)
 
 
+def _point_width(model: ModelSpec) -> int:
+    """Values a grid point of a step takes in the "dev" and "zz" buffers of
+    a _GridWork: 1 for a step polynomial, else s for the statistic."""
+    return 1 if model.step_poly_fn is not None else model.s
+
+
+def _padded(lo, hi, floor):
+    """Windows (R, 2) [lo, hi] widened by WINDOW_PAD of their width on each
+    side, lo no lower than floor."""
+    pad = WINDOW_PAD * (hi - lo)
+    return np.stack((np.maximum(lo - pad, floor), hi + pad), axis=-1)
+
+
+def _polyval(coef, y, out=None):
+    """Row j of the polynomials coef (R, p + 1), highest power first, at the
+    points y[j] (R, m), by Horner's rule in place (in `out` when given)."""
+    out = np.multiply(y, coef[:, :1], out=out)
+    for j in range(1, coef.shape[-1] - 1):
+        out += coef[:, j:j + 1]
+        out *= y
+    out += coef[:, -1:]
+    return out
+
+
+def _roots(coef):
+    """Roots (R, p) of the polynomials coef (R, p + 1), highest power first,
+    as the eigenvalues of their companion matrices."""
+    R, p = coef.shape[0], coef.shape[1] - 1
+    companion = np.zeros((R, p, p))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+def _level_window(coef, start):
+    """Windows (R, 2) holding every y >= start within WINDOW_NATS of the
+    maximum over y >= start of the polynomial whose coefficients, highest
+    power first, are each row of coef (R, p + 1); the leading one must be
+    negative and p even, so that the polynomial falls to -inf on both sides.
+    Its peak is taken at its critical points (clipped to start), and the
+    outermost real roots of the polynomial minus (peak - WINDOW_NATS) bound
+    the window.  Rows that are not finite get NaN."""
+    out = np.full((len(coef), 2), np.nan)
+    ok = np.all(np.isfinite(coef), axis=-1) & (coef[:, 0] < 0)
+    c = coef[ok]
+    p = c.shape[-1] - 1
+    # the real parts of the derivative's roots include its real roots, and a
+    # polynomial is no higher at any other point than at its peak
+    crit = np.maximum(_roots(c[:, :-1] * np.arange(p, 0, -1)).real, start)
+    peak = np.max(_polyval(c, crit), axis=-1)
+    level = c.copy()
+    level[:, -1] += WINDOW_NATS - peak
+    roots = _roots(level)
+    real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))
+    lo = np.maximum(np.min(np.where(real, roots.real, np.inf), axis=-1), start)
+    hi = np.max(np.where(real, roots.real, -np.inf), axis=-1)
+    out[ok] = _padded(lo, hi, floor=start)
+    return out
+
+
 def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
     """Tabulated step densities, proportional to N(u(y); gauss_mean, beta)
     p_X(y), of each row j of gauss_mean (R, s) and beta (R, s, s) whose
     errors[j] is None: yields _build_grid_density's (rows, density) groups,
     tabulated in the buffers of `work` (a _GridWork; new ones when None),
-    and sets errors[j] for a row that cannot be tabulated.  A row's window
-    comes from the model's step_window_fn, which holds the density's mass,
-    else it is x_window_fn(0) trimmed to that mass."""
-    if model.step_window_fn is None and model.x_window_fn is None:
+    and sets errors[j] for a row that cannot be tabulated.
+
+    With the model's step_poly_fn, a row's log-values are its polynomial
+    (one Horner pass over the grid) and its window the polynomial's
+    WINDOW_NATS level set (_level_window), which holds its mass.  Otherwise
+    they come from the statistic, whitened by the Cholesky factor of beta,
+    on x_window_fn(0) trimmed to that mass."""
+    if model.step_poly_fn is None and model.x_window_fn is None:
         raise ConfigurationError(
-            "generic 1-d model needs step_window_fn or x_window_fn for grid sampling")
+            "generic 1-d model needs step_poly_fn or x_window_fn for grid sampling")
     R, s = gauss_mean.shape
     if work is None:
-        work = _GridWork(R, s)
+        work = _GridWork(R, _point_width(model))
     live = _live_rows(errors)
     chol, ok = cholesky_rows(beta[live])
     for j in live[~ok]:
@@ -486,49 +587,55 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
     live = live[ok]
     if not live.size:
         return
-    # z = (u - gauss_mean) @ whiten[j] is chol^{-1} (u - gauss_mean) for row j
-    whiten, log_const = np.full((R, s, s), np.nan), np.full(R, np.nan)
-    whiten[live] = np.swapaxes(np.linalg.inv(chol[ok]), -1, -2)
-    log_const[live] = -0.5 * (s * _LOG_2PI
-                              + 2.0 * np.sum(np.log(np.diagonal(chol[ok], axis1=-2, axis2=-1)),
-                                             axis=-1))
     windows = np.full((R, 2), np.nan)
-    if model.step_window_fn is not None:
-        got = np.asarray(model.step_window_fn(gauss_mean[live], beta[live]), dtype=float)
-        if got.shape != (live.size, 2):
+    if model.step_poly_fn is not None:
+        got, start = model.step_poly_fn(gauss_mean[live], beta[live])
+        got = np.asarray(got, dtype=float)
+        if got.ndim != 2 or got.shape[0] != live.size or got.shape[1] % 2 != 1:
             raise ConfigurationError(
-                f"step_window_fn must map gauss_mean (R, s) and beta (R, s, s) to windows "
-                f"(R, 2); got shape {got.shape} for R = {live.size}")
-        windows[live] = got
+                f"step_poly_fn must map gauss_mean (R, s) and beta (R, s, s) to coefficients "
+                f"(R, p + 1) with p even; got shape {got.shape} for R = {live.size}")
+        coef = np.full((R, got.shape[1]), np.nan)
+        coef[live] = got
+        windows[live] = _level_window(got, start)
+
+        def log_h(rows, ys):
+            return _polyval(coef[rows], ys, out=work.take("dev", ys.shape))
     else:
+        # z = (u - gauss_mean) @ whiten[j] is chol^{-1} (u - gauss_mean) for row j
+        whiten, log_const = np.full((R, s, s), np.nan), np.full(R, np.nan)
+        whiten[live] = np.swapaxes(np.linalg.inv(chol[ok]), -1, -2)
+        log_const[live] = -0.5 * (s * _LOG_2PI
+                                  + 2.0 * np.sum(np.log(np.diagonal(chol[ok], axis1=-2,
+                                                                    axis2=-1)), axis=-1))
         windows[live] = model.x_window_fn(np.zeros(s))
 
-    def log_h(rows, ys):
-        # log_const - q/2 + log p_X, folded into the spent deviations' buffer;
-        # every step works in place, to the bits of the plain expression
-        r, G = ys.shape
-        y = ys.reshape(-1, 1)
-        stat = np.asarray(model.statistic(y), dtype=float).reshape(r, G, s)
-        dev = work.take("dev", (r, G, s))
-        for j in range(s):  # a coordinate at a time: a short broadcast axis is slow
-            np.subtract(stat[..., j], gauss_mean[rows, j, None], out=dev[..., j])
-        del stat
-        zz = np.matmul(dev, whiten[rows], out=work.take("zz", (r, G, s)))
-        np.square(zz, out=zz)
-        q = work.take("dev", ys.shape)
-        if s == 1:
-            q[...] = zz[..., 0]
-        else:
-            np.add(zz[..., 0], zz[..., 1], out=q)
-        for j in range(2, s):  # in the order np.sum takes a short axis
-            q += zz[..., j]
-        q *= -0.5
-        q += log_const[rows, None]
-        q += np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape)
-        return q
+        def log_h(rows, ys):
+            # log_const - q/2 + log p_X, folded into the spent deviations' buffer;
+            # every step works in place, to the bits of the plain expression
+            r, G = ys.shape
+            y = ys.reshape(-1, 1)
+            stat = np.asarray(model.statistic(y), dtype=float).reshape(r, G, s)
+            dev = work.take("dev", (r, G, s))
+            for j in range(s):  # a coordinate at a time: a short broadcast axis is slow
+                np.subtract(stat[..., j], gauss_mean[rows, j, None], out=dev[..., j])
+            del stat
+            zz = np.matmul(dev, whiten[rows], out=work.take("zz", (r, G, s)))
+            np.square(zz, out=zz)
+            q = work.take("dev", ys.shape)
+            if s == 1:
+                q[...] = zz[..., 0]
+            else:
+                np.add(zz[..., 0], zz[..., 1], out=q)
+            for j in range(2, s):  # in the order np.sum takes a short axis
+                q += zz[..., j]
+            q *= -0.5
+            q += log_const[rows, None]
+            q += np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape)
+            return q
 
     yield from _build_grid_density(log_h, windows, errors,
-                                   trim=model.step_window_fn is None, work=work)
+                                   trim=model.step_poly_fn is None, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +771,7 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
     a run drawn from its generator's normals, in blocks of _BLOCK_ELEMENTS
     values; any other d = 1 model the grid walker (_grid_paths), in stacks
     sized by the working set of one step of one run (_grid_row_elements)
-    against _GRID_STACK_ELEMENTS, which holds 37 mean-square runs.  A run's
+    against _GRID_STACK_ELEMENTS, which holds 65 mean-square runs.  A run's
     numbers do not depend on the other runs, nor on the blocks.
     """
     errors = engine_errors(model)
@@ -675,7 +782,7 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
     gaussian = model.gauss_identity_params is not None
     parts = []
     for b in (_blocks(len(V), n * model.d) if gaussian else
-              _blocks(len(V), _grid_row_elements(model.s), _GRID_STACK_ELEMENTS)):
+              _blocks(len(V), _grid_row_elements(model), _GRID_STACK_ELEMENTS)):
         given = None if points is None else points[b]
         if not gaussian:
             parts.append(_grid_paths(model, V[b], n, k, variant,
@@ -732,7 +839,7 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
     head, tail, log_p = np.zeros(R), np.full(R, np.nan), np.full(R, np.nan)
     aborts = [None] * R
     live = np.arange(R)
-    work = _GridWork(R, model.s)  # the buffers of every grid step of the walk
+    work = _GridWork(R, _point_width(model))  # the buffers of every grid step of the walk
     for i in range(k):
         if not live.size:
             break
@@ -784,14 +891,17 @@ def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
     return tilts.t, log_g
 
 
-def _grid_row_elements(s: int) -> int:
+def _grid_row_elements(model: ModelSpec) -> int:
     """Float64 values that one run of a stack holds at the peak of a grid
-    step on 2001 points: about 1 + 3 s per point, the walk's buffers (the
-    grid, the deviations and their whitened copy, see _GridWork) beside the
-    statistic the model returns (tracemalloc: 116 kB per mean-square run,
-    s = 2, walking a 30-run stack).  Rows that refine their grids take the
-    same buffers a few at a time."""
-    return (1 + 3 * s) * 2001
+    step on 2001 points: 1 + 3 w per point, with w = _point_width(model).
+    A step polynomial's run holds the walk's three buffers (the grid, the
+    log-values and the cell masses, see _GridWork) and the cell widths
+    (tracemalloc: 64 kB per mean-square run beside about 200 kB per stack,
+    walking 30- and 60-run stacks); a run whose log-values come from the
+    statistic holds the grid, the deviations and their whitened copy beside
+    the statistic the model returns (116 kB per mean-square run, s = 2).
+    Rows that refine their grids take the same buffers a few at a time."""
+    return (1 + 3 * _point_width(model)) * 2001
 
 
 def _one_density(runs) -> PathDensity:

@@ -102,6 +102,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert all(name in err for name in ("wieghting", "thining", "outptu"))
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_run_rejects_worker_count_below_one(tmp_path, capsys, threads):
+    # --threads 0 used to run serially without a word
+    path = write(tmp_path, SMALL, csv=str(tmp_path / "o.csv"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", path, "--threads", threads])
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["validate", str(tmp_path / "nope.cfg")]) == 2
 

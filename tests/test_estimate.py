@@ -270,6 +270,12 @@ def test_threads_do_not_change_results(family, region, n, L, k, seed, weighting)
         assert serial.aborts > 0
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_adaptive_rejects_worker_count_below_one(std_gauss, threads):
+    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+        rs.adaptive_estimate(std_gauss, rs.two_sided_region(0.28, 1), 10, 20, threads=threads)
+
+
 def test_compare_schemes_deterministic_and_ranked(gauss_005):
     region = rs.two_sided_region(0.28, 1)
     chain = rs.MeanChainConfig(burn_in=1000, thinning=10)

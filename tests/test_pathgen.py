@@ -170,13 +170,13 @@ def step_log_h(model, gauss_mean, beta):
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
 @pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
 def test_step_windows_hold_the_trimmed_windows(family, variant):
-    # a built-in step window, computed from the law, holds the window that
-    # trimming a wide grid finds on the same law, and is at most two of that
-    # window's cells wider on either side
+    # a built-in step window, computed from the law's polynomial, holds the
+    # window that trimming a wide grid finds on the same law, and is at most
+    # two of that window's cells wider on either side
     model = rs.builtin_model(family)
     gauss_mean, beta = random_step_laws(model, variant, 120, np.random.default_rng(211))
     assert len(gauss_mean) > 100
-    windows = model.step_window_fn(gauss_mean, beta)
+    windows = pathgen._level_window(*model.step_poly_fn(gauss_mean, beta))
     R = len(windows)
     width = windows[:, 1] - windows[:, 0]
     lo, hi = windows[:, 0] - 3.0 * width, windows[:, 1] + 3.0 * width
@@ -189,6 +189,27 @@ def test_step_windows_hold_the_trimmed_windows(family, variant):
     cell = (hi - lo) / 1000
     assert np.all(windows[:, 0] <= lo) and np.all(windows[:, 1] >= hi)
     assert np.all(windows[:, 0] >= lo - 2.0 * cell) and np.all(windows[:, 1] <= hi + 2.0 * cell)
+
+
+@pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
+def test_step_polynomial_equals_statistic_log_h(family):
+    # a built-in's step polynomial is the log step density that the statistic
+    # and the whitened Gaussian factor give, constant included, on the
+    # windows it is tabulated on: at drawn runs' steps, and on laws far off
+    # track (gauss_mean about (-3.02, 22.5) for mean-square)
+    model = rs.builtin_model(family)
+    off_track = random_step_laws(model, "uniform-step", 12, np.random.default_rng(223))
+    if model.s == 2:
+        assert np.any(np.all(np.abs(off_track[0] - [-3.02, 22.5]) < [0.01, 0.1], axis=1))
+    for gauss_mean, beta in (drawn_step_laws(model, "uniform-step", 4, 3,
+                                             np.random.default_rng(223)), off_track):
+        coef, start = model.step_poly_fn(gauss_mean, beta)
+        windows = pathgen._level_window(coef, start)
+        ys = pathgen._linspace_rows(windows[:, 0], windows[:, 1], 2001)
+        rows = np.arange(len(ys))
+        log_const = -0.5 * (model.s * math.log(2.0 * math.pi) + np.log(np.linalg.det(beta)))
+        reference = step_log_h(model, gauss_mean, beta)(rows, ys) + log_const[:, None]
+        assert np.max(np.abs(pathgen._polyval(coef, ys) - reference)) < 1e-9
 
 
 def drawn_step_laws(model, variant, runs, steps, gen, n=100, k=90):
@@ -254,15 +275,15 @@ def test_off_track_step_sampler_fidelity():
     assert np.all(step_sampler_tvs(model, gauss_mean, beta) < 1e-5)
 
 
-def test_step_window_fn_must_return_stacked_windows():
-    # a window function to the one-row contract, (lo, hi), is refused rather
-    # than broadcast over the stack untrimmed
+def test_step_poly_fn_must_return_stacked_coefficients():
+    # a step polynomial to a one-row contract, coefficients (p + 1,), is
+    # refused rather than broadcast over the stack
     model = dataclasses.replace(rs.builtin_model("exponential-mean"),
-                                step_window_fn=lambda gauss_mean, beta: (0.0, 50.0))
-    with pytest.raises(ConfigurationError, match="step_window_fn"):
+                                step_poly_fn=lambda gauss_mean, beta: ([-0.5, 1.5, 0.0], 0.0))
+    with pytest.raises(ConfigurationError, match="step_poly_fn"):
         pathgen._grid_paths(model, np.full((3, 1), 1.5), 8, 5, "uniform-step",
                             rngs=[np.random.default_rng(l) for l in range(3)])
-    with pytest.raises(ConfigurationError, match="step_window_fn"):
+    with pytest.raises(ConfigurationError, match="step_poly_fn"):
         step_params(model, [1.5], 0, [0.0], 8)
 
 
@@ -320,11 +341,11 @@ def test_path_logdensity_aborts_on_overshooting_head(expo):
     ("exponential-mean", [1.5]), ("gaussian-mean-and-square", [0.3, 1.2])])
 def test_custom_model_grid_fallbacks(family, target):
     # a custom d = 1 model with no closed-form tilt, third cumulant, tilted
-    # family or step window: Newton and finite differences give each tilt,
-    # and the tilted law and every step are tabulated on x_window_fn
+    # family or step polynomial: Newton and finite differences give each
+    # tilt, and the tilted law and every step are tabulated on x_window_fn
     builtin = rs.builtin_model(family)
     custom = dataclasses.replace(builtin, tilt_fn=None, third_fn=None, tilted_family=None,
-                                 step_window_fn=None)
+                                 step_poly_fn=None)
     grid_law = rs.tilted_tail_sampler(custom, target)
     exact = rs.tilted_tail_sampler(builtin, target)
     xs = np.linspace(*custom.x_window_fn(grid_law.t), 200001)
@@ -712,7 +733,7 @@ def test_grid_stack_size_does_not_change_runs(variant):
     V = grid_targets("gaussian-mean-and-square", [0.1, 0.5], L, np.random.default_rng(103))
     V[11] = [0.5, 0.2]  # unattainable: aborts at step 0
     # one stack: walk_runs walks all L runs together
-    assert len(pathgen._blocks(L, pathgen._grid_row_elements(model.s),
+    assert len(pathgen._blocks(L, pathgen._grid_row_elements(model),
                                pathgen._GRID_STACK_ELEMENTS)) == 1
     runs, head, tail, _, _ = pathgen.walk_runs(model, V, n, k, variant,
                                                rngs=[replicate_rng(7, l) for l in range(L)])
@@ -745,10 +766,10 @@ def test_grid_stack_size_does_not_change_runs(variant):
 
 
 def test_grid_stack_working_set_per_run():
-    # a 30-run mean-square stack peaks at about 116 kB per run, its buffers
-    # kept for the whole walk (87 kB when every step allocated its own, and
-    # 255 kB in the 8-run blocks before that); L = 600 still walks in
-    # bounded stacks
+    # a 30-run mean-square stack peaks at about 71 kB per run, its buffers
+    # kept for the whole walk and its steps tabulated from their polynomial
+    # (116 kB when they came from the statistic and its whitened copy);
+    # L = 600 still walks in bounded stacks, of 65 runs
     model = rs.builtin_model("gaussian-mean-and-square")
     L = 30
     V = grid_targets("gaussian-mean-and-square", [0.1, 0.5], L, np.random.default_rng(107))
@@ -760,16 +781,16 @@ def test_grid_stack_working_set_per_run():
     finally:
         tracemalloc.stop()
     assert sum(a is None for a in aborts) > L // 2
-    assert peak / L < 0.13e6
-    stacks = pathgen._blocks(600, pathgen._grid_row_elements(model.s),
+    assert peak / L < 0.08e6
+    stacks = pathgen._blocks(600, pathgen._grid_row_elements(model),
                              pathgen._GRID_STACK_ELEMENTS)
-    assert len(stacks) > 1 and all(b.stop - b.start <= 64 for b in stacks)
+    assert len(stacks) > 1 and all(b.stop - b.start <= 72 for b in stacks)
 
 
 def test_exponential_stack_working_set_per_run():
     # exponential-mean steps peak at the y = 0 edge and refine to 16,001
     # points; refined rows are tabulated a few at a time in the stack's
-    # buffers, so a 30-run stack peaks at about 84 kB per run (643 kB when
+    # buffers, so a 30-run stack peaks at about 63 kB per run (643 kB when
     # every refined row of a step was tabulated at once)
     model = rs.builtin_model("exponential-mean")
     L = 30
@@ -782,7 +803,7 @@ def test_exponential_stack_working_set_per_run():
     finally:
         tracemalloc.stop()
     assert all(a is None for a in aborts)
-    assert peak / L < 0.125e6
+    assert peak / L < 0.075e6
 
 
 @pytest.mark.parametrize("family", ["gaussian-mean", "exponential-mean",
@@ -831,6 +852,68 @@ def test_grid_density_stack_equals_rows():
         assert dens[j] == row.logpdf(probe[j])
         assert stack.log_integral[j] == row.log_integral
     assert np.isneginf(dens[0]) and np.isneginf(dens[5])
+
+
+class _Levels:
+    """A stand-in generator whose random(size) returns the given levels."""
+
+    def __init__(self, r):
+        self.r = np.asarray(r, dtype=float)
+
+    def random(self, size=None):
+        return self.r[:size]
+
+
+def full_cumsum_inverse(x, log_f, r):
+    """Inverse CDF at the levels r of the piecewise-linear density through
+    exp(log_f) at the knots x, from its full normalized cumulative sum."""
+    f = np.exp(log_f - np.max(log_f))
+    mass = 0.5 * (f[:-1] + f[1:]) * np.diff(x)
+    total = np.sum(mass)
+    cdf = np.concatenate([[0.0], np.cumsum(mass / total)])
+    cdf[-1] = 1.0
+    idx = np.clip(np.searchsorted(cdf, r, side="right") - 1, 0, len(x) - 2)
+    a, b = f[idx] / total, f[idx + 1] / total
+    h = x[idx + 1] - x[idx]
+    resid = r - cdf[idx]
+    slope = (b - a) / h
+    disc = np.sqrt(np.maximum(a * a + 2.0 * slope * resid, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.where(np.abs(slope) * h > 1e-12 * (a + b),
+                      np.where(a + disc > 0, 2.0 * resid / (a + disc), 0.0),
+                      np.where(a > 0, resid / np.where(a > 0, a, 1.0), 0.0))
+    return x[idx] + np.clip(xi, 0.0, h)
+
+
+@pytest.mark.parametrize("points", [401, 1001, 16001])
+@pytest.mark.parametrize("tails", ["open", "underflowing"])
+def test_block_search_equals_full_cumsum_inverse(points, tails):
+    # the two-level search (block ends, then a cumulative sum within one
+    # block) draws the points the full normalized CDF gives, to rounding:
+    # cell counts that are no multiple of the block, blocks of zero mass in
+    # underflowing tails, levels on block ends, and 0 and 1 - 2^-53.  Levels
+    # within 1e-6 of 1 are left out where the density underflows: there a
+    # rounding of the total moves x by far more than 1e-12
+    assert (points - 1) % pathgen._SAMPLER_BLOCK
+    x = np.linspace(1.0, 7.0, points)
+    if tails == "open":
+        log_f = -0.5 * ((x - 4.0) / 1.5) ** 2 + 0.2 * np.sin(3.0 * x)
+        extremes = [0.0, 1.0 - 2.0**-53]
+    else:  # exp(log_f) is exactly 0 beyond 0.77 of 3.2
+        log_f = -0.5 * ((x - 3.2) / 0.02) ** 2
+        assert np.exp(log_f[0]) == 0.0 and np.exp(log_f[-1]) == 0.0
+        extremes = [0.0]
+    g = GridDensity1D(x, log_f)
+    blocks = np.diff(np.concatenate([[0.0], g._ends]))
+    if tails == "underflowing":
+        assert blocks[0] == 0.0 and blocks[-1] == 0.0
+    ends = g._ends[:-1] / g._ends[-1]
+    r = np.concatenate([np.random.default_rng(points).random(2000),
+                        ends[(ends > 1e-6) & (ends < 1.0 - 1e-6)], extremes])
+    drawn = g.sample(_Levels(r), size=len(r))
+    assert np.all(np.isfinite(drawn))
+    np.testing.assert_allclose(drawn, full_cumsum_inverse(x, log_f, r), rtol=1e-12, atol=0.0)
+    assert np.all(np.isfinite(g.logpdf(drawn[r > 0.0])))  # no draw in a cell of zero mass
 
 
 def test_linspace_rows_equals_numpy():
