@@ -19,19 +19,20 @@ of that tabulated sampler, so importance weights stay unbiased.  The grid
 walker (`_grid_paths`) advances a stack of runs one step at a time, each
 with its own conditioning point, prefix and generator.  At every step it
 builds the step laws of all live runs together (`_step_laws`: one tilt
-solve for the stack, then one (runs x grid points) tabulation in buffers
-the walk keeps), and the tilted laws of the tail with one tilt solve too;
-it either draws the runs or evaluates given points under the same laws, so
-sampling and the density cannot drift apart.  A model with `step_poly_fn`
-(every built-in grid family) gives each step's log-density as a
-polynomial in y: the window is its WINDOW_NATS level set, and the
-tabulation one Horner pass over the grid.  Other models tabulate the
+solve for the stack, then one (runs x knots) tabulation in buffers the
+walk keeps), and the tilted laws of the tail with one tilt solve too; it
+either draws the runs or evaluates given points under the same laws, so
+sampling and the density cannot drift apart.  Every grid density is
+tabulated on _KNOTS knots placed by the curvature of a pilot pass.  A
+model with `step_poly_fn` (every built-in grid family) gives each step's
+log-density as a polynomial in y: the window is its WINDOW_NATS level
+set, and each pass one Horner pass.  Other models tabulate the
 statistic's whitened Gaussian factor on a trimmed window.  A tabulated
 density (`GridDensity1D`) keeps cell masses and block ends rather than a
-CDF, and finds a draw's cell by a two-level search.  A run whose tilt or
-grid fails drops out with its step and reason.  A run's numbers never
-depend on its stack: `sample_path`, `path_logdensity` and `step_params`
-are the batches of one.
+CDF, and finds a draw's cell, where its log-density is read, by a
+two-level search.  A run whose tilt or grid fails drops out with its step
+and reason.  A run's numbers never depend on its stack: `sample_path`,
+`path_logdensity` and `step_params` are the batches of one.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ _SAMPLER_BLOCK = 48
 # width on each side.
 WINDOW_NATS = 60.0
 WINDOW_PAD = 2e-3
+# Every grid density is tabulated on _KNOTS knots placed from a _PILOT-point
+# pilot pass; fewer knots miss exponential-mean's 1e-6 normalizer bound.
+_PILOT = 33
+_KNOTS = 1537
 
 VARIANTS = ("uniform-step", "paper-literal")
 K_MODES = ("default", "gaussian-exact", "manual")
@@ -107,11 +112,11 @@ class PathConfig:
 class _Values(NamedTuple):
     """Knot values exp(log_f - peak) (R, G), with peak (R,) each row's finite
     maximum of log_f, that a GridDensity1D takes in place of log_f, keeping
-    them; the cell masses go into `mass` (R, G - 1) when it is given."""
+    them; the cell masses go into `mass` (R, G - 1)."""
 
     f: np.ndarray
     peak: np.ndarray
-    mass: Optional[np.ndarray] = None
+    mass: np.ndarray
 
 
 class GridDensity1D:
@@ -141,9 +146,7 @@ class GridDensity1D:
             if not np.all(np.isfinite(peak)):
                 raise NumericError("grid density underflowed to zero everywhere")
             f = np.subtract(log_f, peak[..., None])
-            f, mass = np.exp(f, out=f), None
-        if mass is None:
-            mass = np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
+            f, mass = np.exp(f, out=f), np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
         # each buffer is worked in place, to the bits of the plain expressions
         np.add(f[..., :-1], f[..., 1:], out=mass)
         mass *= 0.5
@@ -167,18 +170,22 @@ class GridDensity1D:
         return one
 
     def sample(self, rng, size=None):
-        """Draws by inverse CDF.  One density: `size` draws from the
-        generator `rng`, or a float when size is None.  A stack: one draw per
-        row, row j's from the generator rng[j], as an (R,) array."""
-        if self.x.ndim == 2:
-            return self._invert(np.array([g.random() for g in rng])[:, None])[:, 0]
+        """`size` draws by inverse CDF from the generator `rng`, or a float
+        when size is None, of one density."""
         single = size is None
         r = rng.random(1 if single else int(size))
-        out = self._invert(r[None])[0]
+        out = self._invert(r[None])[0][0]
         return float(out[0]) if single else out
 
+    def draw(self, rngs):
+        """One draw per row of a stack by inverse CDF, row j's from the
+        generator rngs[j], and its log-density: (R,) arrays, the log-density
+        read in the cell the draw was found in."""
+        y, idx = self._invert(np.array([g.random() for g in rngs])[:, None])
+        return y[:, 0], self._logpdf(idx, y)[:, 0]
+
     def _invert(self, r):
-        """Points (R, m) at the CDF levels r (R, m)."""
+        """Points (R, m) at the CDF levels r (R, m), and their cells."""
         x, f, mass, ends = (np.atleast_2d(a) for a in (self.x, self._f, self._mass, self._ends))
         cells = mass.shape[-1]
         row = np.arange(len(x))[:, None]
@@ -213,12 +220,12 @@ class GridDensity1D:
                           np.where(a + disc > 0, 2.0 * resid / (a + disc), 0.0),
                           np.where(a > 0, resid / np.where(a > 0, a, 1.0), 0.0))
         xi = np.clip(xi, 0.0, h)
-        return x0 + xi
+        return x0 + xi, idx
 
     def logpdf(self, y):
-        """Log-density at y.  One density: a float for a scalar or a
-        shape-(1,) point, else an array.  A stack: y holds one point per row
-        and the result is an (R,) array."""
+        """Log-density at the given y, whose cells it searches.  One density:
+        a float for a scalar or a shape-(1,) point, else an array.  A stack: y
+        holds one point per row and the result is an (R,) array."""
         if self.x.ndim == 2:
             v = np.asarray(y, dtype=float).reshape(-1, 1)
             idx = np.count_nonzero(self.x <= v, axis=-1, keepdims=True) - 1
@@ -242,15 +249,6 @@ class GridDensity1D:
             return np.where(inside, np.log(np.where(inside, dens, 1.0)), -np.inf)
 
 
-def _trapezoid_simpson(f, h):
-    """Trapezoid and composite Simpson integrals of the samples f, an odd
-    number of them along the last axis, on uniform grids of spacing h."""
-    ends = f[..., 0] + f[..., -1]
-    odd = np.sum(f[..., 1:-1:2], axis=-1)
-    even = np.sum(f[..., 2:-1:2], axis=-1)
-    return h * (0.5 * ends + odd + even), h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
-
-
 def _live_rows(errors) -> np.ndarray:
     """Indices of the rows with no error."""
     return np.array([j for j, e in enumerate(errors) if e is None], dtype=int)
@@ -272,32 +270,22 @@ def _linspace_rows(lo, hi, num, out=None):
 
 class _GridWork:
     """Flat buffers that the grid passes of a stack of R runs write into,
-    each sized for R first-pass grids (2001 points): "x" holds the grids,
-    "dev" the log-values and then the density values, and "zz" the cell
-    masses.  A step whose log-values come from the statistic (a model
-    without step_poly_fn) takes `width` = s values a point in "dev", for the
+    each sized for R grids of _KNOTS points: "x" holds the grids, "dev" the
+    log-values and then the density values, and "zz" the cell masses.  A
+    step whose log-values come from the statistic (a model without
+    step_poly_fn) takes `width` = s values a point in "dev", for the
     statistic's deviations from the step mean, and in "zz", for their
     whitened copy.  The run walker keeps the buffers for a whole walk, so
-    its steps do not fault their memory in again; a pass on a finer grid
-    takes fewer rows at a time."""
+    its steps do not fault their memory in again."""
 
     def __init__(self, rows: int, width: int):
-        self.points = rows * 2001
-        self._flat = {"x": np.empty(self.points), "dev": np.empty(self.points * width),
-                      "zz": np.empty(self.points * width)}
+        points = rows * _KNOTS
+        self._flat = {"x": np.empty(points), "dev": np.empty(points * width),
+                      "zz": np.empty(points * width)}
 
     def take(self, name, shape):
-        """Buffer `name` viewed as an array of `shape`, or a new array when
-        it does not fit."""
-        flat = self._flat[name]
-        size = math.prod(shape)
-        return flat[:size].reshape(shape) if size <= flat.size else np.empty(shape)
-
-    def chunks(self, rows, points):
-        """`rows` cut into runs of rows whose grids of `points` fit in a
-        buffer (at least one row each)."""
-        size = max(1, self.points // points)
-        return [rows[a:a + size] for a in range(0, len(rows), size)]
+        """Buffer `name` viewed as an array of `shape`, which must fit."""
+        return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
 def _trim_windows(log_h, lo, hi, active, n0, fail, work):
@@ -328,8 +316,35 @@ def _trim_windows(log_h, lo, hi, active, n0, fail, work):
         active = active[~(bad | collapsed | ((hi2 - lo2) > 0.6 * (a_hi - a_lo)))]
 
 
-def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e-7,
-                        n0=1001, max_refine=4):
+def _place_knots(pilot, log_f, out):
+    """_KNOTS knots (r, _KNOTS), in `out`, over the uniform pilot grids
+    (r, P) with log-values log_f: each cell holds an equal share of the
+    integral of |f''|^(1/3) (de Boor, "Good approximation by splines with
+    variable knots", 1973), read from second differences of the pilot
+    density f and floored at 1e-3 of the row's maximum; between two pilot
+    points the knots are evenly spaced.  A row without curvature gets
+    uniform knots; a row's knots depend on it alone."""
+    f = np.exp(log_f - np.max(log_f, axis=-1, keepdims=True))
+    rho = np.cbrt(np.abs(f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]))
+    top = np.max(rho, axis=-1, keepdims=True)
+    rho = np.maximum(rho, 1e-3 * top)
+    rho[~(top[:, 0] > 0)] = 1.0  # no curvature, or no finite value
+    rho = np.concatenate((rho[:, :1], rho, rho[:, -1:]), axis=-1)
+    cum = np.zeros_like(pilot)  # the knot index at each pilot point
+    np.cumsum(rho[:, 1:] + rho[:, :-1], axis=-1, out=cum[:, 1:])
+    cum *= (_KNOTS - 1) / cum[:, -1:]
+    first = np.ceil(cum).astype(np.intp)  # knot g lies where cum[c] <= g < cum[c + 1]
+    first[:, -1] = _KNOTS
+    counts = np.diff(first, axis=-1).ravel()
+    slope = np.diff(pilot, axis=-1) / np.diff(cum, axis=-1)
+    start = pilot[:, :-1] - cum[:, :-1] * slope
+    np.multiply(np.repeat(slope, counts).reshape(out.shape), np.arange(_KNOTS), out=out)
+    out += np.repeat(start, counts).reshape(out.shape)
+    out[:, -1] = pilot[:, -1]
+    return out
+
+
+def _build_grid_density(log_h, windows, errors, trim=True, work=None):
     """Tabulate exp(log_h) on the window (R, 2) of each row j whose errors[j]
     is None.  log_h maps row indices (r,) and their grids (r, G) to the
     log-values (r, G), in a new array or in the "dev" buffer of `work`.
@@ -337,20 +352,16 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e
     With `trim`, each window is first trimmed to the set lying within
     WINDOW_NATS of its peak (_trim_windows; re-trimming handles windows that
     start absurdly wide); without it, the windows must already hold that
-    set, as the level sets of step polynomials do.  Then the grid (2001
-    points) is doubled until trapezoid and Simpson integrals agree to
-    `rel_tol`, which pins the normalizing constant.  It does not bound the
-    fidelity of the piecewise-linear sampler: on mean-square step windows
-    the two agree to 1e-15 at 129 points already, where the sampler lies
-    8e-4 off the smooth density in total variation (3e-6 at 2001 points).
-    Rows advance together, each as if alone.
+    set, as the level sets of step polynomials do.  log_h is then read on a
+    _PILOT-point uniform grid over each window, _KNOTS knots are placed by
+    the curvature it shows (_place_knots), and log_h is tabulated there.
+    Each row is tabulated as if alone.
 
-    Yields (rows, density) for each group of rows tabulated together on G
-    points, a stacked GridDensity1D.  A pass holds a few (rows x G) arrays
-    at a time, in the buffers of `work` (a _GridWork): a finer grid takes as
-    many rows as fit, and a density lives in those buffers until the next
-    group is built.  Sets errors[j] to the NumericError of a row that could
-    not be tabulated.
+    Returns the stacked GridDensity1D of the rows whose errors[j] is still
+    None, in their order, or None when there are none.  It lives in the
+    buffers of `work` (a _GridWork; new ones when None) until the next
+    build.  Sets errors[j] to the NumericError of a row that could not be
+    tabulated.
     """
     windows = np.asarray(windows, dtype=float).reshape(-1, 2)
     lo, hi = windows[:, 0].copy(), windows[:, 1].copy()
@@ -364,38 +375,27 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None, rel_tol=2e
     live = _live_rows(errors)
     fail(live[~(lo[live] < hi[live])], "invalid grid window")
     if trim:
-        _trim_windows(log_h, lo, hi, _live_rows(errors), n0, fail, work)
+        _trim_windows(log_h, lo, hi, _live_rows(errors), 1001, fail, work)
     else:
         live = _live_rows(errors)
         fail(live[hi[live] - lo[live] < 1e-300], "grid density support collapsed")
 
-    todo = _live_rows(errors)
-    n = 2001
-    for level in range(max_refine):
-        if not todo.size:
-            break
-        refine = []
-        for rows in work.chunks(todo, n):
-            shape = (len(rows), n)
-            grid = _linspace_rows(lo[rows], hi[rows], n, out=work.take("x", shape))
-            f = log_h(rows, grid)
-            peak = np.max(f, axis=-1)
-            f -= peak[:, None]
-            trap, simp = _trapezoid_simpson(np.exp(f, out=f), (hi[rows] - lo[rows]) / (n - 1))
-            done = (trap > 0) & (np.abs(simp - trap) <= rel_tol * np.abs(simp))
-            if level == max_refine - 1:
-                done[:] = True
-            bad = done & ~np.isfinite(peak)
-            fail(rows[bad], "grid density underflowed to zero everywhere")
-            take = done & ~bad
-            refine.append(rows[~done])
-            if np.all(take):
-                mass = work.take("zz", (len(rows), n - 1))
-                yield rows, GridDensity1D(grid, _Values(f, peak, mass))
-            elif np.any(take):
-                yield rows[take], GridDensity1D(grid[take], _Values(f[take], peak[take]))
-        todo = np.concatenate(refine)
-        n = 2 * n - 1
+    rows = _live_rows(errors)
+    if not rows.size:
+        return None
+    pilot = _linspace_rows(lo[rows], hi[rows], _PILOT)
+    x = _place_knots(pilot, log_h(rows, pilot), work.take("x", (len(rows), _KNOTS)))
+    f = log_h(rows, x)
+    peak = np.max(f, axis=-1)
+    ok = np.isfinite(peak)
+    if not np.all(ok):
+        fail(rows[~ok], "grid density underflowed to zero everywhere")
+        if not np.any(ok):
+            return None
+        x, f, peak = x[ok], f[ok], peak[ok]
+    f -= peak[:, None]
+    mass = work.take("zz", (len(x), _KNOTS - 1))
+    return GridDensity1D(x, _Values(np.exp(f, out=f), peak, mass))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +421,8 @@ class _StepLaws:
     t: np.ndarray           # (R, s) tilts, NaN where the solve failed
     beta: np.ndarray        # (R, s, s)
     gauss_mean: np.ndarray  # (R, s)
-    groups: object          # iterator of (rows, density), as _step_grids yields them
-    errors: list            # per row: None, or the error that stopped its law;
-                            # complete once groups is exhausted
+    density: Optional[GridDensity1D]  # stacked, one row per row whose error is None
+    errors: list            # per row: None, or the error that stopped its law
 
 
 def _remaining_mean(v, u_partial, i, n):
@@ -466,10 +465,9 @@ def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u_partial = np.atleast_1d(np.asarray(u_partial, dtype=float))
     law = _step_laws(model, v[None], u_partial[None], i, n, variant)
-    groups = list(law.groups)
     if law.errors[0] is not None:
         raise law.errors[0]
-    sampler = groups[0][1]._row(0)
+    sampler = law.density._row(0)
     return StepParams(t=law.t[0], beta=law.beta[0], gauss_mean=law.gauss_mean[0],
                       log_norm=-sampler.log_integral, sampler=sampler)
 
@@ -499,7 +497,7 @@ def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
     gauss_mean[ok] = ((beta[ok] @ (tilts.t[ok] + corr[..., 0] / (2.0 * remaining))[..., None])
                       [..., 0] + center[ok])
     return _StepLaws(t=tilts.t, beta=beta, gauss_mean=gauss_mean,
-                     groups=_step_grids(model, gauss_mean, beta, errors, work), errors=errors)
+                     density=_step_grids(model, gauss_mean, beta, errors, work), errors=errors)
 
 
 def _point_width(model: ModelSpec) -> int:
@@ -565,9 +563,9 @@ def _level_window(coef, start):
 def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
     """Tabulated step densities, proportional to N(u(y); gauss_mean, beta)
     p_X(y), of each row j of gauss_mean (R, s) and beta (R, s, s) whose
-    errors[j] is None: yields _build_grid_density's (rows, density) groups,
-    tabulated in the buffers of `work` (a _GridWork; new ones when None),
-    and sets errors[j] for a row that cannot be tabulated.
+    errors[j] is None: _build_grid_density's stacked density, tabulated in
+    the buffers of `work` (a _GridWork; new ones when None), or None.  Sets
+    errors[j] for a row that cannot be tabulated.
 
     With the model's step_poly_fn, a row's log-values are its polynomial
     (one Horner pass over the grid) and its window the polynomial's
@@ -586,7 +584,7 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
         errors[j] = NumericError("covariance not positive definite")
     live = live[ok]
     if not live.size:
-        return
+        return None
     windows = np.full((R, 2), np.nan)
     if model.step_poly_fn is not None:
         got, start = model.step_poly_fn(gauss_mean[live], beta[live])
@@ -634,8 +632,7 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
             q += np.asarray(model.log_density_x(y), dtype=float).reshape(ys.shape)
             return q
 
-    yield from _build_grid_density(log_h, windows, errors,
-                                   trim=model.step_poly_fn is None, work=work)
+    return _build_grid_density(log_h, windows, errors, trim=model.step_poly_fn is None, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +656,12 @@ class TiltedDensity:
                 raise ConfigurationError(
                     "custom 1-d model needs x_window_fn for tilted grid sampling")
             errors = [None]
-            groups = list(_build_grid_density(
+            grid = _build_grid_density(
                 lambda rows, ys: self._exact_logpdf(ys.reshape(-1)).reshape(ys.shape),
-                [model.x_window_fn(self.t)], errors))
+                [model.x_window_fn(self.t)], errors)
             if errors[0] is not None:
                 raise errors[0]
-            self._grid = groups[0][1]._row(0)
+            self._grid = grid._row(0)
         else:
             raise ConfigurationError("no sampler available for this tilted law")
 
@@ -848,11 +845,12 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
                                                       points, rngs, aborts)
         else:
             laws = _step_laws(model, V[live], u_run[live], i, n, variant, t_warm[live], work)
-            for rows, law in laws.groups:
-                rows = live[rows]
-                if rngs is not None:
-                    points[rows, i, 0] = law.sample([rngs[j] for j in rows])
-                head[rows] += law.logpdf(points[rows, i, 0])
+            rows = live[_live_rows(laws.errors)]
+            if rows.size and rngs is None:
+                head[rows] += laws.density.logpdf(points[rows, i, 0])
+            elif rows.size:
+                points[rows, i, 0], log_g = laws.density.draw([rngs[j] for j in rows])
+                head[rows] += log_g
             t_warm[live] = laws.t
             for j, err in zip(live, laws.errors):
                 if err is not None:
@@ -892,15 +890,13 @@ def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
 
 
 def _grid_row_elements(model: ModelSpec) -> int:
-    """Float64 values that one run of a stack holds at the peak of a grid
-    step on 2001 points: 1 + 3 w per point, with w = _point_width(model).
-    A step polynomial's run holds the walk's three buffers (the grid, the
-    log-values and the cell masses, see _GridWork) and the cell widths
-    (tracemalloc: 64 kB per mean-square run beside about 200 kB per stack,
-    walking 30- and 60-run stacks); a run whose log-values come from the
-    statistic holds the grid, the deviations and their whitened copy beside
-    the statistic the model returns (116 kB per mean-square run, s = 2).
-    Rows that refine their grids take the same buffers a few at a time."""
+    """Float64 values budgeted for one run of a stack at the peak of a grid
+    step: 1 + 3 w per point on 2001 points, w = _point_width(model), more
+    than a step on _KNOTS knots holds.  A step polynomial's run holds the
+    walk's three buffers (see _GridWork) and the cell widths (tracemalloc:
+    53-56 kB per mean-square or exponential-mean run, in 30- and 60-run
+    stacks); a run whose log-values come from the statistic also holds the
+    statistic and its whitened copy (89-91 kB per mean-square run)."""
     return (1 + 3 * _point_width(model)) * 2001
 
 

@@ -1,11 +1,13 @@
-"""Shared oracles and run helpers for the test suite (not collected)."""
+"""Shared oracles and run helpers for the test suite (not collected) and
+scripts/grid_fidelity.py."""
 
 import math
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import gamma, multivariate_normal, norm
 
+from raresum import pathgen
 from raresum.config import load_config
 from raresum.estimate import run_point
 
@@ -15,6 +17,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # P(|mean| > 0.28) for 100 i.i.d. N(0.05, 1).
 P_ONE_DIM = float(norm.sf(2.3) + norm.cdf(-3.3))
 NEGATIVE_SPLIT = float(norm.cdf(-3.3) / (norm.cdf(-3.3) + norm.cdf(-2.3)))
+# P(mean >= 1.5) for 100 i.i.d. Exp(1): their sum is Gamma(100, 1).
+P_EXPO_MEAN = float(gamma(100).sf(150.0))
 
 
 def conditional_head_oracle(n, k, v, sigma=1.0):
@@ -62,3 +66,90 @@ def expected_weight_by_quadrature(model, v, threshold=0.3, grid=2401):
             partial = 0.5 * (np.interp(c, ys, gw[i]) + gw[i, j]) * (ys[j] - c)
             rows[i] = np.trapezoid(gw[i, j:], ys[j:]) + partial
     return float(np.trapezoid(rows, ys)), total_g
+
+
+def grid_targets(family, lo_hi, count, gen):
+    """Conditioning points (count, s) of a built-in grid family, one uniform
+    draw from lo_hi each."""
+    a = gen.uniform(*lo_hi, size=count)
+    if family == "exponential-mean":
+        return a[:, None]
+    return np.stack([0.6 * a - 0.2, (0.6 * a - 0.2) ** 2 + a + 0.4], axis=-1)
+
+
+def random_step_laws(model, variant, count, gen, n=100, k=90):
+    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws that runs
+    conditioned toward random targets build after random prefixes of i.i.d.
+    points, as the walker builds them (rows whose tilt fails dropped)."""
+    means, betas = [], []
+    for _ in range(count):
+        i = int(gen.integers(0, k))
+        if model.s == 1:
+            v = gen.uniform(0.5, 2.5, 1)
+            prefix = gen.exponential(v[0], i)
+        else:
+            m1, var = gen.uniform(-0.4, 0.5), gen.uniform(0.4, 1.5)
+            v = np.array([m1, m1 * m1 + var])
+            prefix = m1 + math.sqrt(var) * gen.standard_normal(i)
+        u = np.sum(model.statistic(prefix.reshape(-1, 1)), axis=0) if i else np.zeros(model.s)
+        law = pathgen._step_laws(model, v[None], u.reshape(1, -1), i, n, variant)
+        if law.errors[0] is None:
+            means.append(law.gauss_mean[0])
+            betas.append(law.beta[0])
+    return np.array(means), np.array(betas)
+
+
+def step_log_h(model, gauss_mean, beta):
+    """log_h(rows, ys) of the step densities N(u(y); gauss_mean, beta) p_X(y),
+    up to a constant per row."""
+    prec = np.linalg.inv(beta)
+
+    def log_h(rows, ys):
+        y = ys.reshape(-1, 1)
+        dev = np.asarray(model.statistic(y)).reshape(ys.shape + (-1,)) - gauss_mean[rows, None]
+        q = np.einsum("rgi,rij,rgj->rg", dev, prec[rows], dev)
+        return np.asarray(model.log_density_x(y)).reshape(ys.shape) - 0.5 * q
+
+    return log_h
+
+
+def drawn_step_laws(model, variant, runs, steps, gen, n=100, k=90):
+    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws at random
+    steps of runs drawn toward random targets."""
+    lo_hi = [0.8, 2.0] if model.s == 1 else [0.1, 0.5]
+    V = grid_targets(model.name, lo_hi, runs, gen)
+    points, _, _, _, aborts = pathgen._grid_paths(model, V, n, k, variant,
+                                                  rngs=[np.random.default_rng(gen.integers(1 << 32))
+                                                        for _ in range(runs)])
+    means, betas = [], []
+    for j in np.flatnonzero([a is None for a in aborts]):
+        u = np.cumsum(np.asarray(model.statistic(points[j])), axis=0)
+        for i in gen.integers(1, k, steps):
+            law = pathgen._step_laws(model, V[j][None], u[i - 1][None], i, n, variant)
+            means.append(law.gauss_mean[0])
+            betas.append(law.beta[0])
+    return np.array(means), np.array(betas)
+
+
+def step_grid_errors(model, gauss_mean, beta):
+    """For each grid step law, the total variation between its tabulated
+    sampler and its smooth step density, and the error of its normalizing
+    constant (the smooth density's integral under it, minus 1), both
+    integrated on 400,001 points."""
+    log_h = step_log_h(model, gauss_mean, beta)
+    log_const = -0.5 * (model.s * math.log(2.0 * math.pi) + np.log(np.linalg.det(beta)))
+    errors = [None] * len(gauss_mean)
+    law = pathgen._step_grids(model, gauss_mean, beta, errors)
+    assert all(e is None for e in errors)
+    tvs, norms = [], []
+    for j in range(len(gauss_mean)):
+        lo, hi = law.x[j, 0], law.x[j, -1]
+        pad = hi - lo
+        xs = np.linspace(max(lo - pad, 0.0) if model.name == "exponential-mean" else lo - pad,
+                         hi + pad, 400001)
+        smooth = np.exp(log_h(np.array([j]), xs[None])[0] + log_const[j] - law.log_integral[j])
+        total = np.trapezoid(smooth, xs)
+        sampled = np.exp(law._row(j).logpdf(xs))
+        tvs.append(0.5 * np.trapezoid(np.abs(sampled - smooth / total), xs))
+        norms.append(total - 1.0)
+    return np.array(tvs), np.array(norms)

@@ -20,6 +20,8 @@ from raresum.pathgen import (
     step_params,
 )
 from raresum.utils import replicate_rng
+from helpers import (drawn_step_laws, grid_targets, random_step_laws, step_grid_errors,
+                     step_log_h)
 
 
 def exact_conditional_head(n, k, v, sigma=1.0):
@@ -120,51 +122,13 @@ def test_flat_steering_limit_recovers_tilted_density(expo):
     sol = rs.solve_tilt(expo, [1.5])
     beta = np.array([[1e8]])
     gauss_mean = beta @ sol.t + np.array([1.5])
-    (_, grid), = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])
-    sampler = grid._row(0)
+    sampler = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])._row(0)
     tilted = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
     step_dens = np.exp(sampler.logpdf(xs))
     tilt_dens = np.exp(tilted.logpdf(xs))
     tv = 0.5 * np.trapezoid(np.abs(step_dens - tilt_dens), xs)
     assert tv < 1e-4
-
-
-
-def random_step_laws(model, variant, count, gen, n=100, k=90):
-    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws that runs
-    conditioned toward random targets build after random prefixes of i.i.d.
-    points, as the walker builds them (rows whose tilt fails dropped)."""
-    means, betas = [], []
-    for _ in range(count):
-        i = int(gen.integers(0, k))
-        if model.s == 1:
-            v = gen.uniform(0.5, 2.5, 1)
-            prefix = gen.exponential(v[0], i)
-        else:
-            m1, var = gen.uniform(-0.4, 0.5), gen.uniform(0.4, 1.5)
-            v = np.array([m1, m1 * m1 + var])
-            prefix = m1 + math.sqrt(var) * gen.standard_normal(i)
-        u = np.sum(model.statistic(prefix.reshape(-1, 1)), axis=0) if i else np.zeros(model.s)
-        law = pathgen._step_laws(model, v[None], u.reshape(1, -1), i, n, variant)
-        if law.errors[0] is None:
-            means.append(law.gauss_mean[0])
-            betas.append(law.beta[0])
-    return np.array(means), np.array(betas)
-
-
-def step_log_h(model, gauss_mean, beta):
-    """log_h(rows, ys) of the step densities N(u(y); gauss_mean, beta) p_X(y),
-    up to a constant per row."""
-    prec = np.linalg.inv(beta)
-
-    def log_h(rows, ys):
-        y = ys.reshape(-1, 1)
-        dev = np.asarray(model.statistic(y)).reshape(ys.shape + (-1,)) - gauss_mean[rows, None]
-        q = np.einsum("rgi,rij,rgj->rg", dev, prec[rows], dev)
-        return np.asarray(model.log_density_x(y)).reshape(ys.shape) - 0.5 * q
-
-    return log_h
 
 
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
@@ -212,44 +176,6 @@ def test_step_polynomial_equals_statistic_log_h(family):
         assert np.max(np.abs(pathgen._polyval(coef, ys) - reference)) < 1e-9
 
 
-def drawn_step_laws(model, variant, runs, steps, gen, n=100, k=90):
-    """gauss_mean (R, s) and beta (R, s, s) of the grid step laws at random
-    steps of runs drawn toward random targets."""
-    lo_hi = [0.8, 2.0] if model.s == 1 else [0.1, 0.5]
-    V = grid_targets(model.name, lo_hi, runs, gen)
-    points, _, _, _, aborts = pathgen._grid_paths(model, V, n, k, variant,
-                                                  rngs=[np.random.default_rng(gen.integers(1 << 32))
-                                                        for _ in range(runs)])
-    means, betas = [], []
-    for j in np.flatnonzero([a is None for a in aborts]):
-        u = np.cumsum(np.asarray(model.statistic(points[j])), axis=0)
-        for i in gen.integers(1, k, steps):
-            law = pathgen._step_laws(model, V[j][None], u[i - 1][None], i, n, variant)
-            means.append(law.gauss_mean[0])
-            betas.append(law.beta[0])
-    return np.array(means), np.array(betas)
-
-
-def step_sampler_tvs(model, gauss_mean, beta):
-    """Total variation between the tabulated sampler of each grid step law
-    and its smooth step density, integrated on 400,001 points."""
-    log_h = step_log_h(model, gauss_mean, beta)
-    errors = [None] * len(gauss_mean)
-    tvs = []
-    for rows, law in pathgen._step_grids(model, gauss_mean, beta, errors):
-        for j, row in enumerate(rows):
-            lo, hi = law.x[j, 0], law.x[j, -1]
-            pad = hi - lo
-            xs = np.linspace(max(lo - pad, 0.0) if model.name == "exponential-mean" else lo - pad,
-                             hi + pad, 400001)
-            smooth = np.exp(log_h(np.array([row]), xs[None])[0])
-            smooth /= np.trapezoid(smooth, xs)
-            sampled = np.exp(law._row(j).logpdf(xs))
-            tvs.append(0.5 * np.trapezoid(np.abs(sampled - smooth), xs))
-    assert all(e is None for e in errors)
-    return np.array(tvs)
-
-
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
 @pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
 def test_builtin_step_sampler_fidelity(family, variant):
@@ -258,21 +184,34 @@ def test_builtin_step_sampler_fidelity(family, variant):
     model = rs.builtin_model(family)
     gauss_mean, beta = drawn_step_laws(model, variant, 4, 3, np.random.default_rng(223))
     assert len(gauss_mean) >= 9
-    assert np.all(step_sampler_tvs(model, gauss_mean, beta) < 1e-5)
+    assert np.all(step_grid_errors(model, gauss_mean, beta)[0] < 1e-5)
 
 
-@pytest.mark.xfail(strict=True, reason="off-track mean-square laws pass the trapezoid/Simpson "
-                   "check at 2001 points 8.9e-5 from their smooth density; see the FOUND line "
-                   "on off-track laws in CHANGES.md")
 def test_off_track_step_sampler_fidelity():
     # the laws that evaluating given points under another target builds can
     # lie far off track: after an unsteered i.i.d. prefix, one of these 12
-    # mean-square laws (gauss_mean about (-3.02, 22.5)) is tabulated too
-    # coarsely for the 1e-5 bound that drawn runs meet
+    # mean-square laws (gauss_mean about (-3.02, 22.5)) read 8.9e-5 on a
+    # uniform 2001-point grid; knots placed by curvature meet the 1e-5 bound
+    # that drawn runs meet
     model = rs.builtin_model("gaussian-mean-and-square")
     gauss_mean, beta = random_step_laws(model, "uniform-step", 12, np.random.default_rng(223))
     assert len(gauss_mean) == 12
-    assert np.all(step_sampler_tvs(model, gauss_mean, beta) < 1e-5)
+    assert np.all(step_grid_errors(model, gauss_mean, beta)[0] < 1e-5)
+
+
+def test_knots_without_curvature_are_uniform():
+    # a flat density has no curvature to place knots by, and a linear one
+    # only rounding noise: both get finite, strictly increasing knots that
+    # span the window, uniform for the flat one
+    windows = np.array([[0.0, 1.0], [0.0, 1.0]])
+    log_h = [lambda ys: np.zeros_like(ys), np.log1p]
+    grid = pathgen._build_grid_density(
+        lambda rows, ys: np.stack([log_h[j](y) for j, y in zip(rows, ys)]), windows,
+        [None, None], trim=False)
+    assert grid.x.shape == (2, pathgen._KNOTS)
+    assert np.all(np.isfinite(grid.x)) and np.all(np.diff(grid.x, axis=-1) > 0)
+    assert np.array_equal(grid.x[:, [0, -1]], windows)
+    np.testing.assert_allclose(grid.x[0], np.linspace(0.0, 1.0, pathgen._KNOTS), atol=1e-15)
 
 
 def test_step_poly_fn_must_return_stacked_coefficients():
@@ -497,17 +436,6 @@ def test_grid_density_sampling_is_exact():
     assert total == pytest.approx(1.0, abs=1e-7)
 
 
-@pytest.mark.parametrize("points", [1001, 2001, 4001])
-def test_uniform_grid_integrals_match_scipy(points):
-    from scipy.integrate import simpson
-
-    xs = np.linspace(-2.7, 5.3, points)
-    f = np.exp(-0.5 * (xs - 0.4) ** 2 / 1.7) * (1.0 + 0.3 * np.sin(3.0 * xs))
-    trap, simp = pathgen._trapezoid_simpson(f, (xs[-1] - xs[0]) / (points - 1))
-    assert trap == pytest.approx(float(np.trapezoid(f, xs)), rel=1e-12)
-    assert simp == pytest.approx(float(simpson(f, x=xs)), rel=1e-12)
-
-
 def test_generic_d2_step_rejected():
     # the grid step serves d = 1 models; gaussian-identity ones use gaussian_step
     gaussian = rs.builtin_model("gaussian-mean", mu=0.0, sigma=1.0, d=2)
@@ -668,13 +596,6 @@ GRID_CASES = [("exponential-mean", [0.8, 2.0], [-0.5]),
               ("gaussian-mean-and-square", [0.1, 0.5], [0.5, 0.2])]
 
 
-def grid_targets(family, lo_hi, count, gen):
-    a = gen.uniform(*lo_hi, size=count)
-    if family == "exponential-mean":
-        return a[:, None]
-    return np.stack([0.6 * a - 0.2, (0.6 * a - 0.2) ** 2 + a + 0.4], axis=-1)
-
-
 @pytest.mark.parametrize("newton", [False, True], ids=["closed-form", "newton"])
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
 @pytest.mark.parametrize("family,lo_hi,unattainable", GRID_CASES, ids=["expo", "mean-square"])
@@ -788,10 +709,9 @@ def test_grid_stack_working_set_per_run():
 
 
 def test_exponential_stack_working_set_per_run():
-    # exponential-mean steps peak at the y = 0 edge and refine to 16,001
-    # points; refined rows are tabulated a few at a time in the stack's
-    # buffers, so a 30-run stack peaks at about 63 kB per run (643 kB when
-    # every refined row of a step was tabulated at once)
+    # exponential-mean steps peak at the y = 0 edge, and are tabulated on
+    # the same knot count as every other grid step, in the stack's buffers
+    # (643 kB per run when they refined to 16,001 points, all rows at once)
     model = rs.builtin_model("exponential-mean")
     L = 30
     rngs = [replicate_rng(7, l) for l in range(L)]
@@ -844,9 +764,12 @@ def test_grid_density_stack_equals_rows():
     log_f = -0.5 * (x - gen.uniform(-1.0, 1.0, (R, 1))) ** 2 + 0.1 * np.sin(5.0 * x)
     stack = GridDensity1D(x, log_f)
     rows = [GridDensity1D(x[j], log_f[j]) for j in range(R)]
-    draws = stack.sample([np.random.default_rng(j) for j in range(R)])
+    draws, drawn_dens = stack.draw([np.random.default_rng(j) for j in range(R)])
     probe = x[:, 0] + np.array([-0.1, 0.0, 0.3, 1.7, 2.0, 2.5])  # two outside the grids
     dens = stack.logpdf(probe)
+    # a draw's log-density, read in the cell the draw was found in, is the
+    # one logpdf finds by searching
+    np.testing.assert_allclose(drawn_dens, stack.logpdf(draws), rtol=1e-14, atol=0.0)
     for j, row in enumerate(rows):
         assert draws[j] == row.sample(np.random.default_rng(j))
         assert dens[j] == row.logpdf(probe[j])
