@@ -2,9 +2,10 @@
 """Brute-force Monte Carlo reference for the two-constraint smoke problem.
 
 Estimates P( mean(X) >= 0.2 and mean(X^2) in [1.0, 1.4] ) for n = 100 i.i.d.
-standard normal X, from 10^7 independent runs.  The resulting value and its
-standard error are frozen into tests/test_acceptance.py; rerun this script to
-regenerate them.
+standard normal X, from 10^7 independent runs.  The benchmark's
+raresum_bench/oracles.py cites the resulting value as MEAN_SQUARE_REF; rerun
+this script to regenerate it.  The tests use the exact value instead
+(tests/helpers.py, mean_square_probability: 1.374430e-2).
 """
 
 import numpy as np

@@ -1,12 +1,16 @@
 """Estimators: the adaptive scheme, the state-independent tilted baseline,
 and naive Monte Carlo, with shared reporting and weight diagnostics.
 
-The adaptive estimator pairs every replicate's weight with the density it
-was actually drawn from: replicate l draws a conditioning point v_l, then a
-run under the v_l-conditioned scheme, and weighs it by p/g_{v_l} times the
-hit indicator.  Since E[p(Y)/g_v(Y) 1_E(Y)] under g_v equals P(E) for every
-v, the estimator is unbiased for any distribution of conditioning points
-supported inside the region; chain quality only affects variance.
+All three draw replicate l's run toward a conditioning point v_l and weigh
+a hit by p/g, g the exact density of that run (pathgen.walk_runs).  The
+adaptive scheme draws the v_l from a chain in the region and runs with a
+split index k >= 1; the baselines are runs with k = 0, every point i.i.d.
+from the tilted law with mean v_l: the dominating point (tilted-iid) or the
+unconditioned mean, where the tilted law is the base law (naive).  Paired
+weighting divides by g_{v_l}; since E[p(Y)/g_v(Y) 1_E(Y)] under g_v equals
+P(E) for every v, the estimate is unbiased for any law of conditioning
+points supported inside the region, and chain quality only affects
+variance.  `_estimate` scores every scheme in the same blocks of runs.
 """
 
 from __future__ import annotations
@@ -14,22 +18,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
-from .model import ModelSpec
-from .pathgen import (
-    PathConfig,
-    base_sampler,
-    engine_errors,
-    mixture_logdensity,
-    tilted_tail_sampler,
-    walk_runs,
-)
-from .region import ProductRegion, contains
+from .model import ModelSpec, mean_map
+from .pathgen import PathConfig, engine_errors, mixture_logdensity, walk_blocks, walk_runs
+from .region import ProductRegion, contains_rows
 from .tilt import dominating_point
 from .utils import chain_rng, derive_seed, fmt_float, replicate_rng
 
@@ -100,29 +98,6 @@ class EstimateReport:
         return hit_share, mass_share
 
 
-def _finalize(scheme, model, n, k, L, seed, weights, hits, aborted,
-              path_mean, v, wall, chain=None) -> EstimateReport:
-    weights = np.asarray(weights, dtype=float)
-    p_hat = float(np.mean(weights))
-    std_error = float(np.std(weights, ddof=1) / math.sqrt(L))
-    relative_error = std_error / p_hat if p_hat > 0 else math.nan
-    nonzero = weights[weights > 0]
-    if nonzero.size >= 2:
-        weight_cv = float(np.std(nonzero, ddof=1) / np.mean(nonzero))
-    else:
-        weight_cv = math.nan
-    details = ReplicateDetails(weights=weights, hits=np.asarray(hits, bool),
-                               aborted=np.asarray(aborted, bool),
-                               path_mean=np.asarray(path_mean, dtype=float),
-                               v=None if v is None else np.asarray(v, dtype=float))
-    return EstimateReport(
-        scheme=scheme, n=n, k=k, d=model.d, s=model.s, L=L, seed=seed,
-        p_hat=p_hat, std_error=std_error, relative_error=relative_error,
-        weight_cv=weight_cv, hit_rate=float(np.mean(np.asarray(hits, dtype=float))),
-        aborts=int(np.sum(aborted)), wall_time=wall, details=details, chain=chain,
-    )
-
-
 def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
                  scheme: str, path_config: Optional[PathConfig] = None,
                  chain_config: Optional[MeanChainConfig] = None,
@@ -158,33 +133,66 @@ def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
     return errors
 
 
-def _check_point(*args, **kwargs) -> None:
+def _check_point(*args, threads: int = 1, **kwargs) -> None:
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     errors = point_errors(*args, **kwargs)
     if errors:
         raise ConfigurationError(errors[0])
 
 
-def _adaptive_batch(model, region, n, k, variant, weighting, vs, seed, indices):
-    """Weights, hits, aborts and final means of the replicates `indices`,
-    replicate l's run drawn with the generator replicate_rng(seed, l).
-    Each value depends only on its replicate's index, so any split of the
-    indices (--threads) gives the same numbers."""
-    points, head, tail, log_p, _ = walk_runs(model, vs[indices], n, k, variant,
-                                             rngs=[replicate_rng(seed, l) for l in indices])
+def _score_block(model, region, n, k, variant, weighting, vs, seed, block):
+    """Weights, hits, aborts and final means of the replicates in the slice
+    `block`: replicate l's run is drawn toward vs[l] with the generator
+    replicate_rng(seed, l), and a hit weighs exp(log p - log g).  Each
+    value depends only on its replicate's index, so any cut of the
+    replicates into blocks (--threads) gives the same numbers."""
+    points, head, tail, log_p, _ = walk_runs(
+        model, vs[block], n, k, variant,
+        rngs=(replicate_rng(seed, l) for l in range(block.start, block.stop)))
+    R = len(points)
     log_g = head + tail
     aborted = ~np.isfinite(log_g)
-    out_w = np.zeros(len(indices))
-    out_hit = np.zeros(len(indices), dtype=bool)
-    out_mean = np.zeros((len(indices), model.s))
-    for j in np.flatnonzero(~aborted):
-        out_mean[j] = np.cumsum(model.statistic(points[j]), axis=0)[-1] / n
-        out_hit[j] = contains(region, out_mean[j])
-    hits = np.flatnonzero(out_hit)
-    if weighting == "mixture" and hits.size:
+    stat = np.asarray(model.statistic(points.reshape(R * n, model.d)), dtype=float)
+    means = np.sum(stat.reshape(R, n, model.s), axis=1) / n
+    means[aborted] = 0.0
+    hits = contains_rows(region, means) & ~aborted
+    if weighting == "mixture" and hits.any():
         log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
-    for j in hits:
-        out_w[j] = math.exp(log_p[j] - log_g[j])
-    return out_w, out_hit, aborted, out_mean
+    weights = np.zeros(R)
+    weights[hits] = [math.exp(x) for x in (log_p - log_g)[hits]]
+    return weights, hits, aborted, means
+
+
+def _estimate(scheme, model, region, n, k, vs, seed, threads, start,
+              variant="uniform-step", weighting="paired", chain=None) -> EstimateReport:
+    """The report of runs with split index k toward the conditioning points
+    vs (L, s), scored block by block (_score_block) over walk_blocks, in a
+    pool of `threads` worker processes when threads > 1."""
+    L = len(vs)
+    score = partial(_score_block, model, region, n, k, variant, weighting, vs, seed)
+    blocks = walk_blocks(model, L, n, k, parts=1 if threads == 1 else 4 * threads)
+    if threads > 1:
+        # imported here: the process pool costs a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(score, blocks))
+    else:
+        parts = [score(b) for b in blocks]
+    weights, hits, aborted, means = (np.concatenate(a) for a in zip(*parts))
+    p_hat = float(np.mean(weights))
+    std_error = float(np.std(weights, ddof=1) / math.sqrt(L))
+    nonzero = weights[weights > 0]
+    return EstimateReport(
+        scheme=scheme, n=n, k=k, d=model.d, s=model.s, L=L, seed=seed, p_hat=p_hat,
+        std_error=std_error, relative_error=std_error / p_hat if p_hat > 0 else math.nan,
+        weight_cv=(float(np.std(nonzero, ddof=1) / np.mean(nonzero)) if nonzero.size >= 2
+                   else math.nan),
+        hit_rate=float(np.mean(hits)), aborts=int(np.sum(aborted)),
+        wall_time=time.perf_counter() - start, chain=chain,
+        details=ReplicateDetails(weights, hits, aborted, means,
+                                 vs if scheme == "adaptive" else None))
 
 
 def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
@@ -201,85 +209,34 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     centred when the region has several well-separated components.
     """
     start = time.perf_counter()
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     path_config = path_config or PathConfig()
     chain_config = chain_config or MeanChainConfig()
-    _check_point(model, region, n, L, "adaptive", path_config, chain_config, weighting)
-    k = path_config.resolve_k(n)
-
+    _check_point(model, region, n, L, "adaptive", path_config, chain_config, weighting,
+                 threads=threads)
     vs, chain_diag = run_chain(model, region, n, chain_config, count=L,
                                rng=chain_rng(seed))
-
-    indices = list(range(L))
-    if threads > 1:
-        # imported here: the process pool costs a tenth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = _split(indices, threads * 4)
-        results = [None] * len(chunks)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_adaptive_batch, model, region, n, k,
-                            path_config.variant, weighting, vs, seed, chunk): ci
-                for ci, chunk in enumerate(chunks)
-            }
-            for fut, ci in futures.items():
-                results[ci] = fut.result()
-        weights, hits, aborted, path_mean = (np.concatenate(parts) for parts in zip(*results))
-    else:
-        weights, hits, aborted, path_mean = _adaptive_batch(
-            model, region, n, k, path_config.variant, weighting, vs, seed, indices)
-
-    wall = time.perf_counter() - start
-    return _finalize("adaptive", model, n, k, L, seed, weights, hits,
-                     aborted, path_mean, vs, wall, chain=chain_diag)
-
-
-def _split(indices, parts):
-    parts = max(1, min(parts, len(indices)))
-    return [list(c) for c in np.array_split(np.asarray(indices), parts) if len(c)]
-
-
-def _iid_estimate(scheme, model, region, n, L, seed, start, sampler, hit_weight):
-    """Replicates of n i.i.d. draws from `sampler`; one whose mean of u lands
-    in the region scores hit_weight(total of u)."""
-    weights = np.zeros(L)
-    hits = np.zeros(L, dtype=bool)
-    path_mean = np.zeros((L, model.s))
-    for l in range(L):
-        rng = replicate_rng(seed, l)
-        pts = np.atleast_2d(np.asarray(sampler.sample(rng, size=n), dtype=float))
-        total = np.asarray(model.statistic(pts), dtype=float).sum(axis=0)
-        path_mean[l] = total / n
-        if contains(region, path_mean[l]):
-            hits[l] = True
-            weights[l] = hit_weight(total)
-    wall = time.perf_counter() - start
-    return _finalize(scheme, model, n, 0, L, seed, weights, hits,
-                     np.zeros(L, dtype=bool), path_mean, None, wall)
+    return _estimate("adaptive", model, region, n, path_config.resolve_k(n), vs, seed,
+                     threads, start, path_config.variant, weighting, chain=chain_diag)
 
 
 def tilted_iid_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
-                        seed: int = 0) -> EstimateReport:
-    """State-independent baseline: every point i.i.d. from the tilted law
-    anchored at the region's dominating point."""
+                        seed: int = 0, threads: int = 1) -> EstimateReport:
+    """State-independent baseline: runs with k = 0 toward the region's
+    dominating point, every point i.i.d. from the tilted law with that mean."""
     start = time.perf_counter()
-    _check_point(model, region, n, L, "tilted-iid")
-    sampler = tilted_tail_sampler(model, dominating_point(model, region))
-    return _iid_estimate(
-        "tilted-iid", model, region, n, L, seed, start, sampler,
-        lambda total: math.exp(n * sampler.log_phi - float(sampler.t @ total)))
+    _check_point(model, region, n, L, "tilted-iid", threads=threads)
+    vs = np.tile(dominating_point(model, region), (L, 1))
+    return _estimate("tilted-iid", model, region, n, 0, vs, seed, threads, start)
 
 
 def naive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
-                   seed: int = 0) -> EstimateReport:
-    """Plain Monte Carlo indicator average under the base density."""
+                   seed: int = 0, threads: int = 1) -> EstimateReport:
+    """Plain Monte Carlo: runs with k = 0 toward the unconditioned mean, so
+    every point is drawn from the base law and every hit weighs 1."""
     start = time.perf_counter()
-    _check_point(model, region, n, L, "naive")
-    # every hit weighs exactly 1; exp(n K(0)) may round away from it
-    return _iid_estimate("naive", model, region, n, L, seed, start,
-                         base_sampler(model), lambda total: 1.0)
+    _check_point(model, region, n, L, "naive", threads=threads)
+    vs = np.tile(mean_map(model, np.zeros(model.s)), (L, 1))
+    return _estimate("naive", model, region, n, 0, vs, seed, threads, start)
 
 
 def run_point(model: ModelSpec, region: ProductRegion, n: int, L: int,
@@ -298,9 +255,9 @@ def run_point(model: ModelSpec, region: ProductRegion, n: int, L: int,
         return adaptive_estimate(model, region, n, L, path_config, chain_config,
                                  seed=s_seed, threads=threads, weighting=weighting)
     if scheme == "tilted-iid":
-        return tilted_iid_estimate(model, region, n, L, seed=s_seed)
+        return tilted_iid_estimate(model, region, n, L, seed=s_seed, threads=threads)
     if scheme == "naive":
-        return naive_estimate(model, region, n, L, seed=s_seed)
+        return naive_estimate(model, region, n, L, seed=s_seed, threads=threads)
     raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 

@@ -5,6 +5,7 @@ from a density proportional to a Gaussian factor in u(y) times the base
 density p_X(y); the factor is re-centred after every draw so the running
 statistic is steered toward the conditioning point v.  The remaining n - k
 points are i.i.d. draws from the tilted density whose mean closes the gap.
+With k = 0 every point is tilted toward v: the state-independent baseline.
 
 `walk_runs` draws a stack of runs, or scores given ones, for any model, and
 is the one place that picks an engine.  For a model with
@@ -13,23 +14,23 @@ Gaussian law (`gaussian_step`), and no tilt is solved: `_draw_gaussian_points`
 draws runs from pre-drawn normals, and `_gaussian_quadratic` writes their
 log-densities as quadratics in the conditioning point, read at each run's
 own point (paired) or at every point of a set (`mixture_logdensity`).
-Any other model must have d = 1.  Its step density is tabulated on a grid
-and sampled by inverse CDF; the recorded log-density is the exact density
-of that tabulated sampler, so importance weights stay unbiased.  The grid
-walker (`_grid_paths`) advances a stack of runs one step at a time, each
-with its own conditioning point, prefix and generator.  At every step it
-builds the step laws of all live runs together (`_step_laws`: one tilt
-solve for the stack, then one (runs x knots) tabulation in buffers the
-walk keeps), and the tilted laws of the tail with one tilt solve too; it
-either draws the runs or evaluates given points under the same laws, so
-sampling and the density cannot drift apart.  Every grid density is
-tabulated on _KNOTS knots placed by the curvature of a pilot pass.  A
-model with `step_poly_fn` (every built-in grid family) gives each step's
-log-density as a polynomial in y: the window is its WINDOW_NATS level
-set, and each pass one Horner pass.  Other models tabulate the
-statistic's whitened Gaussian factor on a trimmed window.  A tabulated
-density (`GridDensity1D`) keeps cell masses and block ends rather than a
-CDF, and finds a draw's cell, where its log-density is read, by a
+Any other model needs d = 1 for head steps.  Its step density is tabulated
+on a grid and sampled by inverse CDF; the recorded log-density is the exact
+density of that tabulated sampler, so importance weights stay unbiased.
+The grid walker (`_grid_paths`) advances a stack of runs one step at a
+time, each with its own conditioning point, prefix and generator.  At every
+step it builds the step laws of all live runs together (`_step_laws`: one
+tilt solve for the stack, then one (runs x knots) tabulation in buffers the
+walk keeps), and the tail's tilted laws with one tilt solve too, one law
+per distinct target; it either draws the runs or evaluates given points
+under the same laws, so sampling and the density cannot drift apart.  Every
+grid density is tabulated on _KNOTS knots placed by the curvature of a
+pilot pass.  A model with `step_poly_fn` (every built-in grid family) gives
+each step's log-density as a polynomial in y: the window is its
+WINDOW_NATS level set, and each pass one Horner pass.  Other models
+tabulate the statistic's whitened Gaussian factor on a trimmed window.  A
+tabulated density (`GridDensity1D`) keeps cell masses and block ends rather
+than a CDF, and finds a draw's cell, where its log-density is read, by a
 two-level search.  A run whose tilt or grid fails drops out with its step
 and reason.  A run's numbers never depend on its stack: `sample_path`,
 `path_logdensity` and `step_params` are the batches of one.
@@ -39,12 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
-from .model import ModelSpec, mean_map
+from .model import ModelSpec
 from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -687,12 +689,6 @@ def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
     return TiltedDensity(model, solve_tilt(model, m_k))
 
 
-def base_sampler(model: ModelSpec) -> TiltedDensity:
-    """The base density p_X itself, as the zero-tilt member of the family."""
-    mu = mean_map(model, np.zeros(model.s))
-    return tilted_tail_sampler(model, mu)
-
-
 # ---------------------------------------------------------------------------
 # Whole runs.
 # ---------------------------------------------------------------------------
@@ -744,73 +740,96 @@ def sample_path(model: ModelSpec, v, n: int, k: int, rng,
                       log_g_tail=dens.log_g_tail)
 
 
-def engine_errors(model: ModelSpec, mixture: bool = False) -> list[str]:
-    """Why walk_runs (and, with `mixture`, mixture_logdensity) cannot serve
-    `model`: nothing for a model with gauss_identity_params; the grid walker
-    serves other models of d = 1, with no mixture density."""
+def engine_errors(model: ModelSpec, k: int = 1, mixture: bool = False) -> list[str]:
+    """Why walk_runs with split index k (and, with `mixture`,
+    mixture_logdensity) cannot serve `model`: nothing for a model with
+    gauss_identity_params; the grid walker's head steps (k >= 1) serve other
+    models of d = 1 only, and it has no mixture density."""
     if model.gauss_identity_params is not None:
         return []
-    errors = [] if model.d == 1 else ["runs of a model without gauss_identity_params need d = 1"]
+    errors = [] if model.d == 1 or k == 0 else [
+        "runs of a model without gauss_identity_params need d = 1"]
     if mixture:
         errors.append("mixture weighting needs a model with gauss_identity_params")
     return errors
 
 
+def walk_blocks(model: ModelSpec, count: int, n: int, k: int, parts: int = 1) -> list[slice]:
+    """Slices covering range(count), at least `parts` of them where count
+    allows: the stacks in which walk_runs walks runs with split index k.
+    Grid steps (k >= 1) size a stack by the working set of one step of one
+    run (_grid_row_elements) against _GRID_STACK_ELEMENTS, 65 mean-square
+    runs; other runs by their points against _BLOCK_ELEMENTS."""
+    if model.gauss_identity_params is not None or k == 0:
+        return _blocks(count, n * model.d, parts=parts)
+    return _blocks(count, _grid_row_elements(model), _GRID_STACK_ELEMENTS, parts)
+
+
 def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step",
               rngs=None, points=None):
     """Runs conditioned toward the rows of V (R, s): run j drawn with the
-    generator rngs[j], or, with `points` (R, n, d) given, those points
-    evaluated.  Returns points (R, n, d), head, tail and base log-densities
-    (R,) and aborts, a list with the PathAbort of each run that had to be
-    abandoned (None for the others), whose densities are NaN.
+    j-th generator of the iterable rngs, or, with `points` (R, n, d) given,
+    those points evaluated.  Returns points (R, n, d), head, tail and base
+    log-densities (R,) and aborts, a list with the PathAbort of each run
+    that had to be abandoned (None for the others), whose densities are NaN.
 
     A model with gauss_identity_params gets the closed-form Gaussian engine,
-    a run drawn from its generator's normals, in blocks of _BLOCK_ELEMENTS
-    values; any other d = 1 model the grid walker (_grid_paths), in stacks
-    sized by the working set of one step of one run (_grid_row_elements)
-    against _GRID_STACK_ELEMENTS, which holds 65 mean-square runs.  A run's
-    numbers do not depend on the other runs, nor on the blocks.
+    a run drawn from its generator's normals; any other model the grid
+    walker (_grid_paths).  Either walks the runs in the stacks of
+    walk_blocks.  A run's numbers do not depend on the other runs, nor on
+    the stacks.  With k = 0 a run is n i.i.d. points from the tilted law
+    with mean its conditioning point: the state-independent baseline at the
+    dominating point, or the base law itself at mean_map(model, 0).
     """
-    errors = engine_errors(model)
+    errors = engine_errors(model, k)
     if errors:
         raise ConfigurationError(errors[0])
     V = np.asarray(V, dtype=float)
     points = None if points is None else np.asarray(points, dtype=float)
+    rngs = iter(() if rngs is None else rngs)
     gaussian = model.gauss_identity_params is not None
     parts = []
-    for b in (_blocks(len(V), n * model.d) if gaussian else
-              _blocks(len(V), _grid_row_elements(model), _GRID_STACK_ELEMENTS)):
+    for b in walk_blocks(model, len(V), n, k):
         given = None if points is None else points[b]
         if not gaussian:
-            parts.append(_grid_paths(model, V[b], n, k, variant,
-                                     rngs=None if rngs is None else rngs[b], points=given))
+            parts.append(_grid_paths(model, V[b], n, k, variant, points=given,
+                                     rngs=list(islice(rngs, b.stop - b.start))))
             continue
         if given is None:
-            z = np.stack([g.standard_normal((n, model.d)) for g in rngs[b]])
-            given = _draw_gaussian_points(model, V[b], z, n, k, variant)
+            given = np.empty((b.stop - b.start, n, model.d))
+            for row, g in zip(given, rngs):  # each generator is dropped once it has drawn
+                g.standard_normal(out=row)
+            given = _draw_gaussian_points(model, V[b], given, n, k, variant)
         head, tail, _, _ = _gaussian_quadratic(model, given, V[b], n, k, variant)
-        log_p = np.array([float(np.sum(model.log_density_x(p))) for p in given])
-        parts.append((given, head, tail, log_p, [None] * len(given)))
+        parts.append((given, head, tail, _summed_logpdf(model.log_density_x, given),
+                      [None] * len(given)))
     if len(parts) == 1:
         return parts[0]
     *arrays, aborts = zip(*parts)
     return (*(np.concatenate(a) for a in arrays), [a for part in aborts for a in part])
 
 
+def _summed_logpdf(logpdf, points):
+    """Summed log-densities (R,) of the runs points (R, m, d) under logpdf,
+    from one call on their stack; each run's sum is that of its own points."""
+    R, m, d = points.shape
+    return np.sum(np.reshape(logpdf(points.reshape(R * m, d)), (R, m)), axis=-1)
+
+
 def _draw_gaussian_points(model, V, Z, n, k, variant):
     """Gaussian-identity runs (L, n, s), run l conditioned toward V[l] and
-    driven by the standard normals Z[l] (n, s): k head steps from
-    gaussian_step, then n - k i.i.d. N(m_k, sigma^2) points.  Each point is
-    mean + sd * z, exactly what rng.normal(mean, sd) returns for the same z."""
-    points = np.empty_like(Z)
+    driven by the standard normals Z[l] (n, s), which the points overwrite:
+    k head steps from gaussian_step, then n - k i.i.d. N(m_k, sigma^2)
+    points.  Each point is mean + sd * z, exactly what rng.normal(mean, sd)
+    returns for the same z."""
     u_run = np.zeros_like(V)
     for i in range(k):
         mean, var = gaussian_step(model, V, u_run, i, n, variant)
-        points[:, i] = mean + np.sqrt(var) * Z[:, i]
-        u_run = u_run + points[:, i]
-    tail_mean = _remaining_mean(V, u_run, k, n)
-    points[:, k:] = tail_mean[:, None, :] + np.sqrt(model.gauss_identity_params[1]) * Z[:, k:]
-    return points
+        Z[:, i] = mean + np.sqrt(var) * Z[:, i]
+        u_run = u_run + Z[:, i]
+    Z[:, k:] *= np.sqrt(model.gauss_identity_params[1])
+    Z[:, k:] += _remaining_mean(V, u_run, k, n)[:, None, :]
+    return Z
 
 
 def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
@@ -861,32 +880,41 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
     if live.size:
         m_k = _remaining_mean(V[live], u_run[live], k, n)
         _, tail[live] = _tilted_points(model, m_k, t_warm[live], live, k, n, points, rngs, aborts)
-    for j in live:
-        if aborts[j] is None:
-            log_p[j] = float(np.sum(model.log_density_x(points[j])))
+    done = np.array([j for j in live if aborts[j] is None], dtype=int)
+    if done.size:
+        log_p[done] = _summed_logpdf(model.log_density_x, points[done])
     head[[j for j in range(R) if aborts[j] is not None]] = np.nan
     return points, head, tail, log_p, aborts
 
 
 def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
     """Points a..b-1 of the runs `runs`, i.i.d. from the tilted laws with
-    means the rows of A, their tilts from one solve_tilts call warm-started
-    from T0: drawn from run j's law with the generator rngs[j] (rngs None:
-    the points as given) and scored.  Returns the tilts and each run's
-    summed log-density, NaN for a run whose law cannot be built, which gets
-    a PathAbort at step a."""
-    tilts = solve_tilts(model, A, T0=T0)
+    means the rows of A, warm-started from T0 (None or NaN rows: cold): one
+    law for each distinct pair of target and warm start, their tilts from
+    one solve_tilts call.  Run j's points are drawn from its law with the
+    generator rngs[j] (rngs None: the points as given) and scored.  Returns
+    each run's tilt and summed log-density, NaN for a run whose law cannot
+    be built, which gets a PathAbort at step a."""
+    T0 = np.full_like(A, np.nan) if T0 is None else T0
+    keys = [row.tobytes() for row in np.concatenate((A, T0), axis=1)]
+    slot = {key: u for u, key in enumerate(dict.fromkeys(keys))}
+    which = np.array([slot[key] for key in keys])
+    first = np.unique(which, return_index=True)[1]
+    tilts = solve_tilts(model, A[first], T0=T0[first])
     log_g = np.full(len(runs), np.nan)
-    for r, j in enumerate(runs):
+    for u in range(len(first)):
+        group = np.flatnonzero(which == u)
         try:
-            law = TiltedDensity(model, tilts.solution(r))
+            law = TiltedDensity(model, tilts.solution(u))
         except (SteepnessError, NumericError) as exc:
-            aborts[j] = PathAbort(a, str(exc))
+            for j in runs[group]:
+                aborts[j] = PathAbort(a, str(exc))
             continue
         if rngs is not None:
-            points[j, a:b] = law.sample(rngs[j], size=b - a)
-        log_g[r] = float(np.sum(law.logpdf(points[j, a:b])))
-    return tilts.t, log_g
+            for j in runs[group]:
+                points[j, a:b] = law.sample(rngs[j], size=b - a)
+        log_g[group] = _summed_logpdf(law.logpdf, points[runs[group], a:b])
+    return tilts.t[which], log_g
 
 
 def _grid_row_elements(model: ModelSpec) -> int:
@@ -918,7 +946,7 @@ def _gaussian_quadratic(model, P, V0, n, k, variant):
     do not depend on it.  A run's numbers depend on that run alone."""
     sigma2 = model.gauss_identity_params[1]
     u_run = np.zeros((P.shape[0], model.s))
-    head, b, q = 0.0, 0.0, 0.0
+    head, b, q = np.zeros(P.shape[0]), 0.0, 0.0
     for i in range(k):
         mean, var = gaussian_step(model, V0, u_run, i, n, variant)
         slope = gaussian_step(model, 1.0, 0.0, i, n, variant)[0].item()
@@ -928,19 +956,22 @@ def _gaussian_quadratic(model, P, V0, n, k, variant):
         q = q + slope * slope / var
         u_run = u_run + P[:, i]
     dev = P[:, k:] - _remaining_mean(V0, u_run, k, n)[:, None]
-    tail = np.sum(-0.5 * np.sum(dev * dev / sigma2 + np.log(2.0 * np.pi * sigma2), axis=-1),
-                  axis=-1)
     slope = _remaining_mean(1.0, 0.0, k, n)
     b = b + slope * (np.sum(dev, axis=1) / sigma2)
     q = q + (n - k) * slope * slope / sigma2
+    np.square(dev, out=dev)  # in place, to the bits of dev * dev / sigma2 + log(2 pi sigma2)
+    dev /= sigma2
+    dev += np.log(2.0 * np.pi * sigma2)
+    per_point = np.sum(dev, axis=-1)
+    tail = np.sum(np.multiply(per_point, -0.5, out=per_point), axis=-1)
     return head, tail, b, q
 
 
-def _blocks(count, per_item, budget=_BLOCK_ELEMENTS):
+def _blocks(count, per_item, budget=_BLOCK_ELEMENTS, parts=1):
     """Slices covering range(count), each of at most budget / per_item items
-    (and at least one)."""
-    size = max(1, budget // per_item)
-    return [slice(a, a + size) for a in range(0, count, size)]
+    (and at least one), and at least `parts` of them where count allows."""
+    size = max(1, min(budget // per_item, -(-count // parts)))
+    return [slice(a, min(a + size, count)) for a in range(0, count, size)]
 
 
 def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
@@ -952,7 +983,7 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
     value at a single v is path_logdensity's log_g.
     """
-    errors = engine_errors(model, mixture=True)
+    errors = engine_errors(model, k, mixture=True)
     if errors:
         raise ConfigurationError(errors[-1])
     y = np.asarray(points, dtype=float)  # u = identity

@@ -164,6 +164,15 @@ def contains(region: ProductRegion, v) -> bool:
     return True
 
 
+def contains_rows(region: ProductRegion, V) -> np.ndarray:
+    """contains for every row of the array V (R, s), as a bool array (R,)."""
+    inside = np.ones(len(V), dtype=bool)
+    for c, x in zip(region.components, V.T):
+        inside &= np.any([(iv.lower <= x) & (x <= iv.upper) & ((x != iv.lower) | iv.lower_closed)
+                          & ((x != iv.upper) | iv.upper_closed) for iv in c.intervals], axis=0)
+    return inside
+
+
 def clamp_distance(region: ProductRegion, v) -> float:
     """Euclidean distance from v to the region (0 inside).
 

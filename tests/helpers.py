@@ -5,7 +5,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gamma, multivariate_normal, norm
+from scipy.integrate import quad
+from scipy.stats import chi2, gamma, multivariate_normal, norm
 
 from raresum import pathgen
 from raresum.config import load_config
@@ -19,6 +20,31 @@ P_ONE_DIM = float(norm.sf(2.3) + norm.cdf(-3.3))
 NEGATIVE_SPLIT = float(norm.cdf(-3.3) / (norm.cdf(-3.3) + norm.cdf(-2.3)))
 # P(mean >= 1.5) for 100 i.i.d. Exp(1): their sum is Gamma(100, 1).
 P_EXPO_MEAN = float(gamma(100).sf(150.0))
+
+
+def mean_square_probability(region, n, mu=0.0, sigma=1.0):
+    """P(mean in region.components[0], mean square in region.components[1])
+    for n i.i.d. N(mu, sigma^2), exactly.  By Cochran's theorem the sample
+    mean x ~ N(mu, sigma^2 / n) is independent of S = sum (x_i - x)^2 ~
+    sigma^2 chi^2_{n-1}, and the mean square is x^2 + S / n; so P is a 1-d
+    integral over the mean's intervals of the normal density times a chi^2
+    mass, taken by quad to 1e-12 relative."""
+    sd = sigma / math.sqrt(n)
+    chi = chi2(n - 1)
+    total = 0.0
+    for square in region.components[1].intervals:
+        lo, hi = max(square.lower, 0.0), square.upper
+
+        def mass(x):
+            top, bottom = (max(n * (b - x * x) / sigma**2, 0.0) for b in (hi, lo))
+            return norm.pdf(x, mu, sd) * (chi.cdf(top) - chi.cdf(bottom))
+
+        edge = math.sqrt(hi)  # no mass where x^2 > hi
+        for mean in region.components[0].intervals:
+            a, b = max(mean.lower, -edge), min(mean.upper, edge)
+            if a < b:
+                total += quad(mass, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return total
 
 
 def conditional_head_oracle(n, k, v, sigma=1.0):

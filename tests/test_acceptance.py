@@ -1,8 +1,7 @@
 """Acceptance suite: one test per shipped criterion, each printing a
 PASS/FAIL line.  Expected values come from independent oracles: closed-form
 normal CDF algebra, exact multivariate-normal conditioning, grid quadrature,
-and a frozen 10^7-replicate Monte Carlo reference
-(scripts/compute_mean_square_reference.py)."""
+and Cochran's theorem for the mean-and-square event."""
 
 import math
 import time
@@ -18,13 +17,9 @@ from helpers import (
     P_ONE_DIM,
     conditional_head_oracle,
     expected_weight_by_quadrature,
+    mean_square_probability,
     run_experiment_point,
 )
-
-# Frozen output of scripts/compute_mean_square_reference.py (seed 424242,
-# 10^7 replicates of the n=100 naive indicator).
-MEAN_SQUARE_REF = 1.37768e-2
-MEAN_SQUARE_REF_SE = 3.686e-5
 
 
 def report(num, name, ok):
@@ -171,11 +166,12 @@ def test_criterion_6_tilt_solver():
 
 def test_criterion_7_multi_constraint_smoke():
     rep = run_experiment_point("mean_square_smoke.cfg", None, "adaptive")
-    combined = math.hypot(rep.std_error, MEAN_SQUARE_REF_SE)
-    gap = abs(rep.p_hat - MEAN_SQUARE_REF)
+    region = rs.load_config(str(CONFIG_DIR / "mean_square_smoke.cfg")).instantiate(None)[1]
+    truth = mean_square_probability(region, rep.n)
+    gap = abs(rep.p_hat - truth)
     report(7, f"two-constraint smoke (p_hat={rep.p_hat:.4e}, "
-              f"ref={MEAN_SQUARE_REF:.4e}, gap={gap / combined:.2f} combined se, "
-              f"aborts={rep.aborts})", gap <= 4 * combined)
+              f"exact={truth:.6e}, gap={gap / rep.std_error:.2f} se, "
+              f"aborts={rep.aborts})", gap <= 4 * rep.std_error)
 
 
 def test_criterion_8_cli_determinism(tmp_path):

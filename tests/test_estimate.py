@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from raresum.errors import ConfigurationError
 from raresum.estimate import CSV_HEADER
 from raresum.pathgen import tilted_tail_sampler
 from raresum.region import Interval, IntervalUnion
-from helpers import P_EXPO_MEAN, P_ONE_DIM, expected_weight_by_quadrature
+from raresum.utils import replicate_rng
+from helpers import (P_EXPO_MEAN, P_ONE_DIM, expected_weight_by_quadrature,
+                     mean_square_probability)
 
 
 def one_sided(threshold):
@@ -253,38 +256,51 @@ MEAN_SQUARE_REGION = rs.ProductRegion((IntervalUnion((Interval(0.2, math.inf),))
                                         IntervalUnion((Interval(1.0, 1.4),))))
 
 
-@pytest.mark.parametrize("family,region,n,L,k,seed,weighting", [
-    pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "paired", id="paired"),
-    pytest.param("gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "mixture", id="mixture"),
+@pytest.mark.parametrize("scheme,family,region,n,L,k,seed,weighting", [
+    pytest.param("adaptive", "gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "paired",
+                 id="paired"),
+    pytest.param("adaptive", "gaussian-mean", one_sided(0.3), 20, 240, 10, 37, "mixture",
+                 id="mixture"),
     # both branches of three coordinates; the serial run's 99 hits are one
-    # mixture block, split over 12 chunks in parallel
-    pytest.param("gaussian-mean", rs.two_sided_region(0.28, 3), 20, 240, 10, 37, "mixture",
-                 id="mixture-d3-two-sided"),
+    # mixture block, split over 12 blocks in parallel
+    pytest.param("adaptive", "gaussian-mean", rs.two_sided_region(0.28, 3), 20, 240, 10, 37,
+                 "mixture", id="mixture-d3-two-sided"),
     # 4 of the 24 runs abort; the serial run walks them as one stack, the split
     # runs 2 at a time
-    pytest.param("gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, 34, 4, "paired",
-                 id="mean-square-paired"),
+    pytest.param("adaptive", "gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, 34, 4,
+                 "paired", id="mean-square-paired"),
+    # the baselines are runs with k = 0, cut into blocks the same way
+    pytest.param("tilted-iid", "gaussian-mean", rs.two_sided_region(0.28, 3), 20, 240, None,
+                 37, "paired", id="tilted-iid-d3-two-sided"),
+    pytest.param("naive", "gaussian-mean", rs.two_sided_region(0.28, 3), 20, 2400, None, 37,
+                 "paired", id="naive-d3-two-sided"),
+    pytest.param("tilted-iid", "gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 24, None, 4,
+                 "paired", id="tilted-iid-mean-square"),
+    pytest.param("naive", "gaussian-mean-and-square", MEAN_SQUARE_REGION, 40, 240, None, 4,
+                 "paired", id="naive-mean-square"),
 ])
-def test_threads_do_not_change_results(family, region, n, L, k, seed, weighting):
+def test_threads_do_not_change_results(scheme, family, region, n, L, k, seed, weighting):
     model = (rs.builtin_model(family, mu=0.05, sigma=1.0, d=region.s)
              if family == "gaussian-mean" else rs.builtin_model(family))
     chain = rs.MeanChainConfig(burn_in=200, thinning=2)
-    kwargs = dict(chain_config=chain, seed=seed, weighting=weighting,
+    kwargs = dict(chain_config=chain, weighting=weighting,
                   path_config=rs.PathConfig(k_mode="manual", k=k))
-    serial = rs.adaptive_estimate(model, region, n, L, threads=1, **kwargs)
-    parallel = rs.adaptive_estimate(model, region, n, L, threads=3, **kwargs)
+    serial = rs.run_point(model, region, n, L, scheme, seed, threads=1, **kwargs)
+    parallel = rs.run_point(model, region, n, L, scheme, seed, threads=3, **kwargs)
     assert serial.p_hat == parallel.p_hat
-    for field in ("weights", "hits", "aborted"):
+    for field in ("weights", "hits", "aborted", "path_mean"):
         assert np.array_equal(getattr(serial.details, field), getattr(parallel.details, field))
     assert np.any(serial.details.hits)
-    if family != "gaussian-mean":
+    if scheme == "adaptive" and family != "gaussian-mean":
         assert serial.aborts > 0
 
 
 @pytest.mark.parametrize("threads", [0, -4])
 def test_adaptive_rejects_worker_count_below_one(std_gauss, threads):
-    with pytest.raises(ConfigurationError, match="threads must be at least 1"):
-        rs.adaptive_estimate(std_gauss, rs.two_sided_region(0.28, 1), 10, 20, threads=threads)
+    # and so do the baselines, which run_point hands the same worker count
+    for estimator in (rs.adaptive_estimate, rs.tilted_iid_estimate, rs.naive_estimate):
+        with pytest.raises(ConfigurationError, match="threads must be at least 1"):
+            estimator(std_gauss, rs.two_sided_region(0.28, 1), 10, 20, threads=threads)
 
 
 def test_compare_schemes_deterministic_and_ranked(gauss_005):
@@ -325,3 +341,58 @@ def test_tilted_iid_baseline_unavailable(expo):
 def test_tail_sampler_used_by_naive_matches_base(gauss_005):
     s = tilted_tail_sampler(gauss_005, [0.05])
     assert np.max(np.abs(s.t)) < 1e-12
+
+
+def test_custom_tilted_iid_weights_are_p_over_g(expo):
+    # a model without a tilted family draws its baseline from the tabulated
+    # tilted law, so each hit weighs p over that grid's density, not the
+    # smooth closed form exp(n K(t) - <t, total>), which is 7e-6 relative
+    # away at this seed
+    custom = dataclasses.replace(expo, tilt_fn=None, third_fn=None, tilted_family=None,
+                                 step_poly_fn=None)
+    region, n, seed = one_sided(1.5), 100, 11
+    rep = rs.tilted_iid_estimate(custom, region, n, 100, seed=seed)
+    law = tilted_tail_sampler(custom, rs.dominating_point(custom, region))
+    assert np.any(rep.details.hits)
+    for l in range(100):
+        x = law.sample(replicate_rng(seed, l), size=n)
+        assert rep.details.path_mean[l, 0] == pytest.approx(np.mean(x), rel=1e-12)
+        if rep.details.hits[l]:
+            p_over_g = math.exp(np.sum(custom.log_density_x(x)) - np.sum(law.logpdf(x)))
+            assert rep.details.weights[l] == pytest.approx(p_over_g, rel=1e-12)
+
+
+def test_d2_model_without_gauss_identity_params_keeps_its_baselines():
+    # runs with k = 0 take every point from the model's tilted family, so the
+    # baselines serve a model that the adaptive scheme refuses
+    generic = dataclasses.replace(rs.builtin_model("gaussian-mean", mu=0.05, d=2),
+                                  gauss_identity_params=None)
+    region = rs.two_sided_region(0.28, 2)
+    rep = rs.tilted_iid_estimate(generic, region, 100, 400, seed=11)
+    assert rep.p_hat == pytest.approx(9.08279620412e-05, rel=1e-12)
+    assert rep.std_error == pytest.approx(1.81280279879e-05, rel=1e-12)
+    naive = rs.naive_estimate(generic, region, 100, 400, seed=11)
+    assert naive.p_hat == float(np.mean(naive.details.hits))
+    with pytest.raises(ConfigurationError, match="d = 1"):
+        rs.adaptive_estimate(generic, region, 100, 400)
+
+
+MEAN_SQUARE_EVENTS = [
+    # mean_square_smoke.cfg's event, 1.374430e-2
+    pytest.param(0.2, id="smoke"),
+    # the one-branch rung 2.625729e-5
+    pytest.param(0.4, id="rare"),
+]
+
+
+@pytest.mark.parametrize("threshold", MEAN_SQUARE_EVENTS)
+def test_mean_square_tilted_iid_matches_cochran_oracle(mean_square, threshold):
+    # P(mean >= threshold, mean square in [1.0, 1.4]) at n = 100 is exact
+    # by Cochran's theorem; each of ten seeds, fixed up front, lands within
+    # 4 standard errors of it
+    region = rs.ProductRegion((IntervalUnion((Interval(threshold, math.inf),)),
+                               IntervalUnion((Interval(1.0, 1.4),))))
+    truth = mean_square_probability(region, 100)
+    for seed in range(1, 11):
+        rep = rs.tilted_iid_estimate(mean_square, region, 100, 2000, seed=seed)
+        assert abs(rep.p_hat - truth) < 4 * rep.std_error

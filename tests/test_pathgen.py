@@ -13,7 +13,6 @@ from raresum.errors import ConfigurationError, PathAbort
 from raresum import estimate, pathgen
 from raresum.pathgen import (
     GridDensity1D,
-    base_sampler,
     gaussian_step,
     mixture_logdensity,
     select_k,
@@ -331,16 +330,19 @@ def test_two_point_run_decomposition(std_gauss):
 
 
 def test_mean_tracking_at_scale(gauss_005):
-    # the tail re-centres every run: the statistic mean is unbiased for v
+    # the tail re-centres every run: the statistic mean is unbiased for v.
+    # The runs are one stack that shares a generator, so they are the runs
+    # that sample_path calls drawing from it in turn would give
     n, k = 100, 90
     v = np.array([0.28])
     gen = np.random.default_rng(31)
-    means = np.empty(10000)
-    for i in range(len(means)):
-        path = rs.sample_path(gauss_005, v, n, k, gen)
-        means[i] = path.u_partial[-1, 0] / n
+    points = pathgen.walk_runs(gauss_005, np.tile(v, (10000, 1)), n, k, rngs=[gen] * 10000)[0]
+    means = np.sum(points[:, :, 0], axis=-1) / n
     se = means.std(ddof=1) / math.sqrt(len(means))
     assert abs(means.mean() - 0.28) < 3 * se
+    gen = np.random.default_rng(31)
+    for run in points[:20]:
+        assert np.array_equal(rs.sample_path(gauss_005, v, n, k, gen).points, run)
 
 
 def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
@@ -404,7 +406,8 @@ def test_zero_tilt_recovers_base_density(std_gauss):
 
 
 def test_base_sampler_matches_log_density(expo):
-    s = base_sampler(expo)
+    # the base law is the zero-tilt member, the law of naive's k = 0 runs
+    s = rs.tilted_tail_sampler(expo, rs.mean_map(expo, np.zeros(1)))
     x = np.array([0.9])
     assert s.logpdf(x) == pytest.approx(expo.log_density_x(x))
 
@@ -446,9 +449,10 @@ def test_generic_d2_step_rejected():
 
 
 def test_d2_model_without_gauss_identity_params_is_refused(monkeypatch):
-    # a d = 2 model without gauss_identity_params has no run engine: the
-    # estimators' checks, `raresum validate` and every run entry refuse it
-    # rather than walk coordinate 0 alone
+    # a d = 2 model without gauss_identity_params has no engine for head
+    # steps: the adaptive scheme's checks, `raresum validate` and every run
+    # entry refuse it rather than walk coordinate 0 alone (runs with k = 0
+    # serve it: test_d2_model_without_gauss_identity_params_keeps_its_baselines)
     from raresum import config
 
     generic = dataclasses.replace(rs.builtin_model("gaussian-mean", d=2),

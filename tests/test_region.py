@@ -10,6 +10,7 @@ from raresum.region import (
     Interval,
     IntervalUnion,
     component_boxes,
+    contains_rows,
     normalize_intervals,
     parse_interval_union,
 )
@@ -41,6 +42,19 @@ def test_contains_honors_endpoint_closedness():
     assert not u.contains(0.0)
     assert u.contains(1.0)
     assert u.contains(0.5)
+
+
+def test_contains_rows_matches_contains():
+    # the estimators test membership of a whole block of path means at once:
+    # open and closed endpoints, infinite bounds and NaN as contains has them
+    region = rs.ProductRegion((
+        IntervalUnion((Interval(-math.inf, -0.3, upper_closed=False), Interval(0.3, 0.5),
+                       Interval(1.0, math.inf, lower_closed=False))),
+        IntervalUnion((Interval(0.0, 1.0, lower_closed=False, upper_closed=True),)),
+    ))
+    values = [-math.inf, -0.3, -0.2, 0.0, 0.3, 0.4, 0.5, 1.0, 2.0, math.inf, math.nan]
+    V = np.array([[a, b] for a in values for b in values])
+    assert contains_rows(region, V).tolist() == [rs.contains(region, v) for v in V]
 
 
 def test_dimension_mismatch_is_usage_error():
