@@ -268,6 +268,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
             err("sweep values list must be nonempty")
         if cfg.sweep_parameter == "d" and cfg.family != "gaussian-mean":
             err("sweeping d requires the gaussian-mean family")
+    if cfg.d != 1 and cfg.family != "gaussian-mean":
+        err(f"d = {cfg.d} requires the gaussian-mean family; {cfg.family} has d = 1")
     if diags:
         return diags
 

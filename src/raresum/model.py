@@ -118,10 +118,10 @@ class LocalCumulants:
 class ModelSpec:
     """A base density on R^d together with a statistic u: R^d -> R^s.
 
-    The callables accept either a single point of shape (d,) or a batch of
-    shape (m, d); `log_density_x` then returns a scalar / (m,) array and
-    `statistic` a (s,) / (m, s) array.  `cumulant` maps a tilt vector (s,)
-    to K(t) = log E exp<t, u(X)>.
+    `log_density_x` and `statistic` take a stack of points (m, d), a single
+    point as a stack of one, and return (m,) and (m, s) arrays; the built-ins
+    raise ConfigurationError for any other shape.  `cumulant` maps a tilt
+    vector (s,) to K(t) = log E exp<t, u(X)>.
     """
 
     d: int
@@ -135,7 +135,8 @@ class ModelSpec:
     cov_fn: Optional[Callable] = None
     third_fn: Optional[Callable] = None
     tilt_fn: Optional[Callable] = None  # alpha (..., s) -> t with m(t) = alpha, NaN row if unattainable
-    tilted_family: Optional[Callable] = None  # t -> (draw(rng, size), logpdf(x))
+    # t -> (draw(rng, size) -> (size, d), logpdf((m, d)) -> (m,)) of the tilted law
+    tilted_family: Optional[Callable] = None
     # (gauss_mean (R, s), beta (R, s, s)) -> (coef (R, p + 1), start) for R grid step
     # laws, d = 1 only: each law's log step density log N(u(y); gauss_mean, beta)
     # + log p_X(y) as a polynomial in y on its support y >= start, highest power
@@ -280,39 +281,22 @@ def local_cumulants(model: ModelSpec, t) -> LocalCumulants:
 # ---------------------------------------------------------------------------
 
 
-def _points(x, d):
+def _stack(x, d):
+    """The points x as a float array (m, d), which is also the identity
+    statistic; ConfigurationError for any other shape, a single point (d,)
+    included."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-        single = True
-    elif x.ndim == 1:
-        if d == 1 and x.shape[0] != 1:
-            # A bare 1-d array of scalars: interpret as a batch of points.
-            x = x.reshape(-1, 1)
-            single = False
-        else:
-            x = x.reshape(1, d)
-            single = True
-    else:
-        single = False
-    if x.shape[-1] != d:
-        raise ConfigurationError(f"points must have trailing dimension {d}")
-    return x, single
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ConfigurationError(f"points must be a stack of shape (m, {d}), got {x.shape}")
+    return x
 
 
 # -- gaussian-mean: X ~ N(mu, diag(sigma^2)) on R^d, u = identity -----------
 
 
 def _gm_logp(x, mu, sigma2):
-    pts, single = _points(x, mu.size)
-    q = np.sum((pts - mu) ** 2 / sigma2 + np.log(2.0 * np.pi * sigma2), axis=-1)
-    out = -0.5 * q
-    return float(out[0]) if single else out
-
-
-def _gm_stat(x, d):
-    pts, single = _points(x, d)
-    return pts[0] if single else pts
+    q = np.sum((_stack(x, mu.size) - mu) ** 2 / sigma2 + np.log(2.0 * np.pi * sigma2), axis=-1)
+    return -0.5 * q
 
 
 def _gm_cumulant(t, mu, sigma2):
@@ -368,7 +352,7 @@ def _gaussian_mean_model(mu, sigma, d) -> ModelSpec:
         d=d,
         s=d,
         log_density_x=partial(_gm_logp, mu=mu_vec, sigma2=sigma2),
-        statistic=partial(_gm_stat, d=d),
+        statistic=partial(_stack, d=d),
         cumulant=partial(_gm_cumulant, mu=mu_vec, sigma2=sigma2),
         cumulant_domain=unbounded_domain(d),
         name="gaussian-mean",
@@ -387,10 +371,8 @@ def _gaussian_mean_model(mu, sigma, d) -> ModelSpec:
 def _exp_logp(x, rate):
     # The boundary value log(rate) at 0 is the right-continuous convention,
     # which keeps grid tabulations starting at the support edge exact.
-    pts, single = _points(x, 1)
-    v = pts[..., 0]
-    out = np.where(v >= 0, math.log(rate) - rate * v, -np.inf)
-    return float(out[0]) if single else out
+    v = _stack(x, 1)[:, 0]
+    return np.where(v >= 0, math.log(rate) - rate * v, -np.inf)
 
 
 def _exp_cumulant(t, rate):
@@ -453,7 +435,7 @@ def _exponential_mean_model(rate) -> ModelSpec:
         d=1,
         s=1,
         log_density_x=partial(_exp_logp, rate=rate),
-        statistic=partial(_gm_stat, d=1),
+        statistic=partial(_stack, d=1),
         cumulant=partial(_exp_cumulant, rate=rate),
         cumulant_domain=CumulantDomain(np.array([-np.inf]), np.array([rate])),
         name="exponential-mean",
@@ -471,19 +453,16 @@ def _exponential_mean_model(rate) -> ModelSpec:
 
 
 def _ms_logp(x, mu, sigma2):
-    pts, single = _points(x, 1)
-    v = pts[..., 0]
-    out = -0.5 * ((v - mu) ** 2 / sigma2 + math.log(2.0 * math.pi * sigma2))
-    return float(out[0]) if single else out
+    v = _stack(x, 1)[:, 0]
+    return -0.5 * ((v - mu) ** 2 / sigma2 + math.log(2.0 * math.pi * sigma2))
 
 
 def _ms_stat(x):
-    pts, single = _points(x, 1)
-    v = pts[..., 0]
+    v = _stack(x, 1)[:, 0]
     out = np.empty(v.shape + (2,))
-    out[..., 0] = v
-    np.multiply(v, v, out=out[..., 1])
-    return out[0] if single else out
+    out[:, 0] = v
+    np.multiply(v, v, out=out[:, 1])
+    return out
 
 
 def _ms_tau(t2, sigma2):

@@ -32,8 +32,13 @@ tabulate the statistic's whitened Gaussian factor on a trimmed window.  A
 tabulated density (`GridDensity1D`) keeps cell masses and block ends rather
 than a CDF, and finds a draw's cell, where its log-density is read, by a
 two-level search.  A run whose tilt or grid fails drops out with its step
-and reason.  A run's numbers never depend on its stack: `sample_path`,
-`path_logdensity` and `step_params` are the batches of one.
+and reason.
+
+Below the public functions everything is a stack: the model's callables
+take points (m, d), a GridDensity1D holds R rows, and mixture_logdensity
+scores runs (H, n, s).  A run's numbers never depend on its stack:
+`sample_path`, `path_logdensity`, `step_params` and `tilted_tail_sampler`
+are the batches of one, and a single density is a stack of one row.
 """
 
 from __future__ import annotations
@@ -114,22 +119,22 @@ class PathConfig:
 class _Values(NamedTuple):
     """Knot values exp(log_f - peak) (R, G), with peak (R,) each row's finite
     maximum of log_f, that a GridDensity1D takes in place of log_f, keeping
-    them; the cell masses go into `mass` (R, G - 1)."""
+    them; the cell widths go into `widths` and the cell masses into `mass`,
+    both (R, G - 1)."""
 
     f: np.ndarray
     peak: np.ndarray
+    widths: np.ndarray
     mass: np.ndarray
 
 
 class GridDensity1D:
-    """Piecewise-linear densities built from log-values on grids.
-
-    x and log_f have shape (G,) for one density or (R, G) for a stack of R
-    densities, one per row; log_f may also be given as _Values.  Sampling
-    inverts the exact CDF of the piecewise-linear interpolant, and `logpdf`
-    reports exactly that interpolant's density, so sampled points and
-    recorded densities always match.  A row of a stack gives the numbers the
-    density of that row alone gives.
+    """A stack of R piecewise-linear densities, one per row, built from
+    log-values log_f (R, G), or _Values, on the grids x (R, G).  Sampling
+    inverts the exact CDF of each row's piecewise-linear interpolant, and
+    `logpdf` reports exactly that interpolant's density, so sampled points
+    and recorded densities always match.  A row gives the numbers it gives
+    as a stack of one.
 
     No CDF is tabulated: the density keeps its unnormalized knot values,
     its cell masses and the cumulative mass at the end of each block of
@@ -140,55 +145,40 @@ class GridDensity1D:
 
     def __init__(self, x: np.ndarray, log_f: np.ndarray):
         self.x = np.asarray(x, dtype=float)
+        if self.x.ndim != 2:
+            raise ConfigurationError(f"grids must be a stack (R, G), got shape {self.x.shape}")
         if isinstance(log_f, _Values):
-            f, peak, mass = log_f
+            f, peak, widths, mass = log_f
         else:
             log_f = np.asarray(log_f, dtype=float)
             peak = np.max(log_f, axis=-1)
             if not np.all(np.isfinite(peak)):
                 raise NumericError("grid density underflowed to zero everywhere")
-            f = np.subtract(log_f, peak[..., None])
-            f, mass = np.exp(f, out=f), np.empty(f.shape[:-1] + (f.shape[-1] - 1,))
+            f = np.exp(np.subtract(log_f, peak[:, None]))
+            widths, mass = np.empty((2, len(f), f.shape[1] - 1))
         # each buffer is worked in place, to the bits of the plain expressions
-        np.add(f[..., :-1], f[..., 1:], out=mass)
+        np.add(f[:, :-1], f[:, 1:], out=mass)
         mass *= 0.5
-        mass *= np.diff(self.x)
+        mass *= np.subtract(self.x[:, 1:], self.x[:, :-1], out=widths)
         blocks = np.add.reduceat(mass, np.arange(0, mass.shape[-1], _SAMPLER_BLOCK), axis=-1)
         self._ends = np.cumsum(blocks, axis=-1)
-        total = self._ends[..., -1]
+        total = self._ends[:, -1]
         if np.any(total <= 0):
             raise NumericError("grid density has zero total mass")
         # log of the unnormalized integral of exp(log_f), one per row
-        self.log_integral = np.array([math.log(m) for m in total.reshape(-1)]) + peak
-        if self.x.ndim == 1:
-            self.log_integral = float(self.log_integral[0])
+        self.log_integral = np.array([math.log(m) for m in total]) + peak
         self._f, self._mass = f, mass
 
-    def _row(self, j):
-        """The density of row j of a stack, as a single density."""
-        one = GridDensity1D.__new__(GridDensity1D)
-        one.x, one._f, one._mass, one._ends = self.x[j], self._f[j], self._mass[j], self._ends[j]
-        one.log_integral = float(self.log_integral[j])
-        return one
-
-    def sample(self, rng, size=None):
-        """`size` draws by inverse CDF from the generator `rng`, or a float
-        when size is None, of one density."""
-        single = size is None
-        r = rng.random(1 if single else int(size))
-        out = self._invert(r[None])[0][0]
-        return float(out[0]) if single else out
-
-    def draw(self, rngs):
-        """One draw per row of a stack by inverse CDF, row j's from the
-        generator rngs[j], and its log-density: (R,) arrays, the log-density
-        read in the cell the draw was found in."""
-        y, idx = self._invert(np.array([g.random() for g in rngs])[:, None])
-        return y[:, 0], self._logpdf(idx, y)[:, 0]
+    def draw(self, rngs, size: int = 1):
+        """`size` draws per row by inverse CDF, row j's from the generator
+        rngs[j], and their log-densities: (R, size) arrays, each log-density
+        read in the cell its draw was found in."""
+        y, idx = self._invert(np.array([g.random(size) for g in rngs]))
+        return y, self._logpdf(idx, y)
 
     def _invert(self, r):
         """Points (R, m) at the CDF levels r (R, m), and their cells."""
-        x, f, mass, ends = (np.atleast_2d(a) for a in (self.x, self._f, self._mass, self._ends))
+        x, f, mass, ends = self.x, self._f, self._mass, self._ends
         cells = mass.shape[-1]
         row = np.arange(len(x))[:, None]
         target = r * ends[:, -1:]  # the mass below each point; less than the total as r < 1
@@ -225,20 +215,15 @@ class GridDensity1D:
         return x0 + xi, idx
 
     def logpdf(self, y):
-        """Log-density at the given y, whose cells it searches.  One density:
-        a float for a scalar or a shape-(1,) point, else an array.  A stack: y
-        holds one point per row and the result is an (R,) array."""
-        if self.x.ndim == 2:
-            v = np.asarray(y, dtype=float).reshape(-1, 1)
-            idx = np.count_nonzero(self.x <= v, axis=-1, keepdims=True) - 1
-            return self._logpdf(idx, v)[:, 0]
-        v = np.atleast_1d(np.asarray(y, dtype=float))
-        out = self._logpdf(np.searchsorted(self.x, v, side="right")[None] - 1, v[None])[0]
-        return float(out[0]) if v.shape == (1,) else out
+        """Log-densities (R, m) at the points y (R, m), row j's under row j's
+        density, each read in the cell a search of its grid finds."""
+        v = np.asarray(y, dtype=float)
+        idx = np.array([np.searchsorted(x, row, side="right") for x, row in zip(self.x, v)])
+        return self._logpdf(idx - 1, v)
 
     def _logpdf(self, idx, v):
         """Log-densities at the points v (R, m) that fall in the cells idx."""
-        x, f, ends = (np.atleast_2d(a) for a in (self.x, self._f, self._ends))
+        x, f, ends = self.x, self._f, self._ends
         inside = (v >= x[:, :1]) & (v <= x[:, -1:])
         idx = np.clip(idx, 0, x.shape[-1] - 2)
         row = np.arange(len(x))[:, None]
@@ -273,17 +258,17 @@ def _linspace_rows(lo, hi, num, out=None):
 class _GridWork:
     """Flat buffers that the grid passes of a stack of R runs write into,
     each sized for R grids of _KNOTS points: "x" holds the grids, "dev" the
-    log-values and then the density values, and "zz" the cell masses.  A
-    step whose log-values come from the statistic (a model without
-    step_poly_fn) takes `width` = s values a point in "dev", for the
-    statistic's deviations from the step mean, and in "zz", for their
-    whitened copy.  The run walker keeps the buffers for a whole walk, so
-    its steps do not fault their memory in again."""
+    log-values and then the density values, "widths" the cell widths and
+    "zz" the cell masses.  A step whose log-values come from the statistic
+    (a model without step_poly_fn) takes `width` = s values a point in
+    "dev", for the statistic's deviations from the step mean, and in "zz",
+    for their whitened copy.  The run walker keeps the buffers for a whole
+    walk, so its steps do not fault their memory in again."""
 
     def __init__(self, rows: int, width: int):
         points = rows * _KNOTS
         self._flat = {"x": np.empty(points), "dev": np.empty(points * width),
-                      "zz": np.empty(points * width)}
+                      "widths": np.empty(points), "zz": np.empty(points * width)}
 
     def take(self, name, shape):
         """Buffer `name` viewed as an array of `shape`, which must fit."""
@@ -396,8 +381,9 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None):
             return None
         x, f, peak = x[ok], f[ok], peak[ok]
     f -= peak[:, None]
-    mass = work.take("zz", (len(x), _KNOTS - 1))
-    return GridDensity1D(x, _Values(np.exp(f, out=f), peak, mass))
+    cells = (len(x), _KNOTS - 1)
+    return GridDensity1D(x, _Values(np.exp(f, out=f), peak, work.take("widths", cells),
+                                    work.take("zz", cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +399,7 @@ class StepParams:
     beta: np.ndarray       # covariance of the Gaussian steering factor
     gauss_mean: np.ndarray
     log_norm: float        # log of the step density's normalizing constant
-    sampler: GridDensity1D = field(repr=False)
+    sampler: GridDensity1D = field(repr=False)  # a stack of one row
 
 
 @dataclass
@@ -469,9 +455,8 @@ def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
     law = _step_laws(model, v[None], u_partial[None], i, n, variant)
     if law.errors[0] is not None:
         raise law.errors[0]
-    sampler = law.density._row(0)
     return StepParams(t=law.t[0], beta=law.beta[0], gauss_mean=law.gauss_mean[0],
-                      log_norm=-sampler.log_integral, sampler=sampler)
+                      log_norm=-float(law.density.log_integral[0]), sampler=law.density)
 
 
 def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
@@ -658,30 +643,31 @@ class TiltedDensity:
                 raise ConfigurationError(
                     "custom 1-d model needs x_window_fn for tilted grid sampling")
             errors = [None]
-            grid = _build_grid_density(
-                lambda rows, ys: self._exact_logpdf(ys.reshape(-1)).reshape(ys.shape),
+            self._grid = _build_grid_density(  # a stack of one row
+                lambda rows, ys: self._exact_logpdf(ys.reshape(-1, 1)).reshape(ys.shape),
                 [model.x_window_fn(self.t)], errors)
             if errors[0] is not None:
                 raise errors[0]
-            self._grid = grid._row(0)
         else:
             raise ConfigurationError("no sampler available for this tilted law")
 
     def _exact_logpdf(self, x):
-        stat = np.atleast_2d(self.model.statistic(x))
-        out = stat @ self.t - self.log_phi + self.model.log_density_x(x)
-        return np.asarray(out).reshape(-1)
+        """Log-densities (m,) of the points x (m, d)."""
+        stat = np.asarray(self.model.statistic(x), dtype=float)
+        return stat @ self.t - self.log_phi + np.asarray(self.model.log_density_x(x), dtype=float)
 
     def sample(self, rng, size: int):
         """`size` draws (size, d) from the generator rng."""
         if self._family is not None:
             return self._family[0](rng, size)
-        return self._grid.sample(rng, size=size).reshape(size, 1)
+        return self._grid.draw([rng], size)[0].reshape(size, 1)
 
     def logpdf(self, x):
+        """Log-densities (m,) of the points x, read as a stack (m, d)."""
+        x = np.reshape(x, (-1, self.model.d))
         if self._family is not None:
             return self._family[1](x)
-        return self._grid.logpdf(np.reshape(x, -1))
+        return self._grid.logpdf(x.reshape(1, -1))[0]
 
 
 def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
@@ -866,10 +852,10 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
             laws = _step_laws(model, V[live], u_run[live], i, n, variant, t_warm[live], work)
             rows = live[_live_rows(laws.errors)]
             if rows.size and rngs is None:
-                head[rows] += laws.density.logpdf(points[rows, i, 0])
+                head[rows] += laws.density.logpdf(points[rows, i])[:, 0]
             elif rows.size:
-                points[rows, i, 0], log_g = laws.density.draw([rngs[j] for j in rows])
-                head[rows] += log_g
+                points[rows, i], log_g = laws.density.draw([rngs[j] for j in rows])
+                head[rows] += log_g[:, 0]
             t_warm[live] = laws.t
             for j, err in zip(live, laws.errors):
                 if err is not None:
@@ -921,10 +907,10 @@ def _grid_row_elements(model: ModelSpec) -> int:
     """Float64 values budgeted for one run of a stack at the peak of a grid
     step: 1 + 3 w per point on 2001 points, w = _point_width(model), more
     than a step on _KNOTS knots holds.  A step polynomial's run holds the
-    walk's three buffers (see _GridWork) and the cell widths (tracemalloc:
-    53-56 kB per mean-square or exponential-mean run, in 30- and 60-run
-    stacks); a run whose log-values come from the statistic also holds the
-    statistic and its whitened copy (89-91 kB per mean-square run)."""
+    walk's four buffers (see _GridWork; tracemalloc: 67-69 kB per
+    mean-square or exponential-mean run, in 30- and 60-run stacks); a run
+    whose log-values come from the statistic also holds the statistic and
+    its whitened copy (102-103 kB per mean-square run)."""
     return (1 + 3 * _point_width(model)) * 2001
 
 
@@ -977,7 +963,7 @@ def _blocks(count, per_item, budget=_BLOCK_ELEMENTS, parts=1):
 def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
                        variant: str = "uniform-step"):
     """Log of the equal-weight mixture over `v_set` of the run densities, for
-    one run (n, s) as a float or for a stack of runs (H, n, s) as an (H,) array.
+    each of a stack of runs (H, n, s): an (H,) array.
 
     Only available for gaussian-identity models, whose log run density is a
     quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
@@ -987,12 +973,11 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     if errors:
         raise ConfigurationError(errors[-1])
     y = np.asarray(points, dtype=float)  # u = identity
-    if y.shape[-2:] != (n, model.s) or y.ndim not in (2, 3):
-        raise ConfigurationError(
-            f"points must have shape ({n}, {model.s}) or (H, {n}, {model.s})")
+    if y.ndim != 3 or y.shape[1:] != (n, model.s):
+        raise ConfigurationError(f"points must be a stack of runs (H, {n}, {model.s})")
     vs = np.atleast_2d(np.asarray(v_set, dtype=float))
     V0 = np.mean(vs, axis=0)
-    head, tail, b, q = _gaussian_quadratic(model, y.reshape(-1, n, model.s), V0, n, k, variant)
+    head, tail, b, q = _gaussian_quadratic(model, y, V0, n, k, variant)
     base, delta = head + tail, vs - V0
     out = np.empty(len(base))
     for c in _blocks(len(base), len(vs)):
@@ -1002,7 +987,7 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
         peak = np.max(total, axis=1)
         mean = np.mean(np.exp(total - peak[:, None]), axis=1)
         out[c] = [float(p) + math.log(float(m)) for p, m in zip(peak, mean)]
-    return float(out[0]) if y.ndim == 2 else out
+    return out
 
 
 def path_logdensity(model: ModelSpec, points, v, n: int, k: int,

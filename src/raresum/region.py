@@ -13,6 +13,10 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import ModelSpec, local_cumulants
 
+# Most connected components a region may have, for the baselines' dominating
+# point and the chain's restart kernel, which visit every one.
+MAX_COMPONENTS = 4096
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -230,12 +234,14 @@ def initial_point(region: ProductRegion, model: ModelSpec, n: int) -> np.ndarray
     return point
 
 
-def component_boxes(region: ProductRegion, cap: int = 4096) -> list[tuple]:
-    """Connected components of the region, as tuples of per-coordinate intervals."""
+def component_boxes(region: ProductRegion) -> list[tuple]:
+    """Connected components of the region, as tuples of per-coordinate
+    intervals; ConfigurationError for more than MAX_COMPONENTS of them."""
     sizes = [len(c.intervals) for c in region.components]
     total = math.prod(sizes) if sizes else 0
-    if total > cap:
-        raise ConfigurationError(f"region has {total} components, more than the cap {cap}")
+    if total > MAX_COMPONENTS:
+        raise ConfigurationError(
+            f"region has {total} components, more than the cap {MAX_COMPONENTS}")
     return list(_cartesian(*[c.intervals for c in region.components]))
 
 

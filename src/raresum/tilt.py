@@ -112,21 +112,21 @@ def cholesky_rows(cov):
     return chol, ok
 
 
-def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltBatch:
+def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     """Solve m(t) = alpha for every row alpha of A (R, s).
 
     A model with a closed-form inverse mean map (`tilt_fn`) gets all tilts
     from one call of it, a NaN row marking a target it cannot attain, and
-    its mean, covariance and third cumulants from one call each; `tol` and
-    `T0` are unused.  Otherwise each row runs damped Newton on the dual
-    K(t) - <t, alpha> from t = 0 (always inside the domain), or from its row
-    of `T0` when that row is finite, e.g. to warm-start from a neighbouring
-    solve.  Either way a row's tilt must lie inside the domain margin, have
-    a positive definite covariance and reach alpha to MAX_RESIDUAL.  A row
-    that fails gets SteepnessError when its target cannot be reached, which
-    signals that alpha lies outside the attainable mean range, or
-    NumericError for a covariance that is not positive definite; its other
-    entries are then meaningless.
+    its mean, covariance and third cumulants from one call each; `T0` is
+    unused.  Otherwise each row runs damped Newton on the dual K(t) -
+    <t, alpha> to DEFAULT_TOL from t = 0 (always inside the domain), or from
+    its row of `T0` when that row is finite, e.g. to warm-start from a
+    neighbouring solve.  Either way a row's tilt must lie inside the domain
+    margin, have a positive definite covariance and reach alpha to
+    MAX_RESIDUAL.  A row that fails gets SteepnessError when its target
+    cannot be reached, which signals that alpha lies outside the attainable
+    mean range, or NumericError for a covariance that is not positive
+    definite; its other entries are then meaningless.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != model.s:
@@ -151,7 +151,7 @@ def solve_tilts(model: ModelSpec, A, tol: float = DEFAULT_TOL, T0=None) -> TiltB
         for j in range(R):
             t0 = None if T0 is None or not np.all(np.isfinite(T0[j])) else T0[j]
             try:
-                T[j], M[j], C[j], iterations[j] = _newton(model, A[j], tol, t0)
+                T[j], M[j], C[j], iterations[j] = _newton(model, A[j], t0)
             except SteepnessError as exc:
                 errors[j] = exc
         solved = np.array([e is None for e in errors], dtype=bool)
@@ -204,8 +204,7 @@ def _on_rows(fn, X, rows, shape):
     return out
 
 
-def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
-               t0=None) -> TiltSolution:
+def solve_tilt(model: ModelSpec, alpha, t0=None) -> TiltSolution:
     """Solve m(t) = alpha: the batch of one of `solve_tilts`.  Raises
     SteepnessError when the target cannot be reached, which signals that
     alpha lies outside the attainable mean range."""
@@ -213,12 +212,13 @@ def solve_tilt(model: ModelSpec, alpha, tol: float = DEFAULT_TOL,
     if alpha.shape != (model.s,):
         raise ConfigurationError(f"target must have shape ({model.s},)")
     T0 = None if t0 is None else np.asarray(t0, dtype=float).reshape(1, model.s)
-    return solve_tilts(model, alpha[None], tol, T0).solution(0)
+    return solve_tilts(model, alpha[None], T0).solution(0)
 
 
-def _newton(model: ModelSpec, alpha, tol, t0):
+def _newton(model: ModelSpec, alpha, t0):
     """(t, m(t), kappa(t), iterations) of damped Newton on the dual from t0,
-    or from t = 0 when t0 is None or outside the domain margin."""
+    or from t = 0 when t0 is None or outside the domain margin, until every
+    coordinate of m(t) is within DEFAULT_TOL of alpha."""
     t = np.zeros(model.s) if t0 is None else np.array(t0, dtype=float)
     if not model.cumulant_domain.contains(t, margin=True):
         t = np.zeros(model.s)
@@ -232,7 +232,7 @@ def _newton(model: ModelSpec, alpha, tol, t0):
     for it in range(1, MAX_ITER + 1):
         m, cov = mean_and_cov(model, t)
         residual_vec = m - alpha
-        if np.max(np.abs(residual_vec)) <= tol:
+        if np.max(np.abs(residual_vec)) <= DEFAULT_TOL:
             return t, m, cov, it - 1
         if scalar:
             if cov[0, 0] <= 0:
@@ -331,8 +331,7 @@ def _minimize_rate_in_box(model: ModelSpec, lo, hi, start, max_iter=200):
     return v, value
 
 
-def dominating_point(model: ModelSpec, region: ProductRegion,
-                     warn_multiplicity: bool = True) -> np.ndarray:
+def dominating_point(model: ModelSpec, region: ProductRegion) -> np.ndarray:
     """Minimizer of the rate function over the closure of the region.
 
     Enumerates the product of per-coordinate intervals (the region's
@@ -380,7 +379,7 @@ def dominating_point(model: ModelSpec, region: ProductRegion,
     for w in winners[1:]:
         if np.max(np.abs(w - distinct[-1])) > 1e-6:
             distinct.append(w)
-    if len(distinct) > 1 and warn_multiplicity:
+    if len(distinct) > 1:
         warnings.warn(
             "multiple dominating points attain the minimal rate; "
             "the state-independent baseline will ignore all but one",

@@ -164,18 +164,20 @@ def step_grid_errors(model, gauss_mean, beta):
     integrated on 400,001 points."""
     log_h = step_log_h(model, gauss_mean, beta)
     log_const = -0.5 * (model.s * math.log(2.0 * math.pi) + np.log(np.linalg.det(beta)))
-    errors = [None] * len(gauss_mean)
-    law = pathgen._step_grids(model, gauss_mean, beta, errors)
-    assert all(e is None for e in errors)
     tvs, norms = [], []
     for j in range(len(gauss_mean)):
-        lo, hi = law.x[j, 0], law.x[j, -1]
+        # row j alone, a stack of one: rows are tabulated independently, so it
+        # is row j of the stack the walker builds
+        errors = [None]
+        law = pathgen._step_grids(model, gauss_mean[j:j + 1], beta[j:j + 1], errors)
+        assert errors == [None]
+        lo, hi = law.x[0, 0], law.x[0, -1]
         pad = hi - lo
         xs = np.linspace(max(lo - pad, 0.0) if model.name == "exponential-mean" else lo - pad,
                          hi + pad, 400001)
-        smooth = np.exp(log_h(np.array([j]), xs[None])[0] + log_const[j] - law.log_integral[j])
+        smooth = np.exp(log_h(np.array([j]), xs[None])[0] + log_const[j] - law.log_integral[0])
         total = np.trapezoid(smooth, xs)
-        sampled = np.exp(law._row(j).logpdf(xs))
+        sampled = np.exp(law.logpdf(xs[None])[0])
         tvs.append(0.5 * np.trapezoid(np.abs(sampled - smooth / total), xs))
         norms.append(total - 1.0)
     return np.array(tvs), np.array(norms)

@@ -128,6 +128,26 @@ def test_validation_error_exit_code(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("family,params", [("exponential-mean", "rate = 1.0"),
+                                           ("gaussian-mean-and-square", "mu = 0.0")])
+def test_d_above_one_needs_gaussian_mean(tmp_path, capsys, family, params):
+    # the other families have d = 1: a config asking for d = 3 is refused,
+    # not run at d = 1
+    text = SMALL.replace("family = gaussian-mean", f"family = {family}")
+    text = text.replace("mu = 0.05", params).replace("sigma = 1.0\n", "")
+    text = text.replace("d = 1", "d = 3").replace("schemes = adaptive, naive", "schemes = naive")
+    text = text.replace("two_sided_threshold = 0.28", "constraint_1 = [2.0, inf)"
+                        + ("\nconstraint_2 = [4.0, 5.0]" if family != "exponential-mean" else ""))
+    out = tmp_path / "o.csv"
+    path = write(tmp_path, text, csv=str(out))
+    assert main(["validate", path]) == 3
+    assert main(["run", path]) == 3
+    assert capsys.readouterr().err.count("d = 3 requires the gaussian-mean family") == 2
+    assert not out.exists()
+    assert main(["validate", write(tmp_path, text.replace("d = 3", "d = 1"),
+                                   csv=str(out))]) == 0
+
+
 def test_validate_ok_exit_code(tmp_path, capsys):
     path = write(tmp_path, SMALL, csv=str(tmp_path / "o.csv"))
     assert main(["validate", path]) == 0

@@ -396,3 +396,21 @@ def test_mean_square_tilted_iid_matches_cochran_oracle(mean_square, threshold):
     for seed in range(1, 11):
         rep = rs.tilted_iid_estimate(mean_square, region, 100, 2000, seed=seed)
         assert abs(rep.p_hat - truth) < 4 * rep.std_error
+
+
+def test_mean_square_tilted_iid_sees_one_of_two_branches(mean_square):
+    # |mean| >= 0.3 with mean square in [1.0, 1.4] at n = 100 (mu = 0, sigma
+    # = 1): x -> -x maps one branch onto the other, so each carries P/2.
+    # Tilted-iid tilts toward one dominating point and samples that branch
+    # alone: at each of five seeds, fixed up front, it lands within 4
+    # standard errors of P/2 and stays below 0.6 P.  The adaptive scheme
+    # exists to see both
+    region = rs.ProductRegion((rs.parse_interval_union("(-inf, -0.3] [0.3, inf)"),
+                               rs.parse_interval_union("[1.0, 1.4]")))
+    truth = mean_square_probability(region, 100)
+    assert truth == pytest.approx(1.95838e-3, rel=1e-5)
+    for seed in range(1, 6):
+        with pytest.warns(RuntimeWarning, match="multiple dominating points"):
+            rep = rs.tilted_iid_estimate(mean_square, region, 100, 4000, seed=seed)
+        assert abs(rep.p_hat - truth / 2) < 4 * rep.std_error
+        assert rep.p_hat < 0.6 * truth

@@ -130,12 +130,30 @@ def test_tilted_density_normalizes(name, params):
         log_phi = model.cumulant(t)
 
         def dens(x):
-            u = np.asarray(model.statistic(np.array([x])))
-            return math.exp(float(u @ t) - log_phi + model.log_density_x(np.array([x])))
+            y = np.array([[x]])
+            return math.exp(float(model.statistic(y)[0] @ t) - log_phi
+                            + float(model.log_density_x(y)[0]))
 
         lo, hi = (0, 80) if name == "exponential-mean" else (-30, 30)
         total, _ = quad(dens, lo, hi, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["gaussian-mean", "exponential-mean",
+                                  "gaussian-mean-and-square"])
+def test_point_callables_take_stacks_only(name):
+    # a d = 1 built-in reads points as a stack (m, 1); a bare (m,) array, a
+    # single point (1,) and a scalar are refused, not guessed at
+    model = rs.builtin_model(name)
+    tilted_logpdf = model.tilted_family(np.zeros(model.s))[1]
+    stack = np.array([[0.5], [1.0], [1.5]])
+    assert model.log_density_x(stack).shape == (3,)
+    assert model.statistic(stack).shape == (3, model.s)
+    assert tilted_logpdf(stack).shape == (3,)
+    for fn in (model.log_density_x, model.statistic, tilted_logpdf):
+        for bad in (stack[:, 0], np.array([0.5]), 0.5, stack[None]):
+            with pytest.raises(ConfigurationError, match="stack"):
+                fn(bad)
 
 
 @pytest.mark.parametrize("name,params", ALL_FAMILIES)

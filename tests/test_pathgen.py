@@ -91,11 +91,11 @@ def test_step_density_normalizes_generic(expo, mean_square):
         chol = np.linalg.cholesky(p.beta)
 
         def dens(y):
-            u = np.asarray(model.statistic(np.array([y]))).reshape(-1)
+            u = model.statistic(np.array([[y]]))[0]
             z = np.linalg.solve(chol, u - p.gauss_mean)
             log_gauss = (-0.5 * (z @ z + len(u) * math.log(2 * math.pi))
                          - float(np.sum(np.log(np.diagonal(chol)))))
-            return math.exp(p.log_norm + log_gauss + model.log_density_x(np.array([y])))
+            return math.exp(p.log_norm + log_gauss + model.log_density_x(np.array([[y]]))[0])
 
         total, _ = quad(dens, *bounds, limit=400)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -105,12 +105,12 @@ def test_step_sampler_density_matches_draws(expo):
     # inverse-CDF draws and the recorded density describe the same law
     p = step_params(expo, [1.5], 0, [0.0], 10)
     gen = np.random.default_rng(9)
-    ys = np.array([p.sampler.sample(gen) for _ in range(20000)])
-    grid = p.sampler
+    grid = p.sampler  # a stack of one row
+    ys = grid.draw([gen], 20000)[0][0]
     edges = np.quantile(ys, np.linspace(0, 1, 21))
     counts, _ = np.histogram(ys, bins=edges)
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        mass, _ = quad(lambda y: math.exp(grid.logpdf(y)), lo, hi, limit=100)
+        mass, _ = quad(lambda y: math.exp(grid.logpdf([[y]])[0, 0]), lo, hi, limit=100)
         se = math.sqrt(mass * (1 - mass) / len(ys))
         assert abs(c / len(ys) - mass) < 5 * se + 1e-4
 
@@ -121,10 +121,10 @@ def test_flat_steering_limit_recovers_tilted_density(expo):
     sol = rs.solve_tilt(expo, [1.5])
     beta = np.array([[1e8]])
     gauss_mean = beta @ sol.t + np.array([1.5])
-    sampler = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])._row(0)
+    sampler = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])
     tilted = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
-    step_dens = np.exp(sampler.logpdf(xs))
+    step_dens = np.exp(sampler.logpdf(xs[None])[0])
     tilt_dens = np.exp(tilted.logpdf(xs))
     tv = 0.5 * np.trapezoid(np.abs(step_dens - tilt_dens), xs)
     assert tv < 1e-4
@@ -369,7 +369,7 @@ def test_paper_literal_first_step_is_tilted_density(std_gauss):
     path = rs.sample_path(std_gauss, v, n, k, gen, variant="paper-literal")
     dens = rs.path_logdensity(std_gauss, path.points, v, n, k, variant="paper-literal")
     tilted = rs.tilted_tail_sampler(std_gauss, v)
-    first = float(tilted.logpdf(path.points[0]))
+    first = tilted.logpdf(path.points[:1])[0]
     assert first == pytest.approx(norm.logpdf(path.points[0, 0], 0.6, 1.0))
     # later steps centre the steering factor on v, not on the remaining mean
     rest = 0.0
@@ -401,14 +401,14 @@ def test_tilted_tail_sampler_families(gauss_005, expo, mean_square):
 def test_zero_tilt_recovers_base_density(std_gauss):
     s = rs.tilted_tail_sampler(std_gauss, [0.0])
     assert np.max(np.abs(s.t)) < 1e-12
-    x = np.array([0.7])
+    x = np.array([[0.7]])
     assert s.logpdf(x) == pytest.approx(std_gauss.log_density_x(x))
 
 
 def test_base_sampler_matches_log_density(expo):
     # the base law is the zero-tilt member, the law of naive's k = 0 runs
     s = rs.tilted_tail_sampler(expo, rs.mean_map(expo, np.zeros(1)))
-    x = np.array([0.9])
+    x = np.array([[0.9]])
     assert s.logpdf(x) == pytest.approx(expo.log_density_x(x))
 
 
@@ -430,12 +430,12 @@ def test_path_abort_reports_step(expo):
 def test_grid_density_sampling_is_exact():
     xs = np.linspace(-3, 3, 2001)
     log_f = -0.5 * xs**2
-    g = GridDensity1D(xs, log_f)
+    g = GridDensity1D(xs[None], log_f[None])
     gen = np.random.default_rng(53)
-    draws = g.sample(gen, size=50000)
+    draws = g.draw([gen], 50000)[0][0]
     assert abs(np.mean(draws)) < 0.02
     assert np.var(draws) == pytest.approx(0.973, abs=0.03)  # truncated normal
-    total, _ = quad(lambda y: math.exp(g.logpdf(y)), -3, 3, limit=200)
+    total, _ = quad(lambda y: math.exp(g.logpdf([[y]])[0, 0]), -3, 3, limit=200)
     assert total == pytest.approx(1.0, abs=1e-7)
 
 
@@ -552,11 +552,11 @@ def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma, n, 
         path = rs.sample_path(model, v, n, k, gen, variant=variant)
         per_v = np.array([rs.path_logdensity(model, path.points, w, n, k, variant).log_g
                           for w in vs])
-        single = mixture_logdensity(model, path.points, v[None, :], n, k, variant)
-        assert single == pytest.approx(path.log_g, rel=1e-12, abs=1e-12)
+        single = mixture_logdensity(model, path.points[None], v[None, :], n, k, variant)
+        assert single[0] == pytest.approx(path.log_g, rel=1e-12, abs=1e-12)
         expected = logsumexp(per_v) - math.log(len(vs))
-        mixed = mixture_logdensity(model, path.points, vs, n, k, variant)
-        assert mixed == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        mixed = mixture_logdensity(model, path.points[None], vs, n, k, variant)
+        assert mixed[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def drawn_step_by_step(model, v, n, k, rng, variant):
@@ -593,7 +593,7 @@ def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
         assert np.array_equal(runs[l], reference)
         assert head[l] + tail[l] == path.log_g
         assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
-        assert mixed[l] == mixture_logdensity(model, runs[l], vs, n, k, variant)
+        assert mixed[l] == mixture_logdensity(model, runs[l:l + 1], vs, n, k, variant)[0]
 
 
 GRID_CASES = [("exponential-mean", [0.8, 2.0], [-0.5]),
@@ -691,9 +691,10 @@ def test_grid_stack_size_does_not_change_runs(variant):
 
 
 def test_grid_stack_working_set_per_run():
-    # a 30-run mean-square stack peaks at about 71 kB per run, its buffers
-    # kept for the whole walk and its steps tabulated from their polynomial
-    # (116 kB when they came from the statistic and its whitened copy);
+    # a 30-run mean-square stack peaks at about 69 kB per run, its buffers
+    # (cell widths included) kept for the whole walk and its steps tabulated
+    # from their polynomial (103 kB when they come from the statistic and
+    # its whitened copy);
     # L = 600 still walks in bounded stacks, of 65 runs
     model = rs.builtin_model("gaussian-mean-and-square")
     L = 30
@@ -715,7 +716,8 @@ def test_grid_stack_working_set_per_run():
 def test_exponential_stack_working_set_per_run():
     # exponential-mean steps peak at the y = 0 edge, and are tabulated on
     # the same knot count as every other grid step, in the stack's buffers
-    # (643 kB per run when they refined to 16,001 points, all rows at once)
+    # (68 kB per run; 643 kB when they refined to 16,001 points, all rows at
+    # once)
     model = rs.builtin_model("exponential-mean")
     L = 30
     rngs = [replicate_rng(7, l) for l in range(L)]
@@ -767,17 +769,19 @@ def test_grid_density_stack_equals_rows():
     x = np.sort(gen.uniform(-3.0, 3.0, (R, 1)), axis=0) + np.linspace(0.0, 2.0, G)
     log_f = -0.5 * (x - gen.uniform(-1.0, 1.0, (R, 1))) ** 2 + 0.1 * np.sin(5.0 * x)
     stack = GridDensity1D(x, log_f)
-    rows = [GridDensity1D(x[j], log_f[j]) for j in range(R)]
-    draws, drawn_dens = stack.draw([np.random.default_rng(j) for j in range(R)])
-    probe = x[:, 0] + np.array([-0.1, 0.0, 0.3, 1.7, 2.0, 2.5])  # two outside the grids
+    rows = [GridDensity1D(x[j:j + 1], log_f[j:j + 1]) for j in range(R)]
+    draws, drawn_dens = stack.draw([np.random.default_rng(j) for j in range(R)], size=3)
+    assert draws.shape == drawn_dens.shape == (R, 3)
+    probe = x[:, :1] + np.array([[-0.1], [0.0], [0.3], [1.7], [2.0], [2.5]])  # two outside
     dens = stack.logpdf(probe)
     # a draw's log-density, read in the cell the draw was found in, is the
     # one logpdf finds by searching
     np.testing.assert_allclose(drawn_dens, stack.logpdf(draws), rtol=1e-14, atol=0.0)
     for j, row in enumerate(rows):
-        assert draws[j] == row.sample(np.random.default_rng(j))
-        assert dens[j] == row.logpdf(probe[j])
-        assert stack.log_integral[j] == row.log_integral
+        alone, alone_dens = row.draw([np.random.default_rng(j)], size=3)
+        assert np.array_equal(draws[j], alone[0]) and np.array_equal(drawn_dens[j], alone_dens[0])
+        assert dens[j] == row.logpdf(probe[j:j + 1])[0]
+        assert stack.log_integral[j] == row.log_integral[0]
     assert np.isneginf(dens[0]) and np.isneginf(dens[5])
 
 
@@ -830,17 +834,17 @@ def test_block_search_equals_full_cumsum_inverse(points, tails):
         log_f = -0.5 * ((x - 3.2) / 0.02) ** 2
         assert np.exp(log_f[0]) == 0.0 and np.exp(log_f[-1]) == 0.0
         extremes = [0.0]
-    g = GridDensity1D(x, log_f)
-    blocks = np.diff(np.concatenate([[0.0], g._ends]))
+    g = GridDensity1D(x[None], log_f[None])
+    blocks = np.diff(np.concatenate([[0.0], g._ends[0]]))
     if tails == "underflowing":
         assert blocks[0] == 0.0 and blocks[-1] == 0.0
-    ends = g._ends[:-1] / g._ends[-1]
+    ends = g._ends[0, :-1] / g._ends[0, -1]
     r = np.concatenate([np.random.default_rng(points).random(2000),
                         ends[(ends > 1e-6) & (ends < 1.0 - 1e-6)], extremes])
-    drawn = g.sample(_Levels(r), size=len(r))
+    drawn = g.draw([_Levels(r)], size=len(r))[0][0]
     assert np.all(np.isfinite(drawn))
     np.testing.assert_allclose(drawn, full_cumsum_inverse(x, log_f, r), rtol=1e-12, atol=0.0)
-    assert np.all(np.isfinite(g.logpdf(drawn[r > 0.0])))  # no draw in a cell of zero mass
+    assert np.all(np.isfinite(g.logpdf(drawn[None, r > 0.0])))  # no draw in a cell of zero mass
 
 
 def test_linspace_rows_equals_numpy():
