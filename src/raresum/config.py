@@ -1,21 +1,17 @@
-"""Experiment configuration files: flat INI-style text with named blocks.
+"""Experiment configuration files: flat INI-style text with the blocks
+[model], [region], [run], [chain], [sweep] (optional) and [output].
 
-Blocks and keys (see README for the full grammar):
-
-    [model]   family, d, mu, sigma, rate
-    [region]  two_sided_threshold  OR  constraint_1..constraint_s
-    [run]     n, L, schemes, k_mode, k, variant, weighting, seed
-    [chain]   burn_in, thinning, proposal_scale
-    [sweep]   parameter, values          (optional)
-    [output]  csv, timing
-
-Any other block or key is a parse error.
+_GRAMMAR lists every key with the field it sets; an absent key keeps the
+field's dataclass default (README gives the grammar with examples).  Any
+other block or key is a parse error, and so are a missing family, n or L, a
+[region] that gives both two_sided_threshold and constraint_* keys, and
+[sweep] values without a parameter.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -44,13 +40,13 @@ class Diagnostic:
 @dataclass
 class ExperimentConfig:
     family: str
-    model_params: dict
-    d: int
-    region_two_sided: Optional[float]
-    region_constraints: Optional[list[str]]
     n: int
     L: int
-    schemes: list[str]
+    model_params: dict = field(default_factory=dict)
+    d: int = 1
+    region_two_sided: Optional[float] = None
+    region_constraints: Optional[list[str]] = None
+    schemes: list[str] = field(default_factory=lambda: ["adaptive"])
     k_mode: str = "default"
     k: Optional[int] = None
     variant: str = "uniform-step"
@@ -99,20 +95,37 @@ class ExperimentConfig:
         return PathConfig(k_mode=self.k_mode, k=self.k, variant=self.variant)
 
 
-_MODEL_PARAM_KEYS = {
-    "gaussian-mean": ("mu", "sigma"),
-    "exponential-mean": ("rate",),
-    "gaussian-mean-and-square": ("mu", "sigma"),
-}
+def _words(text: str) -> list[str]:
+    return [word.strip() for word in text.split(",") if word.strip()]
 
-# Keys of every block but [model], in configparser's lower-case form; [region]
-# also takes constraint_1..constraint_s.
-_BLOCK_KEYS = {
-    "region": ("two_sided_threshold",),
-    "run": ("n", "l", "schemes", "k_mode", "k", "variant", "weighting", "seed"),
-    "chain": ("burn_in", "thinning", "proposal_scale"),
-    "sweep": ("parameter", "values"),
-    "output": ("csv", "timing"),
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+_GAUSSIANS = ("gaussian-mean", "gaussian-mean-and-square")
+
+# The grammar: [block] -> {key: (field, parse)}, keys in configparser's lower
+# case.  A field "model_params.x" is builtin_model's parameter x, which only
+# the families listed third take; "chain.x" is MeanChainConfig's field x.  An
+# absent key keeps its dataclass default.  [region] also takes
+# constraint_1..constraint_s (see _constraints).
+_GRAMMAR = {
+    "model": {"family": ("family", str), "d": ("d", int),
+              "mu": ("model_params.mu", float, _GAUSSIANS),
+              "sigma": ("model_params.sigma", float, _GAUSSIANS),
+              "rate": ("model_params.rate", float, ("exponential-mean",))},
+    "region": {"two_sided_threshold": ("region_two_sided", float)},
+    "run": {"n": ("n", int), "l": ("L", int), "schemes": ("schemes", _words),
+            "k_mode": ("k_mode", str), "k": ("k", lambda text: int(text) if text else None),
+            "variant": ("variant", str), "weighting": ("weighting", str),
+            "seed": ("seed", int)},
+    "chain": {"burn_in": ("chain.burn_in", int), "thinning": ("chain.thinning", int)},
+    "sweep": {"parameter": ("sweep_parameter", lambda text: text or None),
+              "values": ("sweep_values", lambda text: [int(word) for word in _words(text)])},
+    "output": {"csv": ("out_csv", str), "timing": ("timing", _boolean)},
 }
 
 
@@ -134,78 +147,39 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    if not parser.has_section("model"):
-        raise ValueError("missing [model] section")
-    if not parser.has_section("run"):
-        raise ValueError("missing [run] section")
-    model_sec = parser["model"]
-    family = model_sec.get("family", "").strip()
-    _check_keys(parser, family)
-    d = model_sec.getint("d", fallback=1)
-    params = {}
-    for key in _MODEL_PARAM_KEYS.get(family, ()):
-        if key in model_sec:
-            params[key] = model_sec.getfloat(key)
+    """Read every key through _GRAMMAR; ValueError for a block or key it does
+    not list, so a misspelt key cannot silently leave its default in place.
+    An unknown family may take any family's parameters; validate_config
+    reports it."""
+    family = parser.get("model", "family", fallback="")
+    values = {"model_params": {}, "chain": {}}
+    for block in parser.sections():
+        if block not in _GRAMMAR:
+            raise ValueError(f"unknown block [{block}]")
+        for key, text in parser[block].items():
+            if block == "region" and key.startswith("constraint"):
+                continue
+            target, parse, *families = _GRAMMAR[block].get(key, (None, None))
+            if target is None or (families and family in BUILTIN_FAMILIES
+                                and family not in families[0]):
+                raise ValueError(f"unknown key {key!r} in [{block}]")
+            group, _, name = target.rpartition(".")
+            (values[group] if group else values)[name] = parse(text)
 
-    region_two_sided = None
-    region_constraints = None
-    if parser.has_section("region"):
-        reg = parser["region"]
-        if "two_sided_threshold" in reg:
-            region_two_sided = reg.getfloat("two_sided_threshold")
-        region_constraints = _constraints(reg) or None
-
-    run = parser["run"]
-    schemes = [s.strip() for s in run.get("schemes", "adaptive").split(",") if s.strip()]
-
-    chain_kwargs = {}
-    if parser.has_section("chain"):
-        ch = parser["chain"]
-        if "burn_in" in ch:
-            chain_kwargs["burn_in"] = ch.getint("burn_in")
-        if "thinning" in ch:
-            chain_kwargs["thinning"] = ch.getint("thinning")
-        if "proposal_scale" in ch:
-            chain_kwargs["proposal_scale"] = np.array(
-                [float(x) for x in ch.get("proposal_scale").split(",")])
-
-    sweep_parameter = None
-    sweep_values = None
-    if parser.has_section("sweep"):
-        sw = parser["sweep"]
-        sweep_parameter = sw.get("parameter", "").strip() or None
-        if "values" in sw:
-            sweep_values = [int(tok) for tok in sw.get("values").split(",")
-                            if tok.strip()]
-
-    out_csv = "results.csv"
-    timing = True
-    if parser.has_section("output"):
-        out = parser["output"]
-        out_csv = out.get("csv", out_csv).strip()
-        timing = out.getboolean("timing", fallback=True)
-
-    k_raw = run.get("k", fallback=None)
-    return ExperimentConfig(
-        family=family,
-        model_params=params,
-        d=d,
-        region_two_sided=region_two_sided,
-        region_constraints=region_constraints,
-        n=parser.getint("run", "n"),
-        L=parser.getint("run", "L"),
-        schemes=schemes,
-        k_mode=run.get("k_mode", "default").strip(),
-        k=int(k_raw) if k_raw not in (None, "") else None,
-        variant=run.get("variant", "uniform-step").strip(),
-        weighting=run.get("weighting", "paired").strip(),
-        seed=run.getint("seed", fallback=0),
-        chain=MeanChainConfig(**chain_kwargs) if chain_kwargs else MeanChainConfig(),
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
-        out_csv=out_csv,
-        timing=timing,
-    )
+    constraints = _constraints(parser["region"]) if parser.has_section("region") else []
+    if constraints:
+        if "region_two_sided" in values:
+            raise ValueError("[region] takes two_sided_threshold or constraint_* keys, "
+                             "not both")
+        values["region_constraints"] = constraints
+    if "sweep_values" in values and values.get("sweep_parameter") is None:
+        raise ValueError("[sweep] values needs a parameter")
+    for spec in fields(ExperimentConfig):
+        if spec.default is MISSING and spec.default_factory is MISSING \
+                and spec.name not in values:
+            raise ValueError(f"missing key {spec.name!r}")
+    values["chain"] = MeanChainConfig(**values["chain"])
+    return ExperimentConfig(**values)
 
 
 def _constraints(reg) -> list:
@@ -227,22 +201,6 @@ def _constraints(reg) -> list:
     if missing <= len(by_index):
         raise ValueError(f"constraint_{missing} is missing: constraint keys must number 1..s")
     return [reg.get(by_index[i]) for i in range(1, missing)]
-
-
-def _check_keys(parser: configparser.ConfigParser, family: str) -> None:
-    """Raise ValueError for a block or key that _from_parser does not read, so
-    a misspelt key cannot silently leave its default in place.  An unknown
-    family may take any family's parameters; validate_config reports it."""
-    params = _MODEL_PARAM_KEYS.get(family) or [k for ks in _MODEL_PARAM_KEYS.values()
-                                               for k in ks]
-    known = dict(_BLOCK_KEYS, model=("family", "d", *params))
-    for block in parser.sections():
-        if block not in known:
-            raise ValueError(f"unknown block [{block}]")
-        for key in parser[block]:
-            if key not in known[block] and not (block == "region"
-                                                and key.startswith("constraint")):
-                raise ValueError(f"unknown key {key!r} in [{block}]")
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
@@ -284,7 +242,7 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         messages = dict.fromkeys(
             msg for scheme in cfg.schemes
             for msg in point_errors(model, region, n, L, scheme, path_config,
-                                    cfg.chain, cfg.weighting))
+                                    cfg.weighting))
         for msg in messages:
             err(f"{msg}{label}")
         if not region.is_empty and contains(region, mean_map(model, np.zeros(model.s))):

@@ -100,7 +100,6 @@ class EstimateReport:
 
 def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
                  scheme: str, path_config: Optional[PathConfig] = None,
-                 chain_config: Optional[MeanChainConfig] = None,
                  weighting: str = "paired") -> list[str]:
     """Every constraint one (model, region, n, L, scheme) point violates.
 
@@ -127,9 +126,6 @@ def point_errors(model: ModelSpec, region: ProductRegion, n: int, L: int,
     errors += engine_errors(model, mixture=weighting == "mixture")
     if weighting not in WEIGHTINGS:
         errors.append(f"unknown weighting {weighting!r}")
-    scale = (chain_config or MeanChainConfig()).proposal_scale
-    if scale is not None and scale.size not in (1, model.s):
-        errors.append(f"proposal_scale size must be 1 or s={model.s}, got {scale.size}")
     return errors
 
 
@@ -210,10 +206,8 @@ def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,
     """
     start = time.perf_counter()
     path_config = path_config or PathConfig()
-    chain_config = chain_config or MeanChainConfig()
-    _check_point(model, region, n, L, "adaptive", path_config, chain_config, weighting,
-                 threads=threads)
-    vs, chain_diag = run_chain(model, region, n, chain_config, count=L,
+    _check_point(model, region, n, L, "adaptive", path_config, weighting, threads=threads)
+    vs, chain_diag = run_chain(model, region, n, chain_config or MeanChainConfig(), count=L,
                                rng=chain_rng(seed))
     return _estimate("adaptive", model, region, n, path_config.resolve_k(n), vs, seed,
                      threads, start, path_config.variant, weighting, chain=chain_diag)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
 
 import numpy as np
 
@@ -36,18 +35,12 @@ RESTART_PROB = 0.1
 class MeanChainConfig:
     burn_in: int = 1000
     thinning: int = 5
-    proposal_scale: Optional[np.ndarray] = None  # default: sqrt(kappa_jj(0)/n)
 
     def __post_init__(self):
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be >= 0")
         if self.thinning < 1:
             raise ConfigurationError("thinning must be >= 1")
-        if self.proposal_scale is not None:
-            scale = np.atleast_1d(np.asarray(self.proposal_scale, dtype=float))
-            if np.any(scale <= 0):
-                raise ConfigurationError("proposal_scale must be positive")
-            self.proposal_scale = scale
 
 
 @dataclass
@@ -160,10 +153,7 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
     if region.is_empty:
         raise ConfigurationError("region is empty")
     loc0 = local_cumulants(model, np.zeros(model.s))
-    if config.proposal_scale is not None:
-        scale = np.broadcast_to(config.proposal_scale, (model.s,)).astype(float)
-    else:
-        scale = np.sqrt(np.diagonal(loc0.covariance) / n)
+    scale = np.sqrt(np.diagonal(loc0.covariance) / n)
     kind, logtarget = _log_target(model, region, n, loc0)
 
     v = initial_point(region, model, n)

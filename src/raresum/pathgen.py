@@ -72,15 +72,14 @@ _PILOT = 33
 _KNOTS = 1537
 
 VARIANTS = ("uniform-step", "paper-literal")
-K_MODES = ("default", "gaussian-exact", "manual")
+K_MODES = ("default", "manual")
 
 
 def select_k(n: int, mode: str = "default", k: Optional[int] = None) -> int:
     """Split index for an n-point run.
 
-    default:        k = n - ceil(sqrt(n)), so k/n -> 1 while n - k -> inf.
-    gaussian-exact: k = n - 1, exact for gaussian-identity models.
-    manual:         user-supplied k, validated to 1 <= k <= n - 1.
+    default: k = n - ceil(sqrt(n)), so k/n -> 1 while n - k -> inf.
+    manual:  user-supplied k, validated to 1 <= k <= n - 1.
     """
     if mode == "manual":
         if k is None or not 1 <= k <= n - 1:
@@ -90,8 +89,6 @@ def select_k(n: int, mode: str = "default", k: Optional[int] = None) -> int:
         raise ConfigurationError("automatic split selection needs n >= 3")
     if mode == "default":
         return n - math.isqrt(n - 1) - 1  # == n - ceil(sqrt(n)) for n >= 2
-    if mode == "gaussian-exact":
-        return n - 1
     raise ConfigurationError(f"unknown k mode {mode!r}")
 
 

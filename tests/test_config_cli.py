@@ -93,7 +93,8 @@ def test_parse_error_exit_code(tmp_path, capsys):
     misspelt = [small.replace("seed = 5", "seed = 5\nwieghting = mixture"),
                 small.replace("thinning = 2", "thining = 2"),
                 small.replace("[output]", "[outptu]")]
-    for text in ["[model\nfamily = gaussian-mean\n", fractional_sweep, *misspelt]:
+    no_family = small.replace("family = gaussian-mean\n", "")
+    for text in ["[model\nfamily = gaussian-mean\n", fractional_sweep, no_family, *misspelt]:
         bad.write_text(text)
         assert main(["run", str(bad)]) == 2
         assert main(["validate", str(bad)]) == 2
@@ -121,7 +122,8 @@ def test_validation_error_exit_code(tmp_path):
     for old, new in [("family = gaussian-mean", "family = mystery"),
                      ("sigma = 1.0", "sigma = inf"),
                      ("sigma = 1.0", "sigma = nan"),
-                     ("two_sided_threshold = 0.28", "two_sided_threshold = nan")]:
+                     ("two_sided_threshold = 0.28", "two_sided_threshold = nan"),
+                     ("[output]", "[sweep]\nparameter = d\n\n[output]")]:
         path = write(tmp_path, SMALL.replace(old, new), csv=str(tmp_path / "o.csv"))
         assert main(["run", path]) == 3
         assert main(["validate", path]) == 3
@@ -259,8 +261,9 @@ def test_mixture_weighting_validated_against_family(tmp_path):
 
 
 @pytest.mark.parametrize("chain", ["thinning = 2\ntarget_kind = auto", "thinning = 0",
-                                   "thinning = 2\nrestart_prob = 0.1"],
-                         ids=["target_kind", "thinning", "restart_prob"])
+                                   "thinning = 2\nrestart_prob = 0.1",
+                                   "thinning = 2\nproposal_scale = 0.1"],
+                         ids=["target_kind", "thinning", "restart_prob", "proposal_scale"])
 def test_chain_block_error_is_parse_error(tmp_path, capsys, chain):
     text = SMALL.replace("thinning = 2", chain)
     path = write(tmp_path, text, csv=str(tmp_path / "o.csv"))
@@ -271,14 +274,19 @@ def test_chain_block_error_is_parse_error(tmp_path, capsys, chain):
     assert "Traceback" not in err
 
 
-def test_proposal_scale_length_is_validated(tmp_path, capsys):
-    text = SMALL.replace("d = 1", "d = 2")
-    text = text.replace("thinning = 2", "thinning = 2\nproposal_scale = 0.1, 0.1, 0.1")
+@pytest.mark.parametrize("old,new,message", [
+    # the threshold used to win, silently dropping the constraints
+    ("two_sided_threshold = 0.28", "two_sided_threshold = 0.28\nconstraint_1 = [0.5, inf)",
+     "not both"),
+    # the values used to be ignored, and one unswept row written
+    ("[output]", "[sweep]\nvalues = 1, 2\n\n[output]", "needs a parameter"),
+], ids=["region-both-forms", "sweep-values-only"])
+def test_contradictory_blocks_are_parse_errors(tmp_path, capsys, old, new, message):
     out = tmp_path / "o.csv"
-    path = write(tmp_path, text, csv=str(out))
-    assert main(["validate", path]) == 3
-    assert main(["run", path]) == 3
-    assert capsys.readouterr().err.count("proposal_scale size must be 1 or s=2") == 2
+    path = write(tmp_path, SMALL.replace(old, new), csv=str(out))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err.count(message) == 2
     assert not out.exists()
 
 

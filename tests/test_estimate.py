@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm, poisson
+from scipy.stats import gamma, norm, poisson
 
 import raresum as rs
 from raresum.errors import ConfigurationError
@@ -87,6 +87,38 @@ def test_exponential_mean_matches_gamma_oracle(expo, estimator):
         assert abs(rep.p_hat - P_EXPO_MEAN) < 4 * rep.std_error
 
 
+@pytest.mark.parametrize("estimator,L,seeds", [
+    pytest.param(rs.tilted_iid_estimate, 2000, range(1, 11), id="tilted-iid"),
+    pytest.param(rs.adaptive_estimate, 100, range(1, 6), id="adaptive")])
+def test_exponential_mean_union_matches_gamma_oracle(expo, estimator, L, seeds):
+    # n * mean ~ Gamma(100, 1) at n = 100, so P(mean in [1.3, 1.35] or
+    # mean >= 1.5) is exact; each seed, fixed up front, lands within 4
+    # standard errors of it
+    region = rs.ProductRegion((rs.parse_interval_union("[1.3, 1.35] [1.5, inf)"),))
+    G = gamma(100)
+    truth = G.cdf(135) - G.cdf(130) + G.sf(150)
+    assert truth == pytest.approx(2.04848e-3, rel=1e-5)
+    for seed in seeds:
+        rep = estimator(expo, region, 100, L, seed=seed)
+        assert abs(rep.p_hat - truth) < 4 * rep.std_error
+
+
+def test_exponential_mean_tilted_iid_sees_upper_branch_only(expo):
+    # mean <= 0.75 or mean >= 1.3 at n = 100 has P = 6.10285e-3 exactly.
+    # The rate function puts the dominating point at 1.3 by a hair (I =
+    # 0.037636 against 0.037682 at 0.75), so tilted-iid samples the upper
+    # branch alone, 45 % of P: at each of ten seeds, fixed up front, it lands
+    # within 4 standard errors of that branch and stays below 0.6 P
+    region = rs.ProductRegion((rs.parse_interval_union("[0, 0.75] [1.3, inf)"),))
+    G = gamma(100)
+    truth, upper = G.cdf(75) + G.sf(130), G.sf(130)
+    assert (truth, upper) == pytest.approx((6.10285e-3, 2.75041e-3), rel=1e-5)
+    for seed in range(1, 11):
+        rep = rs.tilted_iid_estimate(expo, region, 100, 2000, seed=seed)
+        assert abs(rep.p_hat - upper) < 4 * rep.std_error
+        assert rep.p_hat < 0.6 * truth
+
+
 def test_weights_positive_and_finite(gauss_005):
     region = rs.two_sided_region(0.28, 1)
     chain = rs.MeanChainConfig(burn_in=500, thinning=5)
@@ -100,11 +132,10 @@ def test_weights_positive_and_finite(gauss_005):
 
 def test_adaptive_insensitive_to_chain_quality(std_gauss):
     # unbiasedness holds for any conditioning-point law inside the region,
-    # so a deliberately bad proposal scale only moves the variance
+    # so a chain with no burn-in and no thinning only moves the variance
     region = one_sided(0.5)
     good = rs.MeanChainConfig(burn_in=500, thinning=2)
-    bad = rs.MeanChainConfig(burn_in=500, thinning=2,
-                             proposal_scale=np.array([0.004]))
+    bad = rs.MeanChainConfig(burn_in=0, thinning=1)
     pc = rs.PathConfig(k_mode="manual", k=4)
     r1 = rs.adaptive_estimate(std_gauss, region, 6, 4000, path_config=pc,
                               chain_config=good, seed=21)

@@ -61,9 +61,9 @@ def test_acceptance_uses_target_ratio(gauss_005):
         def integers(self, n):
             return 0
 
-    cfg = rs.MeanChainConfig(burn_in=0, thinning=1, proposal_scale=np.array([0.1]))
+    cfg = rs.MeanChainConfig(burn_in=0, thinning=1)
     start = rs.initial_point(region, gauss_005, 100)  # 0.38
-    prop = start + 0.1 * 1.0  # z = 1 -> 0.48
+    prop = start + 0.1 * 1.0  # step sqrt(sigma^2 / n) = 0.1, z = 1 -> 0.48
     delta = (rs.target_logdensity(gauss_005, region, 100, prop)
              - rs.target_logdensity(gauss_005, region, 100, start))
     p_accept = math.exp(delta)  # downhill move, < 1
@@ -124,9 +124,9 @@ def test_config_validation():
         rs.MeanChainConfig(burn_in=-1)
     with pytest.raises(ConfigurationError):
         rs.MeanChainConfig(thinning=0)
-    with pytest.raises(ConfigurationError):
-        rs.MeanChainConfig(proposal_scale=np.array([0.0]))
-    # the model fixes the target, and RESTART_PROB the restart share
+    # the model fixes the target and the step, and RESTART_PROB the restart share
+    with pytest.raises(TypeError):
+        rs.MeanChainConfig(proposal_scale=np.array([0.1]))
     with pytest.raises(TypeError):
         rs.MeanChainConfig(target_kind="auto")
     with pytest.raises(TypeError):

@@ -32,9 +32,10 @@ def exact_conditional_head(n, k, v, sigma=1.0):
 
 def test_select_k_examples():
     assert select_k(100, "default") == 90
-    assert select_k(100, "gaussian-exact") == 99
     assert select_k(3, "default") == 1
     assert select_k(50, "manual", 12) == 12
+    with pytest.raises(ConfigurationError):  # manual with k = n - 1 covers it
+        select_k(100, "gaussian-exact")
 
 
 def test_select_k_validation():
