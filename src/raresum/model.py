@@ -9,9 +9,11 @@ tilts of many targets are solved in one call (`tilt.solve_tilts`).  The
 d = 1 families also give `step_poly_fn`: the log-density of each of a
 stack of grid step laws as a polynomial in y, from which the run walker
 computes where to tabulate it and tabulates it.
-A custom model may leave any of them out; the mean, covariance and third
-cumulants then fall back to central finite differences of the cumulant
-function, and the tilt to damped Newton (`tilt.solve_tilt`).
+A custom model may leave any of them out.  `moments` then fills the mean,
+covariance or third cumulants by central finite differences of the cumulant
+function, one row at a time, and the tilt falls back to damped Newton
+(`tilt.solve_tilts`), also one row at a time; so a model without `tilt_fn`
+may give moments that take one row only.
 """
 
 from __future__ import annotations
@@ -211,12 +213,6 @@ def _fd_hessian(model: ModelSpec, t: Array) -> Array:
     return H
 
 
-def _covariance_at(model: ModelSpec, t: Array) -> Array:
-    cov = model.cov_fn(t) if model.cov_fn is not None else _fd_hessian(model, t)
-    cov = np.asarray(cov, dtype=float)
-    return 0.5 * (cov + cov.T)
-
-
 def _fd_third_contracted(model: ModelSpec, t: Array) -> Array:
     """gamma_p = sum_j d kappa_jj / d t_p via central differences of the Hessian."""
     h = _fd_step(model, t)
@@ -224,29 +220,65 @@ def _fd_third_contracted(model: ModelSpec, t: Array) -> Array:
     for p in range(model.s):
         e = np.zeros(model.s)
         e[p] = h[p]
-        diag_plus = np.diagonal(_covariance_at(model, t + e))
-        diag_minus = np.diagonal(_covariance_at(model, t - e))
+        diag_plus = np.diagonal(_moment(model, 1, (t + e)[None])[0])
+        diag_minus = np.diagonal(_moment(model, 1, (t - e)[None])[0])
         gamma[p] = np.sum(diag_plus - diag_minus) / (2.0 * h[p])
     return gamma
 
 
-def _mean_at(model: ModelSpec, t: Array) -> Array:
-    if model.mean_fn is not None:
-        return np.asarray(model.mean_fn(t), dtype=float)
-    return _fd_gradient(model, t)
+def _moment(model: ModelSpec, which: int, T: Array, rows=None) -> Array:
+    """Moment `which` of the tilted law (0 the mean, 1 the symmetrized
+    covariance, 2 the contracted third cumulants) at the rows of the tilt
+    stack T (R, s) that the mask `rows` selects (None: every row), NaN at
+    the others.  The model's callable for it is called once on the selected
+    rows; a batch of one is passed as its row, which the built-ins compute
+    with numpy scalars, to the same bits and several times faster.  Without
+    the callable, central finite differences fill the rows one at a time."""
+    fn = (model.mean_fn, model.cov_fn, model.third_fn)[which]
+    shape = (len(T),) + (model.s,) * (2 if which == 1 else 1)
+    if fn is not None and rows is None:
+        out = np.asarray(fn(T[0] if len(T) == 1 else T), dtype=float).reshape(shape)
+    else:
+        out = np.full(shape, np.nan)
+        if fn is not None:
+            out[rows] = fn(T[rows])
+        else:
+            fd = (_fd_gradient, _fd_hessian, _fd_third_contracted)[which]
+            for j in range(len(T)) if rows is None else np.flatnonzero(rows):
+                out[j] = fd(model, T[j])
+    return 0.5 * (out + np.swapaxes(out, -1, -2)) if which == 1 else out
+
+
+def moments(model: ModelSpec, T, rows=None):
+    """(means (R, s), covariances (R, s, s), contracted third cumulants
+    (R, s)) of the tilted laws at the rows of the tilt stack T (R, s) that
+    the mask `rows` selects (None: every row), NaN at the others: each from
+    the model's callable, or by finite differences where it has none."""
+    return _moment(model, 0, T, rows), _moment(model, 1, T, rows), _moment(model, 2, T, rows)
+
+
+def cholesky_rows(cov):
+    """(factors, ok) of a (R, s, s) stack: LAPACK's Cholesky factor of each
+    matrix, and which ones are positive definite.  The factors of the others
+    are meaningless: LAPACK's failures, or a factor with a non-finite entry,
+    which it returns for a NaN matrix without complaint."""
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        chol = np.full_like(cov, np.nan)
+        for j, c in enumerate(cov):
+            try:
+                chol[j] = np.linalg.cholesky(c)
+            except np.linalg.LinAlgError:
+                pass
+    return chol, np.isfinite(chol).all(axis=(1, 2))
 
 
 def mean_map(model: ModelSpec, t) -> Array:
     """Mean of the tilted law: the gradient of the cumulant function at t."""
     t = _as_tilt(model, t)
     _check_domain(model, t)
-    return _mean_at(model, t)
-
-
-def mean_and_cov(model: ModelSpec, t: Array):
-    """(m(t), kappa(t)) with a single domain check; hot path of the solver."""
-    _check_domain(model, t)
-    return _mean_at(model, t), _covariance_at(model, t)
+    return _moment(model, 0, t[None])[0]
 
 
 def local_cumulants(model: ModelSpec, t) -> LocalCumulants:
@@ -256,22 +288,10 @@ def local_cumulants(model: ModelSpec, t) -> LocalCumulants:
     definite, which signals a tilt too close to the domain boundary.
     """
     t = _as_tilt(model, t)
-    mean, cov = mean_and_cov(model, t)
-    if cov.shape == (1, 1):
-        if not cov[0, 0] > 0:
-            raise NumericError(
-                f"covariance of the tilted law is not positive definite at t={t}")
-    else:
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                f"covariance of the tilted law is not positive definite at t={t}"
-            ) from None
-    if model.third_fn is not None:
-        third = np.asarray(model.third_fn(t), dtype=float)
-    else:
-        third = _fd_third_contracted(model, t)
+    _check_domain(model, t)
+    mean, cov, third = (x[0] for x in moments(model, t[None]))
+    if not cholesky_rows(cov[None])[1][0]:
+        raise NumericError(f"covariance of the tilted law is not positive definite at t={t}")
     return LocalCumulants(t=t, mean=mean, covariance=cov, third=third)
 
 

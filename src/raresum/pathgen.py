@@ -51,8 +51,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
-from .model import ModelSpec
-from .tilt import TiltSolution, cholesky_rows, solve_tilt, solve_tilts
+from .model import ModelSpec, cholesky_rows
+from .tilt import TiltSolution, solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Working-set budgets, in float64 values: one block of batched Gaussian runs
@@ -78,18 +78,21 @@ K_MODES = ("default", "manual")
 def select_k(n: int, mode: str = "default", k: Optional[int] = None) -> int:
     """Split index for an n-point run.
 
-    default: k = n - ceil(sqrt(n)), so k/n -> 1 while n - k -> inf.
+    default: k = n - ceil(sqrt(n)), so k/n -> 1 while n - k -> inf; a
+             given k is refused, not ignored.
     manual:  user-supplied k, validated to 1 <= k <= n - 1.
     """
     if mode == "manual":
         if k is None or not 1 <= k <= n - 1:
             raise ConfigurationError(f"manual k must satisfy 1 <= k <= {n - 1}, got {k}")
         return int(k)
+    if mode != "default":
+        raise ConfigurationError(f"unknown k mode {mode!r}")
+    if k is not None:
+        raise ConfigurationError(f"k = {k} needs k_mode = manual; the default mode sets k itself")
     if n < 3:
         raise ConfigurationError("automatic split selection needs n >= 3")
-    if mode == "default":
-        return n - math.isqrt(n - 1) - 1  # == n - ceil(sqrt(n)) for n >= 2
-    raise ConfigurationError(f"unknown k mode {mode!r}")
+    return n - math.isqrt(n - 1) - 1  # == n - ceil(sqrt(n)) for n >= 2
 
 
 @dataclass

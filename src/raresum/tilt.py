@@ -10,13 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BaselineUnavailable, ConfigurationError, NumericError, SteepnessError
-from .model import (
-    LocalCumulants,
-    ModelSpec,
-    _fd_third_contracted,
-    mean_and_cov,
-    mean_map,
-)
+from .model import LocalCumulants, ModelSpec, _moment, cholesky_rows, mean_map, moments
 from .region import ProductRegion, component_boxes, contains
 
 DEFAULT_TOL = 1e-10
@@ -95,38 +89,22 @@ class TiltBatch:
                             residual=float(self.residual[j]))
 
 
-def cholesky_rows(cov):
-    """(factors, ok) of a (R, s, s) stack: LAPACK's Cholesky factor of each
-    positive definite matrix (NaN for the others), and which ones are."""
-    ok = np.ones(len(cov), dtype=bool)
-    try:
-        return np.linalg.cholesky(cov), ok
-    except np.linalg.LinAlgError:
-        pass
-    chol = np.full_like(cov, np.nan)
-    for j, c in enumerate(cov):
-        try:
-            chol[j] = np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            ok[j] = False
-    return chol, ok
-
-
 def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     """Solve m(t) = alpha for every row alpha of A (R, s).
 
     A model with a closed-form inverse mean map (`tilt_fn`) gets all tilts
-    from one call of it, a NaN row marking a target it cannot attain, and
-    its mean, covariance and third cumulants from one call each; `T0` is
-    unused.  Otherwise each row runs damped Newton on the dual K(t) -
+    from one call of it, a NaN row marking a target it cannot attain; `T0`
+    is unused.  Otherwise each row runs damped Newton on the dual K(t) -
     <t, alpha> to DEFAULT_TOL from t = 0 (always inside the domain), or from
     its row of `T0` when that row is finite, e.g. to warm-start from a
-    neighbouring solve.  Either way a row's tilt must lie inside the domain
-    margin, have a positive definite covariance and reach alpha to
-    MAX_RESIDUAL.  A row that fails gets SteepnessError when its target
-    cannot be reached, which signals that alpha lies outside the attainable
-    mean range, or NumericError for a covariance that is not positive
-    definite; its other entries are then meaningless.
+    neighbouring solve.  The mean, covariance and third cumulants at the
+    solved tilts come from `model.moments`: for all rows at once with
+    `tilt_fn`, one row at a time without.  Either way a row's tilt must lie
+    inside the domain margin, have a positive definite covariance and reach
+    alpha to MAX_RESIDUAL.  A row that fails gets SteepnessError when its
+    target cannot be reached, which signals that alpha lies outside the
+    attainable mean range, or NumericError for a covariance that is not
+    positive definite; its other entries are then meaningless.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[1] != model.s:
@@ -134,38 +112,29 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     R, s = A.shape
     errors = [None] * R
     iterations = np.zeros(R, dtype=int)
-    closed = model.tilt_fn is not None
-    if closed:
+    if model.tilt_fn is not None:
         T = np.asarray(model.tilt_fn(A[0] if R == 1 else A), dtype=float).reshape(R, s)
         lower, upper = model.cumulant_domain.inner()
         solved = ((T > lower) & (T < upper)).all(axis=1)
         predicate = model.cumulant_domain.predicate
         if predicate is not None:
             solved = np.array([ok and bool(predicate(t)) for ok, t in zip(solved.tolist(), T)])
-        rows = None if solved.all() else solved
-        M = _on_rows(model.mean_fn, T, rows, (s,))
-        C = _on_rows(model.cov_fn, T, rows, (s, s))
-        C = 0.5 * (C + np.swapaxes(C, -1, -2))
+        M, C, third = moments(model, T, None if solved.all() else solved)
     else:
-        T, M, C = np.zeros((R, s)), np.zeros((R, s)), np.zeros((R, s, s))
+        # row by row, since a model without tilt_fn may give moments that
+        # take one row only
+        T, M, C, third = (np.full((R,) + shape, np.nan) for shape in ((s,), (s,), (s, s), (s,)))
         for j in range(R):
             t0 = None if T0 is None or not np.all(np.isfinite(T0[j])) else T0[j]
             try:
-                T[j], M[j], C[j], iterations[j] = _newton(model, A[j], t0)
+                T[j], iterations[j] = _newton(model, A[j], t0)
             except SteepnessError as exc:
                 errors[j] = exc
+                continue
+            M[j], C[j], third[j] = (x[0] for x in moments(model, T[j:j + 1]))
         solved = np.array([e is None for e in errors], dtype=bool)
-        rows = None if solved.all() else solved
-    chol, pd = cholesky_rows(C if rows is None else np.where(solved[:, None, None], C, np.eye(s)))
+    chol, pd = cholesky_rows(C)
     pd &= solved
-    rows = None if pd.all() else pd
-    if closed:
-        third = _on_rows(model.third_fn, T, rows, (s,))
-    else:
-        third = np.full((R, s), np.nan)
-        for j in np.flatnonzero(pd):
-            third[j] = (model.third_fn(T[j]) if model.third_fn is not None
-                        else _fd_third_contracted(model, T[j]))
     # |m(t) - target| in the kappa^{-1} norm, the length of chol^{-1} (m(t) - target):
     # forward substitution, one coordinate of all rows at a time
     res, L, z = (M - A).T, chol.transpose(1, 2, 0), []
@@ -192,18 +161,6 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
                      iterations=iterations, residual=residual, errors=errors)
 
 
-def _on_rows(fn, X, rows, shape):
-    """fn of the rows of X that the mask `rows` selects (None: every row),
-    NaN for the others.  A batch of one is passed as its row, which the
-    built-ins compute with numpy scalars, to the same bits and several times
-    faster."""
-    if rows is None:
-        return np.asarray(fn(X[0] if len(X) == 1 else X), dtype=float).reshape(X.shape[:1] + shape)
-    out = np.full((len(X),) + shape, np.nan)
-    out[rows] = fn(X[rows])
-    return out
-
-
 def solve_tilt(model: ModelSpec, alpha, t0=None) -> TiltSolution:
     """Solve m(t) = alpha: the batch of one of `solve_tilts`.  Raises
     SteepnessError when the target cannot be reached, which signals that
@@ -216,9 +173,9 @@ def solve_tilt(model: ModelSpec, alpha, t0=None) -> TiltSolution:
 
 
 def _newton(model: ModelSpec, alpha, t0):
-    """(t, m(t), kappa(t), iterations) of damped Newton on the dual from t0,
-    or from t = 0 when t0 is None or outside the domain margin, until every
-    coordinate of m(t) is within DEFAULT_TOL of alpha."""
+    """(t, iterations) of damped Newton on the dual from t0, or from t = 0
+    when t0 is None or outside the domain margin, until every coordinate of
+    m(t) is within DEFAULT_TOL of alpha."""
     t = np.zeros(model.s) if t0 is None else np.array(t0, dtype=float)
     if not model.cumulant_domain.contains(t, margin=True):
         t = np.zeros(model.s)
@@ -230,10 +187,10 @@ def _newton(model: ModelSpec, alpha, t0):
     f = dual(t)
     scalar = model.s == 1
     for it in range(1, MAX_ITER + 1):
-        m, cov = mean_and_cov(model, t)
+        m, cov = (_moment(model, which, t[None])[0] for which in (0, 1))
         residual_vec = m - alpha
         if np.max(np.abs(residual_vec)) <= DEFAULT_TOL:
-            return t, m, cov, it - 1
+            return t, it - 1
         if scalar:
             if cov[0, 0] <= 0:
                 raise _singular_covariance(model, t, t_start)

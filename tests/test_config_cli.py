@@ -123,7 +123,8 @@ def test_validation_error_exit_code(tmp_path):
                      ("sigma = 1.0", "sigma = inf"),
                      ("sigma = 1.0", "sigma = nan"),
                      ("two_sided_threshold = 0.28", "two_sided_threshold = nan"),
-                     ("[output]", "[sweep]\nparameter = d\n\n[output]")]:
+                     ("[output]", "[sweep]\nparameter = d\n\n[output]"),
+                     ("k_mode = manual\n", "")]:  # k = 15 needs k_mode = manual
         path = write(tmp_path, SMALL.replace(old, new), csv=str(tmp_path / "o.csv"))
         assert main(["run", path]) == 3
         assert main(["validate", path]) == 3

@@ -11,6 +11,7 @@ from scipy.stats import multivariate_normal, norm
 import raresum as rs
 from raresum.errors import ConfigurationError, PathAbort
 from raresum import estimate, pathgen
+from raresum.model import moments
 from raresum.pathgen import (
     GridDensity1D,
     gaussian_step,
@@ -45,6 +46,8 @@ def test_select_k_validation():
         select_k(100, "manual", 100)
     with pytest.raises(ConfigurationError):
         select_k(2, "default")
+    with pytest.raises(ConfigurationError, match="manual"):  # not the default k = 90
+        select_k(100, "default", 75)
 
 
 def test_gaussian_step_example(std_gauss):
@@ -749,9 +752,18 @@ def test_stacked_builtin_callables_equal_rowwise(family):
     rows = np.array([model.tilt_fn(a) for a in A])
     assert np.array_equal(T, rows, equal_nan=True)
     assert np.any(np.isnan(T)) == (family != "gaussian-mean")  # NaN marks unattainable
-    T = T[~np.any(np.isnan(T), axis=1)]
+    attainable = ~np.any(np.isnan(T), axis=1)
+    masked = moments(model, T, attainable)
+    T = T[attainable]
     for fn in (model.mean_fn, model.cov_fn, model.third_fn):
         assert np.array_equal(fn(T), np.array([fn(t) for t in T]))
+    # model.moments: a stack equals its batches of one, and a masked stack
+    # is NaN in the rows left out
+    rows = [moments(model, T[j:j + 1]) for j in range(len(T))]
+    for which, stacked in enumerate(moments(model, T)):
+        assert np.array_equal(stacked, np.concatenate([r[which] for r in rows]))
+        assert np.array_equal(masked[which][attainable], stacked)
+        assert np.all(np.isnan(masked[which][~attainable]))
     batch = rs.solve_tilts(model, A)
     for j, alpha in enumerate(A):
         if batch.errors[j] is None:

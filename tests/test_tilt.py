@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import raresum as rs
-from raresum.errors import BaselineUnavailable, SteepnessError
+from raresum.errors import BaselineUnavailable, NumericError, SteepnessError
 from raresum.region import Interval, IntervalUnion
 
 
@@ -85,6 +85,74 @@ def test_unattainable_target_is_named(expo, mean_square):
         for target in ([0.5, 0.25], [0.5, 0.2], [0.0, -1.0]):
             with pytest.raises(SteepnessError, match=named):
                 rs.solve_tilt(model, target)
+
+
+# three targets within a few standard deviations of each base mean
+FILL_TARGETS = {"exponential-mean": [[0.8], [1.5], [3.0]],
+                "gaussian-mean-and-square": [[0.3, 1.5], [-0.5, 0.6], [1.0, 2.5]]}
+
+
+@pytest.mark.parametrize("family", list(FILL_TARGETS))
+@pytest.mark.parametrize("left_out", [("mean_fn",), ("cov_fn",), ("third_fn",),
+                                      ("mean_fn", "cov_fn", "third_fn")],
+                         ids=["mean", "cov", "third", "all"])
+def test_left_out_moments_are_filled_by_finite_differences(family, left_out):
+    # a model with tilt_fn but without some analytic moments: finite
+    # differences fill them, the tilts are the built-in's, and the baseline
+    # runs.  With all three left out, the third cumulant is a difference of
+    # differences, whose rounding error scales with K(t) rather than with
+    # the third cumulant; these targets keep it within 1e-4
+    builtin = rs.builtin_model(family)
+    custom = dataclasses.replace(builtin, **dict.fromkeys(left_out))
+    A = np.array(FILL_TARGETS[family])
+    exact, filled = rs.solve_tilts(builtin, A), rs.solve_tilts(custom, A)
+    assert filled.errors == [None] * len(A)
+    assert np.array_equal(filled.t, exact.t)
+    np.testing.assert_allclose(filled.mean, exact.mean, rtol=1e-6)
+    np.testing.assert_allclose(filled.covariance, exact.covariance, rtol=1e-6)
+    np.testing.assert_allclose(filled.third, exact.third, rtol=1e-4)
+    region = rs.ProductRegion(tuple(IntervalUnion((Interval(a, math.inf),)) for a in A[-1]))
+    report = rs.tilted_iid_estimate(custom, region, 20, 50, seed=3)
+    assert report.hit_rate > 0
+
+
+def _row_only(fn):
+    def on_row(t):
+        assert np.ndim(t) == 1, "called on a stack"
+        return fn(t)
+    return on_row
+
+
+@pytest.mark.parametrize("family", list(FILL_TARGETS))
+def test_moments_of_a_model_without_tilt_fn_may_take_rows_only(family):
+    # without tilt_fn, every row is solved by Newton alone, so analytic
+    # moments that take one row only still serve stacks and estimates
+    builtin = rs.builtin_model(family)
+    custom = dataclasses.replace(builtin, tilt_fn=None, **{
+        f: _row_only(getattr(builtin, f)) for f in ("mean_fn", "cov_fn", "third_fn")})
+    A = np.array(FILL_TARGETS[family])
+    batch = rs.solve_tilts(custom, A)
+    assert batch.errors == [None] * len(A)
+    np.testing.assert_allclose(batch.t, rs.solve_tilts(builtin, A).t, rtol=1e-8)
+    region = rs.ProductRegion(tuple(IntervalUnion((Interval(a, math.inf),)) for a in A[-1]))
+    report = rs.adaptive_estimate(custom, region, 20, 10, seed=3,
+                                  chain_config=rs.MeanChainConfig(burn_in=20, thinning=1))
+    assert report.L == 10 and np.isfinite(report.p_hat)
+
+
+@pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
+def test_nan_covariance_is_not_positive_definite(family):
+    # LAPACK factors a NaN matrix into NaNs without complaint; the solver
+    # and local_cumulants must still call it not positive definite, at s = 1
+    # and s = 2 alike, not an unattainable target
+    builtin = rs.builtin_model(family)
+    s = builtin.s
+    custom = dataclasses.replace(
+        builtin, cov_fn=lambda t: np.full(np.shape(t)[:-1] + (s, s), np.nan))
+    with pytest.raises(NumericError, match="not positive definite"):
+        rs.local_cumulants(custom, np.zeros(s))
+    batch = rs.solve_tilts(custom, np.array(FILL_TARGETS[family]))
+    assert all(isinstance(e, NumericError) for e in batch.errors)
 
 
 @pytest.mark.parametrize("name,params,sampler", [
