@@ -10,10 +10,11 @@ match the revision's; where they do not, it prints the largest relative
 difference in each numeric column but wall_time, so that a change of
 rounding reads as one.  Prints one line per run with its wall time.
 
-    python3 scripts/check_csv.py --rev HEAD~1
+    python3 scripts/check_csv.py --rev HEAD~1 [--same]
 
 Exits 1 when a run fails or a tree's CSVs differ across thread counts; a
-difference from --rev is reported, since a change may mean to make one.
+difference from --rev is reported, since a change may mean to make one,
+and with --same it exits 1 as well, for a change that must keep every byte.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ def largest_differences(ours: bytes, theirs: bytes) -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default=None, help="also run this git revision and compare")
+    parser.add_argument("--same", action="store_true",
+                        help="exit 1 when a CSV differs from --rev's")
     args = parser.parse_args(argv)
+    if args.same and not args.rev:
+        parser.error("--same needs --rev")
     threads = [1, 2]
     configs = sorted(p.name for p in (ROOT / "configs").glob("*.cfg"))
 
@@ -114,6 +119,7 @@ def main(argv=None) -> int:
                   + " across --threads 1 and 2")
         if args.rev:
             same = all(csvs["this", config, t] == csvs[args.rev, config, t] for t in threads)
+            ok &= same or not args.same
             print(f"{config}: " + ("equal to" if same else "different from") + f" {args.rev}")
             for t in threads:
                 if csvs["this", config, t] != csvs[args.rev, config, t]:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
 from .model import ModelSpec, mean_map
 from .pathgen import PathConfig, engine_errors, mixture_logdensity, walk_blocks, walk_runs
@@ -142,7 +142,8 @@ def _score_block(model, region, n, k, variant, weighting, vs, seed, block):
     `block`: replicate l's run is drawn toward vs[l] with the generator
     replicate_rng(seed, l), and a hit weighs exp(log p - log g).  Each
     value depends only on its replicate's index, so any cut of the
-    replicates into blocks (--threads) gives the same numbers."""
+    replicates into blocks (--threads) gives the same numbers; a weight
+    past the float range raises NumericError."""
     points, head, tail, log_p, _ = walk_runs(
         model, vs[block], n, k, variant,
         rngs=(replicate_rng(seed, l) for l in range(block.start, block.stop)))
@@ -155,8 +156,13 @@ def _score_block(model, region, n, k, variant, weighting, vs, seed, block):
     hits = contains_rows(region, means) & ~aborted
     if weighting == "mixture" and hits.any():
         log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
-    weights = np.zeros(R)
-    weights[hits] = [math.exp(x) for x in (log_p - log_g)[hits]]
+    weights, log_w = np.zeros(R), log_p - log_g
+    try:
+        weights[hits] = [math.exp(x) for x in log_w[hits]]
+    except OverflowError:  # name the replicate of the largest log-weight
+        l = int(np.argmax(np.where(hits, log_w, -np.inf)))
+        raise NumericError(f"replicate {block.start + l}: weight overflows, "
+                           f"log-weight {log_w[l]}") from None
     return weights, hits, aborted, means
 
 

@@ -55,9 +55,10 @@ class MeanChainDiagnostics:
 
 def target_logdensity(model: ModelSpec, region: ProductRegion, n: int, v) -> float:
     """Unnormalized log-density of the restricted sample-mean law at v."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
     loc0 = local_cumulants(model, np.zeros(model.s))
     _, log_target = _log_target(model, region, n, loc0)
-    return log_target(np.atleast_1d(np.asarray(v, dtype=float)))
+    return log_target(v) if contains(region, v) else -math.inf  # contains checks v's shape
 
 
 def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
@@ -65,13 +66,21 @@ def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
     law), where loc0 holds the untilted mean and covariance: "exact-gaussian"
     for a model with gauss_identity_params, else "saddlepoint"."""
     if model.gauss_identity_params is not None:
-        prec_chol = np.linalg.cholesky(np.linalg.inv(loc0.covariance))
+        # X ~ N(mu, diag(sigma2)), so the precision factor is diagonal: its
+        # product with v - mean is the elementwise one, to the bit
+        prec = np.diagonal(np.linalg.cholesky(np.linalg.inv(loc0.covariance)))
+        half_n, prec0, mean0 = -0.5 * n, prec[0].item(), loc0.mean[0].item()
 
         def log_target(v):
-            if not contains(region, v):
-                return -math.inf
-            z = prec_chol.T @ (v - loc0.mean)
-            return float(-0.5 * n * z @ z)
+            xs = v.tolist()
+            for c, x in zip(region.components, xs):  # membership on Python floats
+                if not c.contains(x):
+                    return -math.inf
+            if len(xs) == 1:  # a dot product of one term is one rounded product
+                z = prec0 * (xs[0] - mean0)
+                return half_n * z * z
+            z = prec * (v - loc0.mean)
+            return float(half_n * z @ z)
         return "exact-gaussian", log_target
 
     def log_target(v):
@@ -164,15 +173,18 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
     boxes = component_boxes(region)
     restart = _RestartKernel(boxes, loc0.mean, scale) if len(boxes) > 1 else None
 
-    total = config.burn_in + config.thinning * count
+    burn_in, thinning = config.burn_in, config.thinning
+    total = burn_in + thinning * count
     states = np.empty((count, model.s))
     stored = 0
     accepted = 0
+    # the generator's methods, bound once; the draws are the same, in order
+    random, normal, log, s = rng.random, rng.standard_normal, math.log, model.s
     # restart.logpdf(v) changes only when v does: rv caches it, and None
     # marks it stale after an accepted random-walk move.
     rv = None
     for step in range(total):
-        if restart is not None and rng.random() < RESTART_PROB:
+        if restart is not None and random() < RESTART_PROB:
             prop = restart.sample(rng)
             lp = logtarget(prop)
             if rv is None:
@@ -180,15 +192,14 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
             rprop = restart.logpdf(prop)
             log_alpha = (lp + rv) - (lt + rprop)
         else:
-            prop = v + scale * rng.standard_normal(model.s)
+            prop = v + scale * normal(s)
             lp = logtarget(prop)
             rprop = None
             log_alpha = lp - lt
-        if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
+        if log_alpha >= 0 or log(random()) < log_alpha:
             v, lt, rv = prop, lp, rprop
             accepted += 1
-        idx = step - config.burn_in
-        if idx >= 0 and idx % config.thinning == config.thinning - 1:
+        if step >= burn_in and (step - burn_in) % thinning == thinning - 1:
             states[stored] = v
             stored += 1
     assert stored == count

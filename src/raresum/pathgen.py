@@ -12,8 +12,8 @@ is the one place that picks an engine.  For a model with
 `gauss_identity_params` every head step and the tail follow one closed-form
 Gaussian law (`gaussian_step`), and no tilt is solved: `_draw_gaussian_points`
 draws runs from pre-drawn normals, and `_gaussian_quadratic` writes their
-log-densities as quadratics in the conditioning point, read at each run's
-own point (paired) or at every point of a set (`mixture_logdensity`).
+log-densities as quadratics in the conditioning point in one array pass,
+read at each run's own point (paired) or at all of a set (`mixture_logdensity`).
 Any other model needs d = 1 for head steps.  Its step density is tabulated
 on a grid and sampled by inverse CDF; the recorded log-density is the exact
 density of that tabulated sampler, so importance weights stay unbiased.
@@ -805,14 +805,15 @@ def _summed_logpdf(logpdf, points):
 def _draw_gaussian_points(model, V, Z, n, k, variant):
     """Gaussian-identity runs (L, n, s), run l conditioned toward V[l] and
     driven by the standard normals Z[l] (n, s), which the points overwrite:
-    k head steps from gaussian_step, then n - k i.i.d. N(m_k, sigma^2)
-    points.  Each point is mean + sd * z, exactly what rng.normal(mean, sd)
-    returns for the same z."""
+    k head steps (_head_law), then n - k i.i.d. N(m_k, sigma^2) points.
+    Each point is mean + sd * z, exactly what rng.normal(mean, sd) returns
+    for the same z and gaussian_step's mean and sd."""
+    *coef, var, _ = _head_law(model, n, k, variant)
+    Z[:, :k] *= np.sqrt(var)
     u_run = np.zeros_like(V)
-    for i in range(k):
-        mean, var = gaussian_step(model, V, u_run, i, n, variant)
-        Z[:, i] = mean + np.sqrt(var) * Z[:, i]
-        u_run = u_run + Z[:, i]
+    for i, step in enumerate(np.concatenate(coef, axis=1).tolist()):
+        Z[:, i] += _step_mean(V, u_run, *step, n, variant)
+        u_run += Z[:, i]
     Z[:, k:] *= np.sqrt(model.gauss_identity_params[1])
     Z[:, k:] += _remaining_mean(V, u_run, k, n)[:, None, :]
     return Z
@@ -924,24 +925,46 @@ def _one_density(runs) -> PathDensity:
                        log_p=float(log_p[0]))
 
 
+def _head_law(model, n, k, variant):
+    """gaussian_step's law at head steps 0..k-1, row i for step i: a, left,
+    den (k, 1), from which _step_mean gives the mean, var (k, s) and the
+    slope dmean/dv (k, 1).  Paper-literal's step 0, N(v, sigma^2), is the
+    row left = 0, den = 1, var = sigma^2."""
+    i = np.arange(k, dtype=float)[:, None]
+    a, left, den = n / (n - i), n - i - 1, n - i
+    var = model.gauss_identity_params[1] * left / den
+    if variant == "paper-literal" and k:
+        left[0], den[0], var[0] = 0.0, 1.0, model.gauss_identity_params[1]
+    return a, left, den, var, _step_mean(1.0, 0.0, a, left, den, n, variant)
+
+
+def _step_mean(V, U, a, left, den, n, variant):
+    """Mean of a head step toward V after points summing to U (_head_law):
+    a (V - U/n), or (left a (V - U/n) + V) / den under paper-literal."""
+    m = a * (V - U / n)
+    return (left * m + V) / den if variant == "paper-literal" else m
+
+
 def _gaussian_quadratic(model, P, V0, n, k, variant):
     """Log-densities of the gaussian-identity runs P (H, n, s) as quadratics
     in the conditioning point w: head and tail (H,) at V0, which broadcasts
     to (H, s), b (H, s) and q (s,), with log g_w = head + tail + b.(w - V0)
     - q.(w - V0)^2 / 2 exactly, as step means are affine in v and variances
-    do not depend on it.  A run's numbers depend on that run alone."""
+    do not depend on it.  One pass over (runs, steps, s) arrays, whose sums
+    over steps are np.cumsum's, in step order: the bits of a loop over the
+    steps with gaussian_step.  A run's numbers depend on that run alone."""
     sigma2 = model.gauss_identity_params[1]
-    u_run = np.zeros((P.shape[0], model.s))
+    U = np.zeros((P.shape[0], k + 1, model.s))  # U[:, i]: the sum of a run's first i points
+    np.cumsum(P[:, :k], axis=1, out=U[:, 1:])
     head, b, q = np.zeros(P.shape[0]), 0.0, 0.0
-    for i in range(k):
-        mean, var = gaussian_step(model, V0, u_run, i, n, variant)
-        slope = gaussian_step(model, 1.0, 0.0, i, n, variant)[0].item()
-        dev = P[:, i] - mean
-        head = head - 0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
-        b = b + slope * (dev / var)
-        q = q + slope * slope / var
-        u_run = u_run + P[:, i]
-    dev = P[:, k:] - _remaining_mean(V0, u_run, k, n)[:, None]
+    if k:
+        *coef, var, slope = _head_law(model, n, k, variant)
+        dev = P[:, :k] - _step_mean(np.atleast_2d(V0)[:, None], U[:, :k], *coef, n, variant)
+        terms = np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
+        head = np.cumsum(-0.5 * terms, axis=1)[:, -1]
+        b = np.cumsum(slope * (dev / var), axis=1)[:, -1]
+        q = np.cumsum(slope * slope / var, axis=0)[-1]
+    dev = P[:, k:] - _remaining_mean(V0, U[:, k], k, n)[:, None]
     slope = _remaining_mean(1.0, 0.0, k, n)
     b = b + slope * (np.sum(dev, axis=1) / sigma2)
     q = q + (n - k) * slope * slope / sigma2

@@ -53,6 +53,31 @@ def conditional_head_oracle(n, k, v, sigma=1.0):
     return multivariate_normal(mean=np.full(k, v), cov=cov)
 
 
+def gaussian_quadratic_by_steps(model, P, V0, n, k, variant):
+    """Reference for pathgen._gaussian_quadratic: the same head, tail, b and
+    q, added up one head step at a time from gaussian_step's law and then
+    over the tail, in the order in which the quadratic must add them."""
+    sigma2 = model.gauss_identity_params[1]
+    u_run = np.zeros((P.shape[0], model.s))
+    head, b, q = np.zeros(P.shape[0]), 0.0, 0.0
+    for i in range(k):
+        mean, var = pathgen.gaussian_step(model, V0, u_run, i, n, variant)
+        slope = pathgen.gaussian_step(model, 1.0, 0.0, i, n, variant)[0].item()
+        dev = P[:, i] - mean
+        head = head - 0.5 * np.sum(dev * dev / var + np.log(2.0 * np.pi * var), axis=-1)
+        b = b + slope * (dev / var)
+        q = q + slope * slope / var
+        u_run = u_run + P[:, i]
+    remaining = (n / (n - k)) * (V0 - u_run / n)
+    dev = P[:, k:] - remaining[:, None]
+    slope = n / (n - k)
+    b = b + slope * (np.sum(dev, axis=1) / sigma2)
+    q = q + (n - k) * slope * slope / sigma2
+    tail = np.sum(-0.5 * np.sum(dev * dev / sigma2 + np.log(2.0 * np.pi * sigma2), axis=-1),
+                  axis=-1)
+    return head, tail, b, q
+
+
 def run_experiment_point(cfg_name, sweep_value, scheme):
     """One (sweep value, scheme) cell of a bundled configuration, run as the
     CLI runs it."""

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import raresum as rs
-from raresum.cli import main, run_experiment, validate_file
+from raresum import estimate
+from raresum.cli import EXIT_RUNTIME, main, run_experiment, validate_file
 from raresum.config import ConfigParseError, load_config, validate_config
 from raresum.estimate import CSV_HEADER
 
@@ -174,6 +175,23 @@ def test_run_is_byte_deterministic(tmp_path):
     assert run_experiment(path, threads=1) == 0
     assert run_experiment(path, threads=1, out=str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_run_reports_weight_overflow_as_error(tmp_path, capsys, monkeypatch):
+    # a log-weight past log(DBL_MAX) ~ 709.78 is a runtime error with an
+    # ERROR: line, not a traceback, and no CSV is written
+    walk = estimate.walk_runs
+
+    def heavy(*args, **kwargs):
+        points, head, tail, log_p, aborts = walk(*args, **kwargs)
+        return points, head - 800.0, tail, log_p, aborts
+
+    monkeypatch.setattr(estimate, "walk_runs", heavy)
+    out = tmp_path / "o.csv"
+    assert main(["run", write(tmp_path, SMALL, csv=str(out))]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: adaptive failed") and "weight overflows, log-weight" in err
+    assert not out.exists()
 
 
 def test_seed_override_changes_output(tmp_path):

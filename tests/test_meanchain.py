@@ -200,13 +200,43 @@ def test_restart_kernel_sums_overlapping_windows():
     assert both == pytest.approx(math.log((1 / 0.09 + 1 / 0.09) / 2))
 
 
+def _matrix_gaussian_target(model, region, n):
+    """The exact-Gaussian chain target written with the full precision
+    factor: z = prec_chol.T @ (v - mean), log-density -n z.z / 2."""
+    loc0 = local_cumulants(model, np.zeros(model.s))
+    prec_chol = np.linalg.cholesky(np.linalg.inv(loc0.covariance))
+
+    def log_target(v):
+        if not rs.contains(region, v):
+            return -math.inf
+        z = prec_chol.T @ (v - loc0.mean)
+        return float(-0.5 * n * z @ z)
+    return log_target
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_gaussian_target_equals_matrix_formula(d):
+    model, region, _, _ = _fig1_chain_setup(d)
+    reference = _matrix_gaussian_target(model, region, 100)
+    gen = np.random.default_rng(43)
+    probes = list(gen.uniform(-0.6, 0.6, size=(200, d)))  # mostly outside
+    probes += list(gen.choice([-1.0, 1.0], size=(200, d))
+                   * (0.28 + 0.3 * np.abs(gen.standard_normal((200, d)))))  # inside
+    probes += [np.full(d, 0.28), np.full(d, -0.28), np.full(d, np.nextafter(0.28, 0.0))]
+    values = [rs.target_logdensity(model, region, 100, v) for v in probes]
+    assert sum(math.isinf(x) for x in values) > 50
+    assert sum(math.isfinite(x) for x in values) > 200
+    for v, x in zip(probes, values):
+        assert x == reference(v)
+
+
 def _uncached_chain(model, region, n, cfg, count, rng):
-    """run_chain's Metropolis-Hastings loop with the reference kernel,
-    recomputing the kernel density of the current state on every restart."""
+    """run_chain's Metropolis-Hastings loop with the reference kernel and the
+    matrix form of the Gaussian target, recomputing the kernel density of
+    the current state on every restart."""
     loc0 = local_cumulants(model, np.zeros(model.s))
     scale = np.sqrt(np.diagonal(loc0.covariance) / n)
-    kind, logtarget = _log_target(model, region, n, loc0)
-    assert kind == "exact-gaussian"
+    logtarget = _matrix_gaussian_target(model, region, n)
     restart = _LoopKernel(component_boxes(region), loc0.mean, scale)
     v = rs.initial_point(region, model, n)
     lt = logtarget(v)
@@ -232,13 +262,15 @@ def _uncached_chain(model, region, n, cfg, count, rng):
 def test_chain_states_equal_reference_kernel_chain(d, monkeypatch):
     model, region, _, _ = _fig1_chain_setup(d)
     cfg = rs.MeanChainConfig(burn_in=500, thinning=10)
-    states, diag = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
-    assert diag.acceptance_rate > 0
-    expected = _uncached_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
-    assert np.array_equal(states, expected)
-    monkeypatch.setattr(meanchain, "_RestartKernel", _LoopKernel)
-    patched, _ = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(41))
-    assert np.array_equal(patched, expected)
+    for seed in range(41, 46):
+        states, diag = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(seed))
+        assert diag.acceptance_rate > 0
+        expected = _uncached_chain(model, region, 100, cfg, 150, np.random.default_rng(seed))
+        assert np.array_equal(states, expected)
+        with monkeypatch.context() as patch:
+            patch.setattr(meanchain, "_RestartKernel", _LoopKernel)
+            patched, _ = rs.run_chain(model, region, 100, cfg, 150, np.random.default_rng(seed))
+        assert np.array_equal(patched, expected)
 
 
 def test_saddlepoint_target_for_mean_square(mean_square):

@@ -20,8 +20,8 @@ from raresum.pathgen import (
     step_params,
 )
 from raresum.utils import replicate_rng
-from helpers import (drawn_step_laws, grid_targets, random_step_laws, step_grid_errors,
-                     step_log_h)
+from helpers import (drawn_step_laws, gaussian_quadratic_by_steps, grid_targets,
+                     random_step_laws, step_grid_errors, step_log_h)
 
 
 def exact_conditional_head(n, k, v, sigma=1.0):
@@ -598,6 +598,25 @@ def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
         assert head[l] + tail[l] == path.log_g
         assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
         assert mixed[l] == mixture_logdensity(model, runs[l:l + 1], vs, n, k, variant)[0]
+
+
+@pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("k", [0, 1, 75, 99])
+def test_gaussian_quadratic_equals_step_by_step_reference(variant, d, k):
+    # the one-pass quadratic has the bits of a loop over the head steps with
+    # gaussian_step, at each run's own point (paired) and at one point for
+    # all runs (the mixture's centre)
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=np.linspace(0.5, 2.0, d), d=d)
+    n, H = 100, 23
+    gen = np.random.default_rng(89)
+    vs = gen.choice([-1.0, 1.0], size=(H, d)) * (0.28 + 0.1 * np.abs(gen.standard_normal((H, d))))
+    runs = pathgen._draw_gaussian_points(model, vs, gen.standard_normal((H, n, d)), n, k, variant)
+    for V0 in (vs, np.mean(vs, axis=0)):
+        got = pathgen._gaussian_quadratic(model, runs, V0, n, k, variant)
+        want = gaussian_quadratic_by_steps(model, runs, V0, n, k, variant)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
 
 
 GRID_CASES = [("exponential-mean", [0.8, 2.0], [-0.5]),
