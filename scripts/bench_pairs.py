@@ -6,9 +6,11 @@ runs `raresum_bench/run.py` there once per seed and workload, parent and
 change alternating, with the side that runs first flipped every pair.  The
 runs go one at a time.  Writes one JSON file with, per workload, the seeds,
 the first side of each pair, each metric's runs and quartiles per side, the
-pairwise wins and losses, failed/attempted per run, and the claim rule's
-result for the claimed workload and metric.  It only reads the benchmark
-(`BENCHMARK.json` and `raresum_bench/` of each copy).
+pairwise wins and losses, failed/attempted per run, each run's round count
+(attempted over the workload's replicates per round; the side's median sits
+next to `peak_rss_mib`, which grows with the rounds the benchmark keeps),
+and the claim rule's result for the claimed workload and metric.  It only
+reads the benchmark (`BENCHMARK.json` and `raresum_bench/` of each copy).
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --seeds 1201-1210 --out BENCH_12.json \\
@@ -70,6 +72,17 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
         raise SystemExit(f"benchmark run failed in {tree} ({workload}, seed {seed}):\n"
                          f"{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def replicates_per_round(tree: Path, workload: str) -> int:
+    """The replicates of one round of `workload`: the L of its calls in the
+    copy's raresum_bench/run.py, summed."""
+    code = ("import sys; sys.path.insert(0, 'raresum_bench'); import run; "
+            f"print(sum(call.L for call in run.WORKLOADS[{workload!r}].calls))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=""), capture_output=True, text=True,
+                          check=True)
+    return int(proc.stdout)
 
 
 def quartiles(values) -> dict:
@@ -146,17 +159,20 @@ def main(argv=None) -> int:
     for workload in workloads:
         def run(side, seed):
             result = run_bench(trees[side], workload, seed, seconds, trace=0)
-            print(f"{workload} seed {seed} {side}: " + ", ".join(
+            print(f"{workload} seed {seed} {side}: attempted {result['attempted']}, " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()), file=sys.stderr)
             return result
 
         first, runs = alternate(seeds, run)
         values = {m: {side: [r["metrics"][m]["value"] for r in runs[side]] for side in SIDES}
                   for m in better}
+        per_round = {side: replicates_per_round(trees[side], workload) for side in SIDES}
+        rounds = {side: [r["attempted"] // per_round[side] for r in runs[side]] for side in SIDES}
+        metrics = {m: {side: quartiles(v[side]) for side in SIDES} for m, v in values.items()}
+        for side in SIDES:
+            metrics["peak_rss_mib"][side]["median_rounds"] = float(np.median(rounds[side]))
         out["workloads"][workload] = {
-            "seeds": seeds, "first_side": first,
-            "metrics": {m: {side: quartiles(v[side]) for side in SIDES}
-                        for m, v in values.items()},
+            "seeds": seeds, "first_side": first, "metrics": metrics, "rounds": rounds,
             "pairs": {m: compare(v["parent"], v["change"], better[m])
                       for m, v in values.items()},
             "failed_over_attempted": {side: [[r["failed"], r["attempted"]] for r in runs[side]]

@@ -11,6 +11,17 @@ independence proposal that draws uniformly from a small window inside each
 connected component, chosen at a step with probability RESTART_PROB; both
 kernels are Metropolis-corrected, so the mixture leaves the target
 invariant.
+
+A step costs little more than its draws.  The state, each proposal, the
+region test and the restart kernel are Python floats; the generator is
+called as `random()`, `standard_normal(s)`, `integers(c)` and `random(s)`,
+one call per draw.  The Gaussian target is evaluated on floats at s = 1 and
+keeps numpy's `z @ z` at s > 1, which a Python sum does not match to the
+bit.  The restart kernel finds the windows that hold a point through
+per-coordinate bit masks, in O(s) rather than over every window.  The
+saddlepoint target reads t, K(t) and kappa(t) from one `solve_tilts` row.
+A chain that accepts fewer than LOW_ACCEPTANCE of its moves warns; its
+diagnostics count its distinct thinned states.
 """
 
 from __future__ import annotations
@@ -18,17 +29,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, SteepnessError
 from .model import ModelSpec, local_cumulants
 from .region import ProductRegion, component_boxes, contains, initial_point
-from .tilt import solve_tilt
+from .tilt import solve_tilts
 
 # Probability that a step of a chain on a disconnected region proposes a restart.
 RESTART_PROB = 0.1
+# Acceptance rate below which run_chain warns that its states barely move.
+LOW_ACCEPTANCE = 0.05
 
 
 @dataclass
@@ -50,6 +63,7 @@ class MeanChainDiagnostics:
     mean: np.ndarray
     variance: np.ndarray
     target_kind: str
+    distinct_points: int  # distinct thinned states
     stuck: bool = False
 
 
@@ -58,47 +72,65 @@ def target_logdensity(model: ModelSpec, region: ProductRegion, n: int, v) -> flo
     v = np.atleast_1d(np.asarray(v, dtype=float))
     loc0 = local_cumulants(model, np.zeros(model.s))
     _, log_target = _log_target(model, region, n, loc0)
-    return log_target(v) if contains(region, v) else -math.inf  # contains checks v's shape
+    return log_target(v.tolist()) if contains(region, v) else -math.inf  # contains checks v's shape
 
 
 def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
-    """(kind, v -> unnormalized log-density of the restricted sample-mean
-    law), where loc0 holds the untilted mean and covariance: "exact-gaussian"
-    for a model with gauss_identity_params, else "saddlepoint"."""
+    """(kind, xs -> unnormalized log-density of the restricted sample-mean
+    law at the point xs, a list of Python floats), where loc0 holds the
+    untilted mean and covariance: "exact-gaussian" for a model with
+    gauss_identity_params, else "saddlepoint"."""
     if model.gauss_identity_params is not None:
         # X ~ N(mu, diag(sigma2)), so the precision factor is diagonal: its
         # product with v - mean is the elementwise one, to the bit
         prec = np.diagonal(np.linalg.cholesky(np.linalg.inv(loc0.covariance)))
         half_n, prec0, mean0 = -0.5 * n, prec[0].item(), loc0.mean[0].item()
 
-        def log_target(v):
-            xs = v.tolist()
-            for c, x in zip(region.components, xs):  # membership on Python floats
-                if not c.contains(x):
-                    return -math.inf
+        def density(xs):
             if len(xs) == 1:  # a dot product of one term is one rounded product
                 z = prec0 * (xs[0] - mean0)
                 return half_n * z * z
-            z = prec * (v - loc0.mean)
+            # numpy's z @ z, which a Python sum does not match to the bit
+            z = prec * (np.array(xs) - loc0.mean)
             return float(half_n * z @ z)
-        return "exact-gaussian", log_target
+        kind = "exact-gaussian"
+    else:
+        density, kind = partial(_saddlepoint_logdensity, model, n), "saddlepoint"
+    members = _member_spans(region)
 
-    def log_target(v):
-        if not contains(region, v):
-            return -math.inf
-        return _saddlepoint_logdensity(model, n, v)
-    return "saddlepoint", log_target
+    def log_target(xs):
+        for x, spans in zip(xs, members):
+            for a, b in spans:
+                if a <= x <= b:
+                    break
+            else:
+                return -math.inf
+        return density(xs)
+    return kind, log_target
 
 
-def _saddlepoint_logdensity(model: ModelSpec, n: int, v) -> float:
-    try:
-        sol = solve_tilt(model, v)
-    except SteepnessError:
+def _member_spans(region: ProductRegion):
+    """Per coordinate, the region's intervals as closed float intervals
+    [a, b] that hold exactly its members: an open endpoint moves to the next
+    float inward, since x > a if and only if x >= nextafter(a, inf)."""
+    return [[(iv.lower if iv.lower_closed else math.nextafter(iv.lower, math.inf),
+              iv.upper if iv.upper_closed else math.nextafter(iv.upper, -math.inf))
+             for iv in union.intervals] for union in region.components]
+
+
+def _saddlepoint_logdensity(model: ModelSpec, n: int, xs) -> float:
+    """-n I(v) - log det kappa(t) / 2 at v = xs, from one solve_tilts row."""
+    tilts = solve_tilts(model, np.array([xs]))
+    error = tilts.errors[0]
+    if isinstance(error, SteepnessError):
         warnings.warn("conditioning target unattainable inside the region; "
                       "treating its density as zero", RuntimeWarning)
         return -math.inf
-    rate = float(sol.t @ sol.target - model.cumulant(sol.t))
-    sign, logdet = np.linalg.slogdet(sol.local.covariance)
+    if error is not None:
+        raise error
+    t = tilts.t[0]
+    rate = float(t @ tilts.target[0] - model.cumulant(t))
+    sign, logdet = np.linalg.slogdet(tilts.covariance[0])
     if sign <= 0:
         return -math.inf
     return -n * rate - 0.5 * logdet
@@ -109,7 +141,7 @@ class _RestartKernel:
 
     Windows hug the end of each interval nearest the unconditioned mean,
     where the restricted mass concentrates, with extent one proposal scale.
-    Window c is the box [lo[c], hi[c]].
+    Window c is the box [lo[c], hi[c]].  Points are lists of Python floats.
     """
 
     def __init__(self, boxes, mu, scales):
@@ -133,17 +165,37 @@ class _RestartKernel:
                                    for lo, hi in zip(self.lo, self.hi)])
         self._dens = [math.exp(-lv) for lv in self._log_vols]
         self._n = len(boxes)
+        self._corners = self.lo.tolist()
+        self._widths = (self.hi - self.lo).tolist()
+        # per coordinate, each distinct window interval [a, b] with the bit
+        # mask of the windows that span it there: a point lies in window c
+        # when bit c is set in every coordinate's mask of intervals holding it
+        self._spans = []
+        for lo_j, hi_j in zip(self.lo.T.tolist(), self.hi.T.tolist()):
+            masks = {}
+            for c, ab in enumerate(zip(lo_j, hi_j)):
+                masks[ab] = masks.get(ab, 0) | 1 << c
+            self._spans.append([(a, b, m) for (a, b), m in masks.items()])
+        self._every = (1 << self._n) - 1
 
     def sample(self, rng):
         c = rng.integers(self._n)
-        lo, hi = self.lo[c], self.hi[c]
-        return lo + (hi - lo) * rng.random(lo.size)
+        return [a + w * u for a, w, u in zip(self._corners[c], self._widths[c],
+                                             rng.random(len(self._widths[c])).tolist())]
 
-    def logpdf(self, v):
-        inside = ((v >= self.lo) & (v <= self.hi)).all(axis=1)
+    def logpdf(self, xs):
+        held = self._every
+        for x, spans in zip(xs, self._spans):
+            mask = 0
+            for a, b, m in spans:
+                if a <= x <= b:
+                    mask |= m
+            held &= mask
         dens = 0.0
-        for d in compress(self._dens, inside.tolist()):
-            dens += d
+        while held:  # the windows' densities, added in window order
+            low = held & -held
+            dens += self._dens[low.bit_length() - 1]
+            held ^= low
         if dens <= 0.0:
             return -math.inf
         return math.log(dens / self._n)
@@ -155,17 +207,18 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
 
     Random-walk MH with Gaussian proposals, plus occasional component
     restarts when the region is disconnected.  Returns the thinned states
-    after burn-in and chain diagnostics.
+    after burn-in and chain diagnostics, and warns when the chain accepts
+    no moves or fewer than LOW_ACCEPTANCE of them.
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
     if region.is_empty:
         raise ConfigurationError("region is empty")
     loc0 = local_cumulants(model, np.zeros(model.s))
-    scale = np.sqrt(np.diagonal(loc0.covariance) / n)
+    scale = np.sqrt(np.diagonal(loc0.covariance) / n).tolist()
     kind, logtarget = _log_target(model, region, n, loc0)
 
-    v = initial_point(region, model, n)
+    v = initial_point(region, model, n).tolist()
     lt = logtarget(v)
     if not math.isfinite(lt):
         raise ConfigurationError("chain initial point has zero target density")
@@ -175,14 +228,14 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
 
     burn_in, thinning = config.burn_in, config.thinning
     total = burn_in + thinning * count
-    states = np.empty((count, model.s))
-    stored = 0
+    states = []
     accepted = 0
     # the generator's methods, bound once; the draws are the same, in order
-    random, normal, log, s = rng.random, rng.standard_normal, math.log, model.s
+    random, normal, log, s, inf = rng.random, rng.standard_normal, math.log, model.s, math.inf
     # restart.logpdf(v) changes only when v does: rv caches it, and None
     # marks it stale after an accepted random-walk move.
     rv = None
+    keep = burn_in + thinning - 1  # the next step whose state is kept
     for step in range(total):
         if restart is not None and random() < RESTART_PROB:
             prop = restart.sample(rng)
@@ -192,17 +245,19 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
             rprop = restart.logpdf(prop)
             log_alpha = (lp + rv) - (lt + rprop)
         else:
-            prop = v + scale * normal(s)
+            prop = [x + h * z for x, h, z in zip(v, scale, normal(s).tolist())]
             lp = logtarget(prop)
             rprop = None
             log_alpha = lp - lt
-        if log_alpha >= 0 or log(random()) < log_alpha:
+        # a uniform draw of exactly 0.0 has log -inf
+        if log_alpha >= 0 or (log(u) if (u := random()) > 0.0 else -inf) < log_alpha:
             v, lt, rv = prop, lp, rprop
             accepted += 1
-        if step >= burn_in and (step - burn_in) % thinning == thinning - 1:
-            states[stored] = v
-            stored += 1
-    assert stored == count
+        if step == keep:
+            states.append(v)
+            keep += thinning
+    states = np.array(states)
+    assert states.shape == (count, s)
 
     rate = accepted / total
     diag = MeanChainDiagnostics(
@@ -211,9 +266,14 @@ def run_chain(model: ModelSpec, region: ProductRegion, n: int,
         mean=states.mean(axis=0),
         variance=states.var(axis=0),
         target_kind=kind,
+        distinct_points=len(np.unique(states, axis=0)),
         stuck=(rate == 0.0),
     )
     if diag.stuck:
         warnings.warn("mean chain accepted no moves; estimation proceeds but "
                       "conditioning points are degenerate", RuntimeWarning)
+    elif rate < LOW_ACCEPTANCE:
+        warnings.warn(f"mean chain acceptance {rate:.3g} is below {LOW_ACCEPTANCE}: "
+                      f"{diag.distinct_points} of its {count} conditioning points are "
+                      "distinct", RuntimeWarning)
     return states, diag

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BaselineUnavailable, ConfigurationError, NumericError, SteepnessError
-from .model import LocalCumulants, ModelSpec, _moment, cholesky_rows, mean_map, moments
+from .model import LocalCumulants, ModelSpec, _moment, cholesky_rows, mean_map
 from .region import ProductRegion, component_boxes, contains
 
 DEFAULT_TOL = 1e-10
@@ -71,10 +71,17 @@ class TiltBatch:
     t: np.ndarray           # (R, s)
     mean: np.ndarray        # (R, s)
     covariance: np.ndarray  # (R, s, s)
-    third: np.ndarray       # (R, s) contracted third cumulants
     iterations: np.ndarray  # (R,)
     residual: np.ndarray    # (R,) |m(t) - target| in the kappa^{-1}-induced norm
     errors: list            # per row: None, or its SteepnessError / NumericError
+    model: ModelSpec = field(repr=False)
+    reached: np.ndarray = field(repr=False)  # (R,) rows whose moments were taken
+
+    @cached_property
+    def third(self) -> np.ndarray:
+        """(R, s) contracted third cumulants, taken on first read (by the
+        walker's step laws and `solution`; not by the chain's target)."""
+        return _moments_at(self.model, 2, self.t, self.reached)
 
     def solution(self, j: int) -> TiltSolution:
         """Row j as a TiltSolution; raises the row's error if it failed."""
@@ -89,6 +96,19 @@ class TiltBatch:
                             residual=float(self.residual[j]))
 
 
+def _moments_at(model: ModelSpec, which: int, T, rows) -> np.ndarray:
+    """Moment `which` of the tilted laws (as model._moment) at the rows of T
+    that the mask `rows` selects, NaN at the others: in one call with
+    tilt_fn, one row at a time without, since such a model may give
+    moments that take one row only."""
+    if model.tilt_fn is not None:
+        return _moment(model, which, T, None if rows.all() else rows)
+    out = np.full((len(T),) + (model.s,) * (2 if which == 1 else 1), np.nan)
+    for j in np.flatnonzero(rows):
+        out[j] = _moment(model, which, T[j:j + 1])[0]
+    return out
+
+
 def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     """Solve m(t) = alpha for every row alpha of A (R, s).
 
@@ -97,9 +117,9 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     is unused.  Otherwise each row runs damped Newton on the dual K(t) -
     <t, alpha> to DEFAULT_TOL from t = 0 (always inside the domain), or from
     its row of `T0` when that row is finite, e.g. to warm-start from a
-    neighbouring solve.  The mean, covariance and third cumulants at the
-    solved tilts come from `model.moments`: for all rows at once with
-    `tilt_fn`, one row at a time without.  Either way a row's tilt must lie
+    neighbouring solve.  The mean and covariance at the solved tilts come
+    from the model's moments (`_moments_at`), and the third cumulants too,
+    on the first read of `third`.  Either way a row's tilt must lie
     inside the domain margin, have a positive definite covariance and reach
     alpha to MAX_RESIDUAL.  A row that fails gets SteepnessError when its
     target cannot be reached, which signals that alpha lies outside the
@@ -119,20 +139,16 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
         predicate = model.cumulant_domain.predicate
         if predicate is not None:
             solved = np.array([ok and bool(predicate(t)) for ok, t in zip(solved.tolist(), T)])
-        M, C, third = moments(model, T, None if solved.all() else solved)
     else:
-        # row by row, since a model without tilt_fn may give moments that
-        # take one row only
-        T, M, C, third = (np.full((R,) + shape, np.nan) for shape in ((s,), (s,), (s, s), (s,)))
+        T = np.full((R, s), np.nan)
         for j in range(R):
             t0 = None if T0 is None or not np.all(np.isfinite(T0[j])) else T0[j]
             try:
                 T[j], iterations[j] = _newton(model, A[j], t0)
             except SteepnessError as exc:
                 errors[j] = exc
-                continue
-            M[j], C[j], third[j] = (x[0] for x in moments(model, T[j:j + 1]))
         solved = np.array([e is None for e in errors], dtype=bool)
+    M, C = _moments_at(model, 0, T, solved), _moments_at(model, 1, T, solved)
     chol, pd = cholesky_rows(C)
     pd &= solved
     # |m(t) - target| in the kappa^{-1} norm, the length of chol^{-1} (m(t) - target):
@@ -157,8 +173,8 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
                 f"covariance of the tilted law is not positive definite at t={T[j]}")
         elif not r <= MAX_RESIDUAL:
             errors[j] = SteepnessError("target outside the attainable mean range")
-    return TiltBatch(target=A, t=T, mean=M, covariance=C, third=third,
-                     iterations=iterations, residual=residual, errors=errors)
+    return TiltBatch(target=A, t=T, mean=M, covariance=C, iterations=iterations,
+                     residual=residual, errors=errors, model=model, reached=solved)
 
 
 def solve_tilt(model: ModelSpec, alpha, t0=None) -> TiltSolution:
