@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigParseError, Diagnostic, load_config, validate_config
+from .config import ConfigParseError, load_config, validate_config
 from .errors import RaresumError
 from .estimate import CSV_HEADER, EstimateReport, format_comparison, run_point
 # Re-exported so callers can find (and patch) the estimators run_point calls.
@@ -25,23 +25,28 @@ EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
 
-def _print_diagnostics(diags: list[Diagnostic]) -> None:
+def _load_checked(config_path: str):
+    """(config, diagnostics, exit code) of the file: the code is EXIT_PARSE
+    (config None) when it does not parse, EXIT_VALIDATION when a diagnostic
+    is an error, else EXIT_OK.  Prints the parse error or the diagnostics,
+    errors on stderr."""
+    try:
+        cfg = load_config(config_path)
+    except ConfigParseError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return None, [], EXIT_PARSE
+    diags = validate_config(cfg)
     for d in diags:
         print(str(d), file=sys.stderr if d.level == "error" else sys.stdout)
+    return cfg, diags, EXIT_VALIDATION if any(d.level == "error" for d in diags) else EXIT_OK
 
 
 def run_experiment(config_path: str, threads: int = 1, out: str | None = None,
                    seed: int | None = None) -> int:
     """Execute every sweep point and scheme in the configuration; write CSV."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigParseError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    diags = validate_config(cfg)
-    _print_diagnostics(diags)
-    if any(d.level == "error" for d in diags):
-        return EXIT_VALIDATION
+    cfg, _, code = _load_checked(config_path)
+    if code != EXIT_OK:
+        return code
     if seed is not None:
         cfg.seed = seed
     if out is not None:
@@ -81,18 +86,10 @@ def run_experiment(config_path: str, threads: int = 1, out: str | None = None,
 
 
 def validate_file(config_path: str) -> int:
-    try:
-        cfg = load_config(config_path)
-    except ConfigParseError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    diags = validate_config(cfg)
-    _print_diagnostics(diags)
-    if any(d.level == "error" for d in diags):
-        return EXIT_VALIDATION
-    if not diags:
+    _, diags, code = _load_checked(config_path)
+    if code == EXIT_OK and not diags:
         print("configuration OK")
-    return EXIT_OK
+    return code
 
 
 def _worker_count(text: str) -> int:

@@ -13,7 +13,8 @@ kernels are Metropolis-corrected, so the mixture leaves the target
 invariant.
 
 A step costs little more than its draws.  The state, each proposal, the
-region test and the restart kernel are Python floats; the generator is
+region test and the restart kernel are Python floats; the region test reads
+the region's own member spans (`IntervalUnion.spans`).  The generator is
 called as `random()`, `standard_normal(s)`, `integers(c)` and `random(s)`,
 one call per draw.  The Gaussian target is evaluated on floats at s = 1 and
 keeps numpy's `z @ z` at s > 1, which a Python sum does not match to the
@@ -96,7 +97,7 @@ def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
         kind = "exact-gaussian"
     else:
         density, kind = partial(_saddlepoint_logdensity, model, n), "saddlepoint"
-    members = _member_spans(region)
+    members = [c.spans for c in region.components]
 
     def log_target(xs):
         for x, spans in zip(xs, members):
@@ -107,15 +108,6 @@ def _log_target(model: ModelSpec, region: ProductRegion, n: int, loc0):
                 return -math.inf
         return density(xs)
     return kind, log_target
-
-
-def _member_spans(region: ProductRegion):
-    """Per coordinate, the region's intervals as closed float intervals
-    [a, b] that hold exactly its members: an open endpoint moves to the next
-    float inward, since x > a if and only if x >= nextafter(a, inf)."""
-    return [[(iv.lower if iv.lower_closed else math.nextafter(iv.lower, math.inf),
-              iv.upper if iv.upper_closed else math.nextafter(iv.upper, -math.inf))
-             for iv in union.intervals] for union in region.components]
 
 
 def _saddlepoint_logdensity(model: ModelSpec, n: int, xs) -> float:

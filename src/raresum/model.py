@@ -9,17 +9,19 @@ tilts of many targets are solved in one call (`tilt.solve_tilts`).  The
 d = 1 families also give `step_poly_fn`: the log-density of each of a
 stack of grid step laws as a polynomial in y, from which the run walker
 computes where to tabulate it and tabulates it.
-A custom model may leave any of them out.  `moments` then fills the mean,
-covariance or third cumulants by central finite differences of the cumulant
-function, one row at a time, and the tilt falls back to damped Newton
-(`tilt.solve_tilts`), also one row at a time; so a model without `tilt_fn`
-may give moments that take one row only.
+A custom model may leave any of them out.  Every moment is taken by one
+rule, `_moment`: central finite differences of the cumulant function fill
+a missing callable one row at a time, and a model without `tilt_fn`, whose
+tilts come from damped Newton (`tilt.solve_tilts`) one row at a time, has
+its callables called on one row at a time too, so they may take one row
+only.  `CumulantDomain.contains_rows` is the one test of a tilt stack
+against the cumulant domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -45,67 +47,48 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class CumulantDomain:
-    """Open box of admissible tilt vectors, with an optional joint predicate."""
+    """Open box of admissible tilt vectors, with an optional joint predicate,
+    and the `inner` box (lower + margin, upper - margin) that solved tilts lie
+    in: the margin is DOMAIN_MARGIN times the width, or on an unbounded
+    coordinate times the larger finite end's magnitude, at least 1."""
 
     lower: Array
     upper: Array
     predicate: Optional[Callable[[Array], bool]] = None
+    inner: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        if self.lower.shape != self.upper.shape:
+        lower, upper = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        if lower.shape != upper.shape:
             raise ConfigurationError("domain bounds must have matching shapes")
-        if np.any(self.lower >= self.upper):
+        if np.any(lower >= upper):
             raise ConfigurationError("domain intervals must be nonempty")
+        width = upper - lower
+        ref = np.maximum(np.abs(np.where(np.isfinite(lower), lower, 0.0)),
+                         np.abs(np.where(np.isfinite(upper), upper, 0.0)))
+        margin = DOMAIN_MARGIN * np.where(np.isfinite(width), width, np.maximum(1.0, ref))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "inner", (lower + margin, upper - margin))
 
     @property
     def s(self) -> int:
         return self.lower.size
 
-    def margin(self) -> Array:
-        """Absolute per-coordinate margin used to stay strictly inside."""
-        cached = getattr(self, "_margin", None)
-        if cached is not None:
-            return cached
-        width = self.upper - self.lower
-        finite = np.isfinite(width)
-        out = np.empty_like(self.lower)
-        out[finite] = DOMAIN_MARGIN * width[finite]
-        # Half-infinite or free coordinates: margin relative to the finite
-        # endpoint's magnitude (or 1 for a fully free axis).
-        ref = np.maximum(np.abs(np.where(np.isfinite(self.lower), self.lower, 0.0)),
-                         np.abs(np.where(np.isfinite(self.upper), self.upper, 0.0)))
-        out[~finite] = DOMAIN_MARGIN * np.maximum(1.0, ref[~finite])
-        object.__setattr__(self, "_margin", out)
-        return out
-
-    def inner(self) -> tuple:
-        """(lower + margin, upper - margin): the box that tilts must lie
-        strictly inside."""
-        cached = getattr(self, "_inner", None)
-        if cached is None:
-            m = self.margin()
-            cached = (self.lower + m, self.upper - m)
-            object.__setattr__(self, "_inner", cached)
-        return cached
-
-    def violation(self, t: Array) -> Optional[int]:
-        """Index of the first coordinate outside the open box, else None."""
-        t = np.asarray(t, dtype=float)
-        bad = (t <= self.lower) | (t >= self.upper)
-        if np.any(bad):
-            return int(np.argmax(bad))
-        return None
+    def contains_rows(self, T: Array, margin: bool = False) -> Array:
+        """Which rows of the tilt stack T (R, s) lie inside the open box, or
+        inside `inner` with `margin`, and satisfy the predicate: a bool
+        array (R,).  The predicate sees only the rows inside the box."""
+        lo, hi = self.inner if margin else (self.lower, self.upper)
+        inside = ((T > lo) & (T < hi)).all(axis=1)
+        if self.predicate is None:
+            return inside
+        return np.array([ok and bool(self.predicate(t)) for ok, t in zip(inside.tolist(), T)],
+                        dtype=bool)
 
     def contains(self, t: Array, margin: bool = False) -> bool:
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.inner() if margin else (self.lower, self.upper)
-        if np.any(t <= lo) or np.any(t >= hi):
-            return False
-        if self.predicate is not None and not self.predicate(t):
-            return False
-        return True
+        """contains_rows for the one tilt t (s,)."""
+        return bool(self.contains_rows(np.asarray(t, dtype=float)[None], margin)[0])
 
 
 def unbounded_domain(s: int) -> CumulantDomain:
@@ -172,12 +155,13 @@ def _as_tilt(model: ModelSpec, t) -> Array:
 
 
 def _check_domain(model: ModelSpec, t: Array) -> None:
-    j = model.cumulant_domain.violation(t)
-    if j is not None:
+    dom = model.cumulant_domain
+    if not dom.contains(t):
+        inside = (t > dom.lower) & (t < dom.upper)
+        j = int(np.argmin(inside))  # the first coordinate outside the box
+        if inside.all():
+            raise DomainError("tilt violates the joint domain predicate")
         raise DomainError(f"tilt coordinate {j} = {t[j]:.6g} outside the cumulant domain", coord=j)
-    pred = model.cumulant_domain.predicate
-    if pred is not None and not pred(t):
-        raise DomainError("tilt violates the joint domain predicate")
 
 
 def _fd_step(model: ModelSpec, t: Array, base: float = FD_BASE_STEP) -> Array:
@@ -192,27 +176,18 @@ def _fd_step(model: ModelSpec, t: Array, base: float = FD_BASE_STEP) -> Array:
 def _fd_gradient(model: ModelSpec, t: Array) -> Array:
     h = _fd_step(model, t)
     K = model.cumulant
-    g = np.empty(model.s)
-    for j in range(model.s):
-        e = np.zeros(model.s)
-        e[j] = h[j]
-        g[j] = (K(t + e) - K(t - e)) / (2.0 * h[j])
-    return g
+    return np.array([(K(t + e) - K(t - e)) / (2.0 * h[j]) for j, e in enumerate(np.diag(h))])
 
 
 def _fd_hessian(model: ModelSpec, t: Array) -> Array:
     h = _fd_step(model, t)
-    K = model.cumulant
-    s = model.s
-    H = np.empty((s, s))
+    K, E = model.cumulant, np.diag(h)  # row j: the step h[j] along coordinate j
+    H = np.empty((model.s, model.s))
     K0 = K(t)
-    for j in range(s):
-        ej = np.zeros(s)
-        ej[j] = h[j]
+    for j, ej in enumerate(E):
         H[j, j] = (K(t + ej) - 2.0 * K0 + K(t - ej)) / (h[j] ** 2)
-        for l in range(j + 1, s):
-            el = np.zeros(s)
-            el[l] = h[l]
+        for l in range(j + 1, model.s):
+            el = E[l]
             H[j, l] = H[l, j] = (
                 K(t + ej + el) - K(t + ej - el) - K(t - ej + el) + K(t - ej - el)
             ) / (4.0 * h[j] * h[l])
@@ -223,9 +198,7 @@ def _fd_third_contracted(model: ModelSpec, t: Array) -> Array:
     """gamma_p = sum_j d kappa_jj / d t_p via central differences of the Hessian."""
     h = _fd_step(model, t, FD_BASE_STEP if model.cov_fn is not None else FD_NESTED_STEP)
     gamma = np.empty(model.s)
-    for p in range(model.s):
-        e = np.zeros(model.s)
-        e[p] = h[p]
+    for p, e in enumerate(np.diag(h)):
         diag_plus = np.diagonal(_moment(model, 1, (t + e)[None])[0])
         diag_minus = np.diagonal(_moment(model, 1, (t - e)[None])[0])
         gamma[p] = np.sum(diag_plus - diag_minus) / (2.0 * h[p])
@@ -236,30 +209,35 @@ def _moment(model: ModelSpec, which: int, T: Array, rows=None) -> Array:
     """Moment `which` of the tilted law (0 the mean, 1 the symmetrized
     covariance, 2 the contracted third cumulants) at the rows of the tilt
     stack T (R, s) that the mask `rows` selects (None: every row), NaN at
-    the others.  The model's callable for it is called once on the selected
-    rows; a batch of one is passed as its row, which the built-ins compute
-    with numpy scalars, to the same bits and several times faster.  Without
-    the callable, central finite differences fill the rows one at a time."""
+    the others: the one rule by which every moment is taken.  A model with
+    tilt_fn has the callable for it called once, on the selected rows; a
+    batch of one is passed as its row, which the built-ins compute with
+    numpy scalars, to the same bits and several times faster.  A model
+    without tilt_fn has it called on one row at a time, since such a model
+    may give moments that take one row only.  Without the callable, central
+    finite differences fill the rows one at a time."""
     fn = (model.mean_fn, model.cov_fn, model.third_fn)[which]
     shape = (len(T),) + (model.s,) * (2 if which == 1 else 1)
-    if fn is not None and rows is None:
+    stacked = fn is not None and model.tilt_fn is not None
+    if fn is not None and (stacked or len(T) == 1) and (rows is None or rows.all()):
         out = np.asarray(fn(T[0] if len(T) == 1 else T), dtype=float).reshape(shape)
     else:
         out = np.full(shape, np.nan)
-        if fn is not None:
-            out[rows] = fn(T[rows])
-        else:
+        picked = range(len(T)) if rows is None else np.flatnonzero(rows)
+        if not stacked:
             fd = (_fd_gradient, _fd_hessian, _fd_third_contracted)[which]
-            for j in range(len(T)) if rows is None else np.flatnonzero(rows):
-                out[j] = fd(model, T[j])
+            for j in picked:
+                out[j] = fd(model, T[j]) if fn is None else fn(T[j])
+        elif len(picked):  # no call on an empty stack
+            out[picked] = fn(T[picked])
     return 0.5 * (out + np.swapaxes(out, -1, -2)) if which == 1 else out
 
 
 def moments(model: ModelSpec, T, rows=None):
     """(means (R, s), covariances (R, s, s), contracted third cumulants
     (R, s)) of the tilted laws at the rows of the tilt stack T (R, s) that
-    the mask `rows` selects (None: every row), NaN at the others: each from
-    the model's callable, or by finite differences where it has none."""
+    the mask `rows` selects (None: every row), NaN at the others, each by
+    the one rule of `_moment`."""
     return _moment(model, 0, T, rows), _moment(model, 1, T, rows), _moment(model, 2, T, rows)
 
 
@@ -531,11 +509,12 @@ def _ms_mean(t, mu, sigma2):
 
 def _ms_cov(t, mu, sigma2):
     tau, m1 = _ms_tau_m1(t, mu, sigma2)
+    out = np.empty(np.shape(tau) + (2, 2))
     with np.errstate(over="ignore"):
-        c11 = sigma2 / tau
-        c12 = 2.0 * sigma2 * m1 / tau
-        c22 = 2.0 * sigma2 * sigma2 / (tau * tau) + 4.0 * sigma2 * m1 * m1 / tau
-    return _last_axis(_last_axis(c11, c12), _last_axis(c12, c22))
+        out[..., 0, 0] = sigma2 / tau
+        out[..., 0, 1] = out[..., 1, 0] = 2.0 * sigma2 * m1 / tau
+        out[..., 1, 1] = 2.0 * sigma2 * sigma2 / (tau * tau) + 4.0 * sigma2 * m1 * m1 / tau
+    return out
 
 
 def _ms_third(t, mu, sigma2):

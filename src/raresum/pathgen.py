@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, PathAbort, SteepnessError
 from .model import ModelSpec, cholesky_rows
-from .tilt import TiltSolution, solve_tilt, solve_tilts
+from .tilt import solve_tilt, solve_tilts
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # Working-set budgets, in float64 values: one block of batched Gaussian runs
@@ -413,6 +413,18 @@ class _StepLaws:
     errors: list            # per row: None, or the error that stopped its law
 
 
+def _check_split(model, n, k, variant, mixture=False):
+    """ConfigurationError for a model, split index k or variant that
+    walk_runs (with `mixture`, mixture_logdensity) cannot serve."""
+    errors = engine_errors(model, k, mixture)
+    if errors:
+        raise ConfigurationError(errors[-1])
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    if not 0 <= k <= n - 1:
+        raise ConfigurationError(f"split index must satisfy 0 <= k <= {n - 1}, got {k}")
+
+
 def _remaining_mean(v, u_partial, i, n):
     return (n / (n - i)) * (v - u_partial / n)
 
@@ -450,6 +462,8 @@ def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
     """
     if not 0 <= i <= n - 2:
         raise ConfigurationError(f"step index {i} out of range for n={n}")
+    if variant not in VARIANTS:
+        raise ConfigurationError(f"unknown variant {variant!r}")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     u_partial = np.atleast_1d(np.asarray(u_partial, dtype=float))
     law = _step_laws(model, v[None], u_partial[None], i, n, variant)
@@ -468,8 +482,6 @@ def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
     if model.gauss_identity_params is not None or model.d != 1:
         raise ConfigurationError("grid steps serve d = 1 models without gauss_identity_params; "
                                  "Gaussian steps come from gaussian_step")
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
     M = _remaining_mean(V, U, i, n)
     tilts = solve_tilts(model, M, T0=T0)
     errors = list(tilts.errors)
@@ -628,12 +640,11 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
 
 
 class TiltedDensity:
-    """Sampler plus exact log-density for the tilted law with mean `m`."""
+    """Sampler plus exact log-density for the tilted law at the tilt t."""
 
-    def __init__(self, model: ModelSpec, solution: TiltSolution):
+    def __init__(self, model: ModelSpec, t):
         self.model = model
-        self.t = solution.t
-        self.log_phi = model.cumulant(solution.t)
+        self.t = t
         self._family = None
         self._grid = None
         if model.tilted_family is not None:
@@ -642,6 +653,7 @@ class TiltedDensity:
             if model.x_window_fn is None:
                 raise ConfigurationError(
                     "custom 1-d model needs x_window_fn for tilted grid sampling")
+            self.log_phi = model.cumulant(t)
             errors = [None]
             self._grid = _build_grid_density(  # a stack of one row
                 lambda rows, ys: self._exact_logpdf(ys.reshape(-1, 1)).reshape(ys.shape),
@@ -672,7 +684,7 @@ class TiltedDensity:
 
 def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
     """Tilted density with mean m_k: exp(<t,u(x)> - K(t)) p_X(x)."""
-    return TiltedDensity(model, solve_tilt(model, m_k))
+    return TiltedDensity(model, solve_tilt(model, m_k).t)
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +779,7 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
     with mean its conditioning point: the state-independent baseline at the
     dominating point, or the base law itself at mean_map(model, 0).
     """
-    errors = engine_errors(model, k)
-    if errors:
-        raise ConfigurationError(errors[0])
+    _check_split(model, n, k, variant)
     V = np.asarray(V, dtype=float)
     points = None if points is None else np.asarray(points, dtype=float)
     rngs = iter(() if rngs is None else rngs)
@@ -892,7 +902,9 @@ def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
     for u in range(len(first)):
         group = np.flatnonzero(which == u)
         try:
-            law = TiltedDensity(model, tilts.solution(u))
+            if tilts.errors[u] is not None:
+                raise tilts.errors[u]
+            law = TiltedDensity(model, tilts.t[u])
         except (SteepnessError, NumericError) as exc:
             for j in runs[group]:
                 aborts[j] = PathAbort(a, str(exc))
@@ -992,9 +1004,7 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
     quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
     value at a single v is path_logdensity's log_g.
     """
-    errors = engine_errors(model, k, mixture=True)
-    if errors:
-        raise ConfigurationError(errors[-1])
+    _check_split(model, n, k, variant, mixture=True)
     y = np.asarray(points, dtype=float)  # u = identity
     if y.ndim != 3 or y.shape[1:] != (n, model.s):
         raise ConfigurationError(f"points must be a stack of runs (H, {n}, {model.s})")

@@ -1,12 +1,16 @@
-"""Target sets: products over constraints of finite unions of intervals."""
+"""Target sets: products over constraints of finite unions of intervals.
+
+Membership has one rule, an interval's closed float `span`: a union keeps
+its intervals' spans, which `contains`, `contains_rows` and the conditioning
+chain's target read."""
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _cartesian
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -43,11 +47,16 @@ class Interval:
             return not (self.lower_closed and self.upper_closed)
         return False
 
+    @property
+    def span(self) -> tuple:
+        """The closed float interval (a, b) holding exactly the members: an
+        open endpoint moves one float inward, as x > a iff x >= nextafter(a, inf)."""
+        return (self.lower if self.lower_closed else math.nextafter(self.lower, math.inf),
+                self.upper if self.upper_closed else math.nextafter(self.upper, -math.inf))
+
     def contains(self, x: float) -> bool:
-        # Every comparison with NaN is false, so NaN is never a member.
-        return (self.lower <= x <= self.upper
-                and (x != self.lower or self.lower_closed)
-                and (x != self.upper or self.upper_closed))
+        a, b = self.span  # every comparison with NaN is false: NaN is never a member
+        return a <= x <= b
 
     def distance(self, x: float) -> float:
         """Distance to the closure (endpoint openness does not matter)."""
@@ -103,17 +112,19 @@ def normalize_intervals(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
 @dataclass(frozen=True)
 class IntervalUnion:
     intervals: tuple
+    spans: tuple = field(init=False, repr=False, compare=False)  # each interval's span
 
     def __post_init__(self):
         object.__setattr__(self, "intervals", normalize_intervals(self.intervals))
+        object.__setattr__(self, "spans", tuple(iv.span for iv in self.intervals))
 
     @property
     def is_empty(self) -> bool:
         return len(self.intervals) == 0
 
     def contains(self, x: float) -> bool:
-        for iv in self.intervals:
-            if iv.contains(x):
+        for a, b in self.spans:
+            if a <= x <= b:
                 return True
         return False
 
@@ -172,8 +183,7 @@ def contains_rows(region: ProductRegion, V) -> np.ndarray:
     """contains for every row of the array V (R, s), as a bool array (R,)."""
     inside = np.ones(len(V), dtype=bool)
     for c, x in zip(region.components, V.T):
-        inside &= np.any([(iv.lower <= x) & (x <= iv.upper) & ((x != iv.lower) | iv.lower_closed)
-                          & ((x != iv.upper) | iv.upper_closed) for iv in c.intervals], axis=0)
+        inside &= np.any([(a <= x) & (x <= b) for a, b in c.spans], axis=0)
     return inside
 
 

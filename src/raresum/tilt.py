@@ -26,27 +26,24 @@ MAX_RESIDUAL = 1e-3
 
 
 @dataclass(frozen=True)
-class TiltSolution:
+class TiltSolution(LocalCumulants):
+    """One solved tilt: the tilted law's LocalCumulants at t, plus the target."""
+
     target: np.ndarray
-    t: np.ndarray
-    local: LocalCumulants
     iterations: int
     residual: float  # |m(t) - target| in the kappa^{-1}-induced norm
 
 
 def _max_feasible_step(model: ModelSpec, t: np.ndarray, direction: np.ndarray) -> float:
-    """Largest step along `direction` keeping t strictly inside the domain box."""
-    dom = model.cumulant_domain
-    margin = dom.margin()
+    """Largest step along `direction` keeping t inside the domain's inner box."""
+    lo, hi = model.cumulant_domain.inner
     limit = math.inf
     for j in range(t.size):
         d = direction[j]
-        if d > 0 and math.isfinite(dom.upper[j]):
-            room = (dom.upper[j] - margin[j]) - t[j]
-            limit = min(limit, room / d)
-        elif d < 0 and math.isfinite(dom.lower[j]):
-            room = t[j] - (dom.lower[j] + margin[j])
-            limit = min(limit, room / (-d))
+        if d > 0 and math.isfinite(hi[j]):
+            limit = min(limit, (hi[j] - t[j]) / d)
+        elif d < 0 and math.isfinite(lo[j]):
+            limit = min(limit, (t[j] - lo[j]) / (-d))
     return limit
 
 
@@ -81,32 +78,16 @@ class TiltBatch:
     def third(self) -> np.ndarray:
         """(R, s) contracted third cumulants, taken on first read (by the
         walker's step laws and `solution`; not by the chain's target)."""
-        return _moments_at(self.model, 2, self.t, self.reached)
+        return _moment(self.model, 2, self.t, self.reached)
 
     def solution(self, j: int) -> TiltSolution:
         """Row j as a TiltSolution; raises the row's error if it failed."""
         if self.errors[j] is not None:
             raise self.errors[j]
-        t = self.t[j]
-        return TiltSolution(target=self.target[j], t=t,
-                            local=LocalCumulants(t=t, mean=self.mean[j],
-                                                 covariance=self.covariance[j],
-                                                 third=self.third[j]),
+        return TiltSolution(t=self.t[j], mean=self.mean[j], covariance=self.covariance[j],
+                            third=self.third[j], target=self.target[j],
                             iterations=int(self.iterations[j]),
                             residual=float(self.residual[j]))
-
-
-def _moments_at(model: ModelSpec, which: int, T, rows) -> np.ndarray:
-    """Moment `which` of the tilted laws (as model._moment) at the rows of T
-    that the mask `rows` selects, NaN at the others: in one call with
-    tilt_fn, one row at a time without, since such a model may give
-    moments that take one row only."""
-    if model.tilt_fn is not None:
-        return _moment(model, which, T, None if rows.all() else rows)
-    out = np.full((len(T),) + (model.s,) * (2 if which == 1 else 1), np.nan)
-    for j in np.flatnonzero(rows):
-        out[j] = _moment(model, which, T[j:j + 1])[0]
-    return out
 
 
 def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
@@ -118,7 +99,7 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     <t, alpha> to DEFAULT_TOL from t = 0 (always inside the domain), or from
     its row of `T0` when that row is finite, e.g. to warm-start from a
     neighbouring solve.  The mean and covariance at the solved tilts come
-    from the model's moments (`_moments_at`), and the third cumulants too,
+    from the model's moments (`model._moment`), and the third cumulants too,
     on the first read of `third`.  Either way a row's tilt must lie
     inside the domain margin, have a positive definite covariance and reach
     alpha to MAX_RESIDUAL.  A row that fails gets SteepnessError when its
@@ -134,11 +115,7 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
     iterations = np.zeros(R, dtype=int)
     if model.tilt_fn is not None:
         T = np.asarray(model.tilt_fn(A[0] if R == 1 else A), dtype=float).reshape(R, s)
-        lower, upper = model.cumulant_domain.inner()
-        solved = ((T > lower) & (T < upper)).all(axis=1)
-        predicate = model.cumulant_domain.predicate
-        if predicate is not None:
-            solved = np.array([ok and bool(predicate(t)) for ok, t in zip(solved.tolist(), T)])
+        solved = model.cumulant_domain.contains_rows(T, margin=True)
     else:
         T = np.full((R, s), np.nan)
         for j in range(R):
@@ -148,7 +125,7 @@ def solve_tilts(model: ModelSpec, A, T0=None) -> TiltBatch:
             except SteepnessError as exc:
                 errors[j] = exc
         solved = np.array([e is None for e in errors], dtype=bool)
-    M, C = _moments_at(model, 0, T, solved), _moments_at(model, 1, T, solved)
+    M, C = _moment(model, 0, T, solved), _moment(model, 1, T, solved)
     chol, pd = cholesky_rows(C)
     pd &= solved
     # |m(t) - target| in the kappa^{-1} norm, the length of chol^{-1} (m(t) - target):
@@ -225,28 +202,21 @@ def _newton(model: ModelSpec, alpha, t0):
         step = min(1.0, 0.99 * _max_feasible_step(model, t, direction))
         if step <= 0:
             raise SteepnessError("tilt iterate pinned to the domain boundary")
-        if np.max(np.abs(residual_vec)) < 1e-6:
-            # Quadratic-convergence regime: dual decrements drop below float
-            # rounding, so skip the sufficient-decrease test and take the
-            # full feasible Newton step.
-            cand = t + step * direction
-            if model.cumulant_domain.contains(cand, margin=True):
-                t, f = cand, dual(cand)
-                continue
-        accepted = False
+        # In the quadratic-convergence regime dual decrements drop below float
+        # rounding, so the full feasible Newton step, if inside the domain
+        # margin, is taken without the sufficient-decrease test.
+        quadratic = np.max(np.abs(residual_vec)) < 1e-6
         slack = 8.0 * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(60):
+        for trial in range(60):
             cand = t + step * direction
             if model.cumulant_domain.contains(cand, margin=True):
                 fc = dual(cand)
-                if fc <= f + 1e-4 * step * slope + slack:
+                if quadratic and trial == 0 or fc <= f + 1e-4 * step * slope + slack:
                     t, f = cand, fc
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
-            raise SteepnessError(
-                f"line search failed at iteration {it} for target {alpha}")
+        else:
+            raise SteepnessError(f"line search failed at iteration {it} for target {alpha}")
     raise SteepnessError(f"no convergence in {MAX_ITER} iterations for target {alpha}")
 
 

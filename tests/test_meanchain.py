@@ -296,7 +296,7 @@ def _solve_tilt_target(model, region, n):
         except SteepnessError:
             return -math.inf
         rate = float(sol.t @ sol.target - model.cumulant(sol.t))
-        sign, logdet = np.linalg.slogdet(sol.local.covariance)
+        sign, logdet = np.linalg.slogdet(sol.covariance)
         return -math.inf if sign <= 0 else -n * rate - 0.5 * logdet
     return log_target
 

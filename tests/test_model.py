@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +74,59 @@ def test_mean_square_domain_requires_t2_below_half(mean_square):
     with pytest.raises(DomainError) as err:
         rs.mean_map(mean_square, [0.0, 0.5])
     assert err.value.coord == 1
+
+
+def _domain_probes(dom):
+    """Every combination of per-coordinate values: 0, +-inf, NaN, and each
+    finite bound and inner bound with the floats on either side of it."""
+    columns = []
+    for j in range(dom.s):
+        column = [0.0, math.inf, -math.inf, math.nan]
+        for b in (dom.lower[j], dom.upper[j], dom.inner[0][j], dom.inner[1][j]):
+            if math.isfinite(b):
+                column += [float(b), math.nextafter(b, math.inf), math.nextafter(b, -math.inf)]
+        columns.append(column)
+    return np.array(list(itertools.product(*columns)))
+
+
+def _in_box_only(t):
+    assert np.all(np.isfinite(t)), "predicate called on a row outside the box"
+    return t[0] + t[1] < 0.25
+
+
+@pytest.mark.parametrize("domain", [
+    rs.builtin_model("gaussian-mean", d=2).cumulant_domain,
+    rs.builtin_model("exponential-mean", rate=1.5).cumulant_domain,
+    rs.builtin_model("gaussian-mean-and-square", sigma=1.0).cumulant_domain,
+    rs.builtin_model("gaussian-mean-and-square", sigma=0.7).cumulant_domain,
+    rs.CumulantDomain(np.array([-1.0, -np.inf]), np.array([2.0, 0.5]), _in_box_only),
+], ids=["gaussian-d2", "exponential", "mean-square", "mean-square-0.7", "joint-predicate"])
+def test_domain_rows_test_equals_row_test(domain):
+    # the stacked test is the one domain test: contains is it on one row, and
+    # both read the open box (or the inner box), then the predicate
+    T = _domain_probes(domain)
+    for margin in (False, True):
+        lo, hi = domain.inner if margin else (domain.lower, domain.upper)
+        stacked = domain.contains_rows(T, margin)
+        assert stacked.dtype == bool and stacked.shape == (len(T),)
+        assert stacked.tolist() == [domain.contains(t, margin) for t in T]
+        expected = [all(a < x < b for a, b, x in zip(lo.tolist(), hi.tolist(), t.tolist()))
+                    and (domain.predicate is None or bool(domain.predicate(t))) for t in T]
+        assert stacked.tolist() == expected
+        assert 0 < sum(expected) < len(T)
+    # the mean-square predicate's edge, tau = 1 - 2 sigma^2 t2 > 0, is the box's
+    if domain.predicate not in (None, _in_box_only):
+        edge = domain.upper[1]
+        for t2 in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            assert domain.contains([0.0, t2]) == (t2 < edge)
+
+
+def test_domain_error_names_nan_coordinate(expo, mean_square):
+    # a NaN tilt lies outside every box; the error names its coordinate
+    with pytest.raises(DomainError) as err:
+        rs.local_cumulants(mean_square, [0.0, math.nan])
+    assert err.value.coord == 1
+    assert not expo.cumulant_domain.contains([math.nan], margin=True)
 
 
 def test_exponential_domain_error_carries_coordinate(expo):

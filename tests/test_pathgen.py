@@ -489,6 +489,43 @@ def test_gauss_identity_params_need_identity_statistic(mean_square):
         dataclasses.replace(mean_square, gauss_identity_params=(np.zeros(2), np.ones(2)))
 
 
+@pytest.mark.parametrize("family", ["gaussian-mean", "gaussian-mean-and-square"],
+                         ids=["gaussian-engine", "grid-engine"])
+def test_unknown_variant_and_split_out_of_range_are_refused(family):
+    # both engines check the variant and 0 <= k <= n - 1 where their public
+    # entries begin, before any run is walked or scored
+    model = rs.builtin_model(family)
+    v = np.array([0.3] if model.s == 1 else [0.3, 1.2])
+    for variant, k in (("bogus", 5), ("uniform-step", 10), ("uniform-step", -1)):
+        with pytest.raises(ConfigurationError, match="variant|split index"):
+            pathgen.walk_runs(model, v[None], 10, k, variant, rngs=[np.random.default_rng(0)])
+        if model.gauss_identity_params is not None:
+            with pytest.raises(ConfigurationError, match="variant|split index"):
+                mixture_logdensity(model, np.zeros((1, 10, 1)), v[None], 10, k, variant)
+    with pytest.raises(ConfigurationError, match="unknown variant"):
+        rs.sample_path(model, v, 10, 5, np.random.default_rng(0), variant="bogus")
+
+
+def test_grid_tail_takes_no_third_cumulants(mean_square):
+    calls = []
+
+    def third_fn(t):
+        calls.append(np.shape(t))
+        return mean_square.third_fn(t)
+
+    spy = dataclasses.replace(mean_square, third_fn=third_fn)
+    V = np.array([[0.3, 1.2], [0.25, 1.1], [0.3, 1.2], [0.5, 0.2]])  # the last unattainable
+    drawn = pathgen.walk_runs(spy, V, 30, 0, rngs=[np.random.default_rng(s) for s in range(4)])
+    scored = pathgen.walk_runs(spy, V, 30, 0, points=drawn[0])
+    assert not calls
+    reference = pathgen.walk_runs(mean_square, V, 30, 0,
+                                  rngs=[np.random.default_rng(s) for s in range(4)])
+    for a, b, c in zip(drawn[:4], scored[:4], reference[:4]):
+        assert np.array_equal(a, c, equal_nan=True) and np.array_equal(b, c, equal_nan=True)
+    assert [repr(e) for e in drawn[4]] == [repr(e) for e in reference[4]]
+    assert drawn[4][:3] == [None] * 3 and isinstance(drawn[4][3], PathAbort)
+
+
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
 def test_gaussian_path_solves_no_tilt(std_gauss, monkeypatch, variant):
     def forbidden(*args, **kwargs):
@@ -788,8 +825,8 @@ def test_stacked_builtin_callables_equal_rowwise(family):
         if batch.errors[j] is None:
             sol = rs.solve_tilt(model, alpha)
             assert np.array_equal(sol.t, batch.t[j])
-            assert np.array_equal(sol.local.covariance, batch.covariance[j])
-            assert np.array_equal(sol.local.third, batch.third[j])
+            assert np.array_equal(sol.covariance, batch.covariance[j])
+            assert np.array_equal(sol.third, batch.third[j])
         else:
             with pytest.raises(type(batch.errors[j]), match=str(batch.errors[j])):
                 rs.solve_tilt(model, alpha)

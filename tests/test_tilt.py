@@ -6,6 +6,7 @@ import pytest
 
 import raresum as rs
 from raresum.errors import BaselineUnavailable, NumericError, SteepnessError
+from raresum.model import moments
 from raresum.region import Interval, IntervalUnion
 
 
@@ -162,7 +163,7 @@ def test_third_cumulants_are_taken_on_first_read(family):
         assert read.errors[-1] is not None and np.all(np.isnan(third[-1]))
         for j in range(len(A) - 1):
             assert np.array_equal(third[j], rs.local_cumulants(builtin, read.t[j]).third)
-            assert np.array_equal(read.solution(j).local.third, third[j])
+            assert np.array_equal(read.solution(j).third, third[j])
 
 
 def _row_only(fn):
@@ -187,6 +188,59 @@ def test_moments_of_a_model_without_tilt_fn_may_take_rows_only(family):
     report = rs.adaptive_estimate(custom, region, 20, 10, seed=3,
                                   chain_config=rs.MeanChainConfig(burn_in=20, thinning=1))
     assert report.L == 10 and np.isfinite(report.p_hat)
+
+
+@pytest.mark.parametrize("family", list(FILL_TARGETS))
+def test_no_moment_is_taken_on_an_empty_stack(family):
+    # a stack whose every target is unattainable selects no row: the model's
+    # moments are not called at all, and every entry is NaN
+    builtin = rs.builtin_model(family)
+    calls = []
+
+    def spy(fn):
+        return lambda t: calls.append(np.shape(t)) or fn(t)
+
+    model = dataclasses.replace(builtin, **{
+        f: spy(getattr(builtin, f)) for f in ("mean_fn", "cov_fn", "third_fn")})
+    batch = rs.solve_tilts(model, np.array([UNATTAINABLE[family]] * 2))
+    assert all(isinstance(e, SteepnessError) for e in batch.errors)
+    assert np.all(np.isnan(batch.mean)) and np.all(np.isnan(batch.third))
+    assert not calls
+
+
+def _one_row_only(fn):
+    def on_rows(t):
+        if np.ndim(t) > 1 and len(t) > 1:
+            raise AssertionError("called on a stack of rows")
+        return fn(t)
+    return on_rows
+
+
+@pytest.mark.parametrize("family", list(FILL_TARGETS))
+def test_rows_of_a_model_without_tilt_fn_equal_one_row_calls(family):
+    # model._moment calls the moments of a model without tilt_fn one row at
+    # a time, in moments, solve_tilts and local_cumulants alike
+    builtin = rs.builtin_model(family)
+    custom = dataclasses.replace(builtin, tilt_fn=None, **{
+        f: _one_row_only(getattr(builtin, f)) for f in ("mean_fn", "cov_fn", "third_fn")})
+    A = np.array(FILL_TARGETS[family] + [UNATTAINABLE[family]])
+    batch = rs.solve_tilts(custom, A)
+    assert batch.errors[-1] is not None and batch.errors[:-1] == [None] * (len(A) - 1)
+    for j, alpha in enumerate(A):
+        row = rs.solve_tilts(custom, alpha[None])
+        for name in ("t", "mean", "covariance", "third", "iterations", "residual"):
+            assert np.array_equal(getattr(row, name)[0], getattr(batch, name)[j], equal_nan=True)
+        assert repr(row.errors[0]) == repr(batch.errors[j])
+    T = batch.t[:-1]
+    stacked = moments(custom, batch.t, batch.reached)
+    for j, t in enumerate(T):
+        one = moments(custom, t[None])
+        loc = rs.local_cumulants(custom, t)
+        for which, name in enumerate(("mean", "covariance", "third")):
+            assert np.array_equal(stacked[which][j], one[which][0])
+            assert np.array_equal(getattr(loc, name), one[which][0])
+    assert all(np.all(np.isnan(m[-1])) for m in stacked)
+    assert np.array_equal(moments(custom, T)[1], stacked[1][:-1])
 
 
 @pytest.mark.parametrize("family", ["exponential-mean", "gaussian-mean-and-square"])
