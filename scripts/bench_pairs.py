@@ -9,7 +9,11 @@ the first side of each pair, each metric's runs and quartiles per side, the
 pairwise wins and losses, failed/attempted per run, each run's round count
 (attempted over the workload's replicates per round; the side's median sits
 next to `peak_rss_mib`, which grows with the rounds the benchmark keeps),
-and the claim rule's result for the claimed workload and metric.  It only
+and the claim rule's result for the claimed workload and metric.  Next to
+`peak_rss_mib` it also writes each side's least-squares line of the peak
+over its runs' round counts (MiB per kept round) and the change's peak
+predicted at the parent's median round count, so that a rise in memory can
+be told apart from the benchmark keeping more rounds.  It only
 reads the benchmark (`BENCHMARK.json` and `raresum_bench/` of each copy).
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
@@ -104,6 +108,16 @@ def compare(parent, change, better: str) -> dict:
             "median_ratio": c_med / p_med if p_med else float("nan")}
 
 
+def rss_per_round(rounds, peaks) -> dict:
+    """The least-squares line of peak_rss_mib over the round counts of one
+    side's runs: its slope (MiB per kept round) and intercept, None when
+    the runs kept fewer than two distinct round counts."""
+    if len(set(rounds)) < 2:
+        return {"mib_per_round": None, "intercept_mib": None}
+    slope, intercept = np.polyfit(rounds, peaks, 1)
+    return {"mib_per_round": float(slope), "intercept_mib": float(intercept)}
+
+
 def claim_met(result: dict) -> bool:
     """The change wins at least nine tenths of the pairs, and the medians
     differ by more than the parent's quartile distance."""
@@ -169,8 +183,16 @@ def main(argv=None) -> int:
         per_round = {side: replicates_per_round(trees[side], workload) for side in SIDES}
         rounds = {side: [r["attempted"] // per_round[side] for r in runs[side]] for side in SIDES}
         metrics = {m: {side: quartiles(v[side]) for side in SIDES} for m, v in values.items()}
+        rss = metrics["peak_rss_mib"]
         for side in SIDES:
-            metrics["peak_rss_mib"][side]["median_rounds"] = float(np.median(rounds[side]))
+            rss[side]["median_rounds"] = float(np.median(rounds[side]))
+            rss[side].update(rss_per_round(rounds[side], values["peak_rss_mib"][side]))
+        line = rss["change"]
+        # the change's peak had its runs kept the parent's rounds: a rise that
+        # this removes is the benchmark keeping more rounds, not the change
+        rss["change_at_parent_rounds"] = (
+            None if line["mib_per_round"] is None
+            else line["intercept_mib"] + line["mib_per_round"] * rss["parent"]["median_rounds"])
         out["workloads"][workload] = {
             "seeds": seeds, "first_side": first, "metrics": metrics, "rounds": rounds,
             "pairs": {m: compare(v["parent"], v["change"], better[m])

@@ -10,7 +10,10 @@ unconditioned mean, where the tilted law is the base law (naive).  Paired
 weighting divides by g_{v_l}; since E[p(Y)/g_v(Y) 1_E(Y)] under g_v equals
 P(E) for every v, the estimate is unbiased for any law of conditioning
 points supported inside the region, and chain quality only affects
-variance.  `_estimate` scores every scheme in the same blocks of runs.
+variance.  `_estimate` scores every scheme in the same blocks of runs.  A
+miss weighs 0, so a Gaussian run's densities are taken only when it hits:
+its block is drawn, its means tested against the region, and then only
+the hits are weighed (`_score_block`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .meanchain import MeanChainConfig, MeanChainDiagnostics, run_chain
 from .model import ModelSpec, mean_map
-from .pathgen import PathConfig, engine_errors, mixture_logdensity, walk_blocks, walk_runs
+from .pathgen import (PathConfig, _summed_logpdf, draw_gaussian_runs, engine_errors,
+                      mixture_logdensity, walk_blocks, walk_runs)
 from .region import ProductRegion, contains_rows
 from .tilt import dominating_point
 from .utils import chain_rng, derive_seed, fmt_float, replicate_rng
@@ -47,6 +51,7 @@ class ReplicateDetails:
     aborted: np.ndarray      # bool
     path_mean: np.ndarray    # (L, s) final statistic mean per replicate
     v: Optional[np.ndarray]  # (L, s) conditioning points (adaptive only)
+    aborts: dict = field(default_factory=dict)  # replicate index -> its PathAbort
 
 
 @dataclass
@@ -138,32 +143,47 @@ def _check_point(*args, threads: int = 1, **kwargs) -> None:
 
 
 def _score_block(model, region, n, k, variant, weighting, vs, seed, block):
-    """Weights, hits, aborts and final means of the replicates in the slice
-    `block`: replicate l's run is drawn toward vs[l] with the generator
-    replicate_rng(seed, l), and a hit weighs exp(log p - log g).  Each
-    value depends only on its replicate's index, so any cut of the
-    replicates into blocks (--threads) gives the same numbers; a weight
-    past the float range raises NumericError."""
-    points, head, tail, log_p, _ = walk_runs(
-        model, vs[block], n, k, variant,
-        rngs=(replicate_rng(seed, l) for l in range(block.start, block.stop)))
-    R = len(points)
-    log_g = head + tail
-    aborted = ~np.isfinite(log_g)
+    """Weights, hits, aborted flags, final means and aborts {replicate:
+    PathAbort} of the replicates in the slice `block`: replicate l's run is
+    drawn toward vs[l] with the generator replicate_rng(seed, l), and a hit
+    weighs exp(log p - log g).  A grid run's densities come with its draw
+    (walk_runs); a Gaussian run is drawn alone (draw_gaussian_runs), never
+    aborts, and only a hit's densities are taken, through walk_runs's
+    evaluation of given points (paired) or mixture_logdensity, since a miss
+    weighs 0.  Each value depends only on its replicate's index, so any cut
+    of the replicates into blocks (--threads) gives the same numbers; a
+    weight past the float range raises NumericError."""
+    V = vs[block]
+    rngs = (replicate_rng(seed, l) for l in range(block.start, block.stop))
+    gaussian = model.gauss_identity_params is not None
+    if gaussian:
+        points, aborts = draw_gaussian_runs(model, V, n, k, variant, rngs), [None] * len(V)
+    else:
+        points, head, tail, log_p, aborts = walk_runs(model, V, n, k, variant, rngs=rngs)
+    R, aborted = len(points), np.array([a is not None for a in aborts])
+    aborts = {block.start + j: a for j, a in enumerate(aborts) if a is not None}
     stat = np.asarray(model.statistic(points.reshape(R * n, model.d)), dtype=float)
     means = np.sum(stat.reshape(R, n, model.s), axis=1) / n
     means[aborted] = 0.0
     hits = contains_rows(region, means) & ~aborted
-    if weighting == "mixture" and hits.any():
-        log_g[hits] = mixture_logdensity(model, points[hits], vs, n, k, variant)
-    weights, log_w = np.zeros(R), log_p - log_g
+    weights, rows = np.zeros(R), np.flatnonzero(hits)
+    if not rows.size:
+        return weights, hits, aborted, means, aborts
+    if not gaussian:
+        log_w = log_p[rows] - (head[rows] + tail[rows])
+    elif weighting == "mixture":
+        log_w = (_summed_logpdf(model.log_density_x, points[rows])
+                 - mixture_logdensity(model, points[rows], vs, n, k, variant))
+    else:
+        _, head, tail, log_p, _ = walk_runs(model, V[rows], n, k, variant, points=points[rows])
+        log_w = log_p - (head + tail)
     try:
-        weights[hits] = [math.exp(x) for x in log_w[hits]]
+        weights[rows] = [math.exp(x) for x in log_w]
     except OverflowError:  # name the replicate of the largest log-weight
-        l = int(np.argmax(np.where(hits, log_w, -np.inf)))
-        raise NumericError(f"replicate {block.start + l}: weight overflows, "
-                           f"log-weight {log_w[l]}") from None
-    return weights, hits, aborted, means
+        j = int(np.argmax(log_w))
+        raise NumericError(f"replicate {block.start + rows[j]}: weight overflows, "
+                           f"log-weight {log_w[j]}") from None
+    return weights, hits, aborted, means, aborts
 
 
 def _estimate(scheme, model, region, n, k, vs, seed, threads, start,
@@ -182,7 +202,8 @@ def _estimate(scheme, model, region, n, k, vs, seed, threads, start,
             parts = list(pool.map(score, blocks))
     else:
         parts = [score(b) for b in blocks]
-    weights, hits, aborted, means = (np.concatenate(a) for a in zip(*parts))
+    *arrays, aborts = zip(*parts)
+    weights, hits, aborted, means = (np.concatenate(a) for a in arrays)
     p_hat = float(np.mean(weights))
     std_error = float(np.std(weights, ddof=1) / math.sqrt(L))
     nonzero = weights[weights > 0]
@@ -194,7 +215,8 @@ def _estimate(scheme, model, region, n, k, vs, seed, threads, start,
         hit_rate=float(np.mean(hits)), aborts=int(np.sum(aborted)),
         wall_time=time.perf_counter() - start, chain=chain,
         details=ReplicateDetails(weights, hits, aborted, means,
-                                 vs if scheme == "adaptive" else None))
+                                 vs if scheme == "adaptive" else None,
+                                 {l: a for part in aborts for l, a in part.items()}))
 
 
 def adaptive_estimate(model: ModelSpec, region: ProductRegion, n: int, L: int,

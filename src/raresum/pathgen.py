@@ -11,9 +11,10 @@ With k = 0 every point is tilted toward v: the state-independent baseline.
 is the one place that picks an engine.  For a model with
 `gauss_identity_params` every head step and the tail follow one closed-form
 Gaussian law (`gaussian_step`), and no tilt is solved: `_draw_gaussian_points`
-draws runs from pre-drawn normals, and `_gaussian_quadratic` writes their
-log-densities as quadratics in the conditioning point in one array pass,
-read at each run's own point (paired) or at all of a set (`mixture_logdensity`).
+draws runs from pre-drawn normals (`draw_gaussian_runs`, which takes no
+density), and `_gaussian_quadratic` writes their log-densities as quadratics
+in the conditioning point in one array pass, read at each run's own point
+(paired) or at all of a set (`mixture_logdensity`).
 Any other model needs d = 1 for head steps.  Its step density is tabulated
 on a grid and sampled by inverse CDF; the recorded log-density is the exact
 density of that tabulated sampler, so importance weights stay unbiased.
@@ -771,9 +772,12 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
     log-densities (R,) and aborts, a list with the PathAbort of each run
     that had to be abandoned (None for the others), whose densities are NaN.
 
-    A model with gauss_identity_params gets the closed-form Gaussian engine,
-    a run drawn from its generator's normals; any other model the grid
-    walker (_grid_paths).  Either walks the runs in the stacks of
+    A model with gauss_identity_params gets the closed-form Gaussian engine:
+    a run is drawn from its generator's normals (draw_gaussian_runs) and
+    then evaluated like given points, so a caller that needs the densities
+    of some runs only draws them all and evaluates those; its runs never
+    abort.  Any other model gets the grid walker (_grid_paths), whose head
+    densities come with the draws.  Either walks the runs in the stacks of
     walk_blocks.  A run's numbers do not depend on the other runs, nor on
     the stacks.  With k = 0 a run is n i.i.d. points from the tilted law
     with mean its conditioning point: the state-independent baseline at the
@@ -792,10 +796,8 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
                                      rngs=list(islice(rngs, b.stop - b.start))))
             continue
         if given is None:
-            given = np.empty((b.stop - b.start, n, model.d))
-            for row, g in zip(given, rngs):  # each generator is dropped once it has drawn
-                g.standard_normal(out=row)
-            given = _draw_gaussian_points(model, V[b], given, n, k, variant)
+            given = draw_gaussian_runs(model, V[b], n, k, variant,
+                                       islice(rngs, b.stop - b.start))
         head, tail, _, _ = _gaussian_quadratic(model, given, V[b], n, k, variant)
         parts.append((given, head, tail, _summed_logpdf(model.log_density_x, given),
                       [None] * len(given)))
@@ -803,6 +805,17 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
         return parts[0]
     *arrays, aborts = zip(*parts)
     return (*(np.concatenate(a) for a in arrays), [a for part in aborts for a in part])
+
+
+def draw_gaussian_runs(model: ModelSpec, V, n: int, k: int, variant: str, rngs):
+    """The points (R, n, d) of gaussian-identity runs toward the rows of V
+    (R, s), run j drawn from the standard normals of the j-th generator of
+    rngs, each generator dropped once it has drawn: walk_runs's runs, with
+    no density taken."""
+    Z = np.empty((len(V), n, model.d))
+    for row, g in zip(Z, rngs):
+        g.standard_normal(out=row)
+    return _draw_gaussian_points(model, np.asarray(V, dtype=float), Z, n, k, variant)
 
 
 def _summed_logpdf(logpdf, points):

@@ -6,12 +6,15 @@ import pytest
 from scipy.stats import gamma, norm, poisson
 
 import raresum as rs
+from raresum import estimate, pathgen
+from raresum.config import load_config
 from raresum.errors import ConfigurationError
 from raresum.estimate import CSV_HEADER
+from raresum.model import mean_map
 from raresum.pathgen import tilted_tail_sampler
-from raresum.region import Interval, IntervalUnion
+from raresum.region import Interval, IntervalUnion, contains_rows
 from raresum.utils import replicate_rng
-from helpers import (P_EXPO_MEAN, P_ONE_DIM, expected_weight_by_quadrature,
+from helpers import (CONFIG_DIR, P_EXPO_MEAN, P_ONE_DIM, expected_weight_by_quadrature,
                      mean_square_probability)
 
 
@@ -321,6 +324,10 @@ def test_threads_do_not_change_results(scheme, family, region, n, L, k, seed, we
     assert serial.p_hat == parallel.p_hat
     for field in ("weights", "hits", "aborted", "path_mean"):
         assert np.array_equal(getattr(serial.details, field), getattr(parallel.details, field))
+    # each aborted replicate keeps its PathAbort, also across worker processes
+    steps = [{l: (a.step, a.reason) for l, a in rep.details.aborts.items()}
+             for rep in (serial, parallel)]
+    assert steps[0] == steps[1] and sorted(steps[0]) == list(np.flatnonzero(serial.details.aborted))
     assert np.any(serial.details.hits)
     if scheme == "adaptive" and family != "gaussian-mean":
         assert serial.aborts > 0
@@ -445,3 +452,119 @@ def test_mean_square_tilted_iid_sees_one_of_two_branches(mean_square):
             rep = rs.tilted_iid_estimate(mean_square, region, 100, 4000, seed=seed)
         assert abs(rep.p_hat - truth / 2) < 4 * rep.std_error
         assert rep.p_hat < 0.6 * truth
+
+
+def score_every_run(model, region, n, k, variant, weighting, vs, seed):
+    """Reference scoring: every run's densities through walk_runs, then the
+    region test, the hits' weights kept and an aborted run known by its
+    non-finite density."""
+    points, head, tail, log_p, _ = pathgen.walk_runs(
+        model, vs, n, k, variant, rngs=(replicate_rng(seed, l) for l in range(len(vs))))
+    log_g = head + tail
+    aborted = ~np.isfinite(log_g)
+    stat = np.asarray(model.statistic(points.reshape(-1, model.d)), dtype=float)
+    means = np.sum(stat.reshape(len(vs), n, model.s), axis=1) / n
+    means[aborted] = 0.0
+    hits = contains_rows(region, means) & ~aborted
+    if weighting == "mixture" and hits.any():
+        log_g[hits] = pathgen.mixture_logdensity(model, points[hits], vs, n, k, variant)
+    weights = np.zeros(len(vs))
+    weights[hits] = [math.exp(x) for x in (log_p - log_g)[hits]]
+    return {"weights": weights, "hits": hits, "aborted": aborted, "path_mean": means,
+            "points": points}
+
+
+class LogDensitySpy:
+    """A model's log_density_x that records the points it is given."""
+
+    def __init__(self, logpdf):
+        self.logpdf, self.seen = logpdf, []
+
+    def __call__(self, x):
+        self.seen.append(np.array(x))
+        return self.logpdf(x)
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("scheme,variant,weighting", [
+    ("adaptive", "uniform-step", "paired"), ("adaptive", "paper-literal", "paired"),
+    ("adaptive", "uniform-step", "mixture"), ("adaptive", "paper-literal", "mixture"),
+    ("tilted-iid", "uniform-step", "paired"), ("naive", "uniform-step", "paired")])
+def test_hits_only_scoring_equals_scoring_every_run(scheme, variant, weighting, d):
+    # a Gaussian run's base density is taken only when it hits, and the
+    # replicates have the bits of scoring every run and then masking
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=1.0, d=d)
+    spy = LogDensitySpy(model.log_density_x)
+    region = rs.two_sided_region(0.05 if scheme == "naive" else 0.28, d)
+    n, L = 100, 400  # more than one block of runs at d = 1 (327 runs) and d = 5 (65)
+    rep = rs.run_point(dataclasses.replace(model, log_density_x=spy), region, n, L, scheme, 41,
+                       weighting=weighting,
+                       chain_config=rs.MeanChainConfig(burn_in=300, thinning=2),
+                       path_config=rs.PathConfig(k_mode="manual", k=75, variant=variant))
+    vs = rep.details.v if scheme == "adaptive" else np.tile(
+        rs.dominating_point(model, region) if scheme == "tilted-iid"
+        else mean_map(model, np.zeros(d)), (L, 1))
+    want = score_every_run(model, region, n, rep.k, variant, weighting, vs, rep.seed)
+    assert 0 < np.sum(want["hits"]) < L and len(pathgen.walk_blocks(model, L, n, rep.k)) >= 2
+    for field in ("weights", "hits", "aborted", "path_mean"):
+        assert np.array_equal(getattr(rep.details, field), want[field]), field
+    assert rep.details.aborts == {}
+    seen = np.concatenate(spy.seen)
+    assert np.array_equal(seen, want["points"][want["hits"]].reshape(-1, d))
+
+
+@pytest.mark.parametrize("weighting", ["paired", "mixture"])
+def test_block_without_hits_takes_no_density(weighting, monkeypatch):
+    # every run of the block misses, so no density function is called
+    model = rs.builtin_model("gaussian-mean", mu=0.05, sigma=1.0, d=5)
+    spy = LogDensitySpy(model.log_density_x)
+    model = dataclasses.replace(model, log_density_x=spy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a density was taken in a block without hits")
+
+    monkeypatch.setattr(estimate, "mixture_logdensity", refuse)
+    monkeypatch.setattr(estimate, "walk_runs", refuse)
+    region, n, k = rs.two_sided_region(0.28, 5), 100, 75
+    vs = np.full((40, 5), 0.3)
+    vs[:, 0] = 0.0  # the first coordinate's mean stays inside (-0.28, 0.28)
+    weights, hits, aborted, means, aborts = estimate._score_block(
+        model, region, n, k, "uniform-step", weighting, vs, 3, slice(0, 40))
+    assert not hits.any() and not aborted.any() and aborts == {}
+    assert np.array_equal(weights, np.zeros(40)) and np.all(np.abs(means[:, 0]) < 0.28)
+    assert spy.seen == []
+
+
+def test_mean_square_aborts_are_infeasible_remainders():
+    # a run aborts only where its remaining n - i points cannot carry the
+    # remaining sums: (n v2 - B) - (n v1 - A)^2 / (n - i) <= 0, with A and B
+    # the sums of x and x^2 over its first i points
+    def check(model, V, n, k, variant, rngs, aborts):
+        points, *_, walked = pathgen.walk_runs(model, V, n, k, variant, rngs=rngs)
+        assert [j for j, a in enumerate(walked) if a is not None] == sorted(aborts)
+        for j, abort in aborts.items():
+            i = abort.step
+            assert walked[j].step == i and walked[j].reason == abort.reason
+            A, B = np.sum(points[j, :i, 0]), np.sum(points[j, :i, 0] ** 2)
+            assert (n * V[j, 1] - B) - (n * V[j, 0] - A) ** 2 / (n - i) <= 0.0, (j, i)
+
+    # the benchmark's meansquare-paired call: mean_square_smoke at L = 30
+    cfg = load_config(str(CONFIG_DIR / "mean_square_smoke.cfg"))
+    model, region, n, _ = cfg.instantiate()
+    rep = rs.run_point(model, region, n, 30, "adaptive", cfg.seed,
+                       sweep_label=cfg.sweep_label(None), path_config=cfg.path_config(),
+                       chain_config=cfg.chain, weighting=cfg.weighting)
+    assert len(rep.details.aborts) == rep.aborts == 2
+    assert np.array_equal(np.flatnonzero(rep.details.aborted), sorted(rep.details.aborts))
+    ls = sorted(rep.details.aborts)
+    check(model, rep.details.v[ls], n, rep.k, cfg.path_config().variant,
+          [replicate_rng(rep.seed, l) for l in ls],
+          {j: rep.details.aborts[l] for j, l in enumerate(ls)})
+
+    V = np.tile([0.2, 1.2], (100, 1))
+    rngs = [np.random.default_rng([23, j]) for j in range(100)]
+    points, *_, walked = pathgen.walk_runs(model, V, 100, 90, rngs=rngs)
+    aborts = {j: a for j, a in enumerate(walked) if a is not None}
+    assert aborts
+    check(model, V, 100, 90, "uniform-step", [np.random.default_rng([23, j]) for j in range(100)],
+          aborts)
