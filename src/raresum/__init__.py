@@ -31,9 +31,6 @@ from .region import (
 from .tilt import TiltBatch, TiltSolution, dominating_point, rate_function, solve_tilt, solve_tilts
 from .pathgen import (
     PathConfig,
-    PathSample,
-    StepParams,
-    path_logdensity,
     sample_path,
     select_k,
     step_params,

@@ -35,17 +35,16 @@ than a CDF, and finds a draw's cell, where its log-density is read, by a
 two-level search.  A run whose tilt or grid fails drops out with its step
 and reason.
 
-Below the public functions everything is a stack: the model's callables
-take points (m, d), a GridDensity1D holds R rows, and mixture_logdensity
-scores runs (H, n, s).  A run's numbers never depend on its stack:
-`sample_path`, `path_logdensity`, `step_params` and `tilted_tail_sampler`
-are the batches of one, and a single density is a stack of one row.
+Everything is a stack: the model's callables take points (m, d), a
+GridDensity1D holds R rows, and walk_runs and mixture_logdensity take runs
+(R, n, d).  A run's numbers never depend on its stack; `sample_path`,
+`step_params` and `tilted_tail_sampler` are one-row calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -243,8 +242,10 @@ def _live_rows(errors) -> np.ndarray:
 
 
 def _linspace_rows(lo, hi, num, out=None):
-    """np.linspace(lo, hi, num, axis=-1) for the bounds lo, hi (R,), to the
-    same bits, but laid out row by row (in `out` when given)."""
+    """np.linspace(lo, hi, num, axis=-1) for the bounds lo, hi (R,), laid out
+    row by row (in `out` when given), each row to the bits np.linspace gives
+    it alone.  On a stack with a flat row (step 0), np.linspace takes its
+    denormal branch for every row; here only the flat rows do."""
     delta = hi - lo
     step = delta / (num - 1)
     y = np.multiply(np.arange(num, dtype=float), step[:, None], out=out)
@@ -393,22 +394,11 @@ def _build_grid_density(log_h, windows, errors, trim=True, work=None):
 
 
 @dataclass
-class StepParams:
-    """Grid step for point i+1 of a d = 1 model without gauss_identity_params."""
-
-    t: np.ndarray          # tilt solving m(t) = remaining mean; warm-starts the next solve
-    beta: np.ndarray       # covariance of the Gaussian steering factor
-    gauss_mean: np.ndarray
-    log_norm: float        # log of the step density's normalizing constant
-    sampler: GridDensity1D = field(repr=False)  # a stack of one row
-
-
-@dataclass
-class _StepLaws:
+class StepLaws:
     """Grid step laws of a stack of runs at one step, one per row."""
 
-    t: np.ndarray           # (R, s) tilts, NaN where the solve failed
-    beta: np.ndarray        # (R, s, s)
+    t: np.ndarray           # (R, s) tilts, NaN where the solve failed; warm-start the next solve
+    beta: np.ndarray        # (R, s, s) covariances of the Gaussian steering factors
     gauss_mean: np.ndarray  # (R, s)
     density: Optional[GridDensity1D]  # stacked, one row per row whose error is None
     errors: list            # per row: None, or the error that stopped its law
@@ -454,28 +444,20 @@ def gaussian_step(model: ModelSpec, V, u_partial, i: int, n: int,
 
 
 def step_params(model: ModelSpec, v, i: int, u_partial, n: int,
-                variant: str = "uniform-step") -> StepParams:
-    """Grid-tabulated density of point i+1 (i points already drawn): the
-    batch of one of the stacked step laws that the run walker builds.
-
-    Models with gauss_identity_params have the closed-form gaussian_step
-    instead.
-    """
+                variant: str = "uniform-step") -> StepLaws:
+    """_step_laws on a stack of one: the StepLaws of point i+1 of a run toward
+    v (s,) whose first i points sum to u_partial (s,).  A name of its own
+    because the benchmark tracer wraps it; ROADMAP items 16-17 retire it."""
     if not 0 <= i <= n - 2:
         raise ConfigurationError(f"step index {i} out of range for n={n}")
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    u_partial = np.atleast_1d(np.asarray(u_partial, dtype=float))
-    law = _step_laws(model, v[None], u_partial[None], i, n, variant)
-    if law.errors[0] is not None:
-        raise law.errors[0]
-    return StepParams(t=law.t[0], beta=law.beta[0], gauss_mean=law.gauss_mean[0],
-                      log_norm=-float(law.density.log_integral[0]), sampler=law.density)
+    return _step_laws(model, np.reshape(np.asarray(v, dtype=float), (1, -1)),
+                      np.reshape(np.asarray(u_partial, dtype=float), (1, -1)), i, n, variant)
 
 
 def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
-               work=None) -> _StepLaws:
+               work=None) -> StepLaws:
     """Grid step laws of point i+1 for runs conditioned toward the rows of V
     (R, s) whose first i points sum to the rows of U, all built together.
     T0 holds each row's previous tilt, which warm-starts a Newton solve; the
@@ -496,8 +478,8 @@ def _step_laws(model: ModelSpec, V, U, i: int, n: int, variant: str, T0=None,
     center = M if variant == "uniform-step" else V
     gauss_mean[ok] = ((beta[ok] @ (tilts.t[ok] + corr[..., 0] / (2.0 * remaining))[..., None])
                       [..., 0] + center[ok])
-    return _StepLaws(t=tilts.t, beta=beta, gauss_mean=gauss_mean,
-                     density=_step_grids(model, gauss_mean, beta, errors, work), errors=errors)
+    return StepLaws(t=tilts.t, beta=beta, gauss_mean=gauss_mean,
+                    density=_step_grids(model, gauss_mean, beta, errors, work), errors=errors)
 
 
 def _point_width(model: ModelSpec) -> int:
@@ -640,52 +622,34 @@ def _step_grids(model: ModelSpec, gauss_mean, beta, errors, work=None):
 # ---------------------------------------------------------------------------
 
 
-class TiltedDensity:
-    """Sampler plus exact log-density for the tilted law at the tilt t."""
+def tilted_law(model: ModelSpec, t):
+    """The tilted law exp(<t, u(x)> - K(t)) p_X(x) at the tilt t (s,) as the
+    pair (draw(rng, size) -> (size, d), logpdf((m, d)) -> (m,)) of the
+    model's tilted_family; without one, a d = 1 model's law is tabulated on
+    x_window_fn(t) (a GridDensity1D of one row, exact for its own draws)."""
+    if model.tilted_family is not None:
+        return model.tilted_family(t)
+    if model.d != 1 or model.x_window_fn is None:
+        raise ConfigurationError("a tilted law without tilted_family needs d = 1 and x_window_fn")
+    log_phi = model.cumulant(t)
 
-    def __init__(self, model: ModelSpec, t):
-        self.model = model
-        self.t = t
-        self._family = None
-        self._grid = None
-        if model.tilted_family is not None:
-            self._family = model.tilted_family(self.t)  # (draw, logpdf)
-        elif model.d == 1:
-            if model.x_window_fn is None:
-                raise ConfigurationError(
-                    "custom 1-d model needs x_window_fn for tilted grid sampling")
-            self.log_phi = model.cumulant(t)
-            errors = [None]
-            self._grid = _build_grid_density(  # a stack of one row
-                lambda rows, ys: self._exact_logpdf(ys.reshape(-1, 1)).reshape(ys.shape),
-                [model.x_window_fn(self.t)], errors)
-            if errors[0] is not None:
-                raise errors[0]
-        else:
-            raise ConfigurationError("no sampler available for this tilted law")
+    def log_h(rows, ys):
+        x = ys.reshape(-1, 1)
+        log_f = np.asarray(model.statistic(x), dtype=float) @ t - log_phi
+        return (log_f + np.asarray(model.log_density_x(x), dtype=float)).reshape(ys.shape)
 
-    def _exact_logpdf(self, x):
-        """Log-densities (m,) of the points x (m, d)."""
-        stat = np.asarray(self.model.statistic(x), dtype=float)
-        return stat @ self.t - self.log_phi + np.asarray(self.model.log_density_x(x), dtype=float)
-
-    def sample(self, rng, size: int):
-        """`size` draws (size, d) from the generator rng."""
-        if self._family is not None:
-            return self._family[0](rng, size)
-        return self._grid.draw([rng], size)[0].reshape(size, 1)
-
-    def logpdf(self, x):
-        """Log-densities (m,) of the points x, read as a stack (m, d)."""
-        x = np.reshape(x, (-1, self.model.d))
-        if self._family is not None:
-            return self._family[1](x)
-        return self._grid.logpdf(x.reshape(1, -1))[0]
+    errors = [None]
+    grid = _build_grid_density(log_h, [model.x_window_fn(t)], errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return (lambda rng, size: grid.draw([rng], size)[0].reshape(size, 1),
+            lambda x: grid.logpdf(np.reshape(x, (1, -1)))[0])
 
 
-def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
-    """Tilted density with mean m_k: exp(<t,u(x)> - K(t)) p_X(x)."""
-    return TiltedDensity(model, solve_tilt(model, m_k).t)
+def tilted_tail_sampler(model: ModelSpec, m_k):
+    """tilted_law at the tilt whose mean is m_k (s,).  A name of its own
+    because the benchmark tracer wraps it; ROADMAP items 16-17 retire it."""
+    return tilted_law(model, solve_tilt(model, m_k).t)
 
 
 # ---------------------------------------------------------------------------
@@ -693,50 +657,11 @@ def tilted_tail_sampler(model: ModelSpec, m_k) -> TiltedDensity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PathSample:
-    points: np.ndarray      # (n, d)
-    u_partial: np.ndarray   # (n, s) running sums of u
-    log_g: float            # full sampling log-density (head + tail)
-    log_p: float            # sum of base log-densities
-    v: np.ndarray
-    k: int
-    log_g_head: float
-    log_g_tail: float
-
-
-@dataclass
-class PathDensity:
-    log_g_head: float
-    log_g_tail: float
-    log_p: float
-
-    @property
-    def log_g(self) -> float:
-        return self.log_g_head + self.log_g_tail
-
-
-def _check_path_args(model, v, n, k):
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (model.s,):
-        raise ConfigurationError(f"conditioning point must have shape ({model.s},)")
-    if not 1 <= k <= n - 1:
-        raise ConfigurationError(f"split index must satisfy 1 <= k <= {n - 1}, got {k}")
-    return v
-
-
-def sample_path(model: ModelSpec, v, n: int, k: int, rng,
-                variant: str = "uniform-step") -> PathSample:
-    """Draw a full n-point run conditioned toward v and record its densities."""
-    v = _check_path_args(model, v, n, k)
-    runs = walk_runs(model, v[None], n, k, variant, rngs=[rng])
-    points, dens = runs[0][0], _one_density(runs)
-    u_partial = np.cumsum(np.asarray(model.statistic(points), dtype=float), axis=0)
-    if not math.isfinite(dens.log_g):
-        raise PathAbort(n - 1, "non-finite sampling log-density")
-    return PathSample(points=points, u_partial=u_partial, log_g=dens.log_g,
-                      log_p=dens.log_p, v=v, k=k, log_g_head=dens.log_g_head,
-                      log_g_tail=dens.log_g_tail)
+def sample_path(model: ModelSpec, v, n: int, k: int, rng, variant: str = "uniform-step"):
+    """walk_runs on a stack of one: a run toward v (s,) drawn with the
+    generator rng.  A name of its own because the benchmark tracer wraps
+    it; ROADMAP items 16-17 retire it."""
+    return walk_runs(model, np.reshape(v, (1, -1)), n, k, variant, rngs=[rng])
 
 
 def engine_errors(model: ModelSpec, k: int = 1, mixture: bool = False) -> list[str]:
@@ -781,11 +706,17 @@ def walk_runs(model: ModelSpec, V, n: int, k: int, variant: str = "uniform-step"
     walk_blocks.  A run's numbers do not depend on the other runs, nor on
     the stacks.  With k = 0 a run is n i.i.d. points from the tilted law
     with mean its conditioning point: the state-independent baseline at the
-    dominating point, or the base law itself at mean_map(model, 0).
+    dominating point, or the base law itself at mean_map(model, 0).  Runs
+    to draw with fewer generators than runs are a ConfigurationError.
     """
     _check_split(model, n, k, variant)
     V = np.asarray(V, dtype=float)
-    points = None if points is None else np.asarray(points, dtype=float)
+    if V.ndim != 2 or V.shape[1] != model.s:
+        raise ConfigurationError(f"conditioning points must be (R, {model.s}), got {V.shape}")
+    if points is not None:
+        points = np.asarray(points, dtype=float)
+        if points.shape != (len(V), n, model.d):
+            raise ConfigurationError(f"points must be {(len(V), n, model.d)}, got {points.shape}")
     rngs = iter(() if rngs is None else rngs)
     gaussian = model.gauss_identity_params is not None
     parts = []
@@ -811,11 +742,20 @@ def draw_gaussian_runs(model: ModelSpec, V, n: int, k: int, variant: str, rngs):
     """The points (R, n, d) of gaussian-identity runs toward the rows of V
     (R, s), run j drawn from the standard normals of the j-th generator of
     rngs, each generator dropped once it has drawn: walk_runs's runs, with
-    no density taken."""
+    no density taken.  Fewer generators than runs are a ConfigurationError."""
     Z = np.empty((len(V), n, model.d))
+    drawn = 0
     for row, g in zip(Z, rngs):
         g.standard_normal(out=row)
+        drawn += 1
+    _check_generators(len(Z), drawn)
     return _draw_gaussian_points(model, np.asarray(V, dtype=float), Z, n, k, variant)
+
+
+def _check_generators(runs: int, generators: int):
+    """ConfigurationError when `runs` runs to draw got fewer generators."""
+    if generators < runs:
+        raise ConfigurationError(f"{runs} runs to draw got only {generators} generators")
 
 
 def _summed_logpdf(logpdf, points):
@@ -858,6 +798,7 @@ def _grid_paths(model, V, n, k, variant, rngs=None, points=None):
     R = len(V)
     if points is None:
         points = np.zeros((R, n, model.d))
+        _check_generators(R, len(rngs))
     else:
         rngs = None  # given points are evaluated, never drawn
     u_run = np.zeros((R, model.s))
@@ -917,15 +858,15 @@ def _tilted_points(model, A, T0, runs, a, b, points, rngs, aborts):
         try:
             if tilts.errors[u] is not None:
                 raise tilts.errors[u]
-            law = TiltedDensity(model, tilts.t[u])
+            draw, logpdf = tilted_law(model, tilts.t[u])
         except (SteepnessError, NumericError) as exc:
             for j in runs[group]:
                 aborts[j] = PathAbort(a, str(exc))
             continue
         if rngs is not None:
             for j in runs[group]:
-                points[j, a:b] = law.sample(rngs[j], size=b - a)
-        log_g[group] = _summed_logpdf(law.logpdf, points[runs[group], a:b])
+                points[j, a:b] = draw(rngs[j], b - a)
+        log_g[group] = _summed_logpdf(logpdf, points[runs[group], a:b])
     return tilts.t[which], log_g
 
 
@@ -938,16 +879,6 @@ def _grid_row_elements(model: ModelSpec) -> int:
     whose log-values come from the statistic also holds the statistic and
     its whitened copy (102-103 kB per mean-square run)."""
     return (1 + 3 * _point_width(model)) * 2001
-
-
-def _one_density(runs) -> PathDensity:
-    """The PathDensity of the one run that walk_runs returned, or its
-    PathAbort raised."""
-    _, head, tail, log_p, aborts = runs
-    if aborts[0] is not None:
-        raise aborts[0]
-    return PathDensity(log_g_head=float(head[0]), log_g_tail=float(tail[0]),
-                       log_p=float(log_p[0]))
 
 
 def _head_law(model, n, k, variant):
@@ -1015,7 +946,7 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
 
     Only available for gaussian-identity models, whose log run density is a
     quadratic in v (`_gaussian_quadratic`, about the mean of v_set); the
-    value at a single v is path_logdensity's log_g.
+    value at a single v is walk_runs's head plus tail.
     """
     _check_split(model, n, k, variant, mixture=True)
     y = np.asarray(points, dtype=float)  # u = identity
@@ -1035,12 +966,3 @@ def mixture_logdensity(model: ModelSpec, points, v_set, n: int, k: int,
         out[c] = [float(p) + math.log(float(m)) for p, m in zip(peak, mean)]
     return out
 
-
-def path_logdensity(model: ModelSpec, points, v, n: int, k: int,
-                    variant: str = "uniform-step") -> PathDensity:
-    """Log-densities of a given run under the scheme that sample_path uses."""
-    v = _check_path_args(model, v, n, k)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape != (n, model.d):
-        raise ConfigurationError(f"points must have shape ({n}, {model.d})")
-    return _one_density(walk_runs(model, v[None], n, k, variant, points=points[None]))

@@ -171,12 +171,7 @@ def contains(region: ProductRegion, v) -> bool:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (region.s,):
         raise ConfigurationError(f"point must have shape ({region.s},), got {v.shape}")
-    # Plain loops over Python floats: the chain target and the i.i.d.
-    # estimators call this once per point.
-    for c, x in zip(region.components, v.tolist()):
-        if not c.contains(x):
-            return False
-    return True
+    return bool(contains_rows(region, v[None])[0])
 
 
 def contains_rows(region: ProductRegion, V) -> np.ndarray:

@@ -53,6 +53,19 @@ def conditional_head_oracle(n, k, v, sigma=1.0):
     return multivariate_normal(mean=np.full(k, v), cov=cov)
 
 
+def walk_one(model, v, n, k, rng=None, variant="uniform-step", points=None):
+    """pathgen.walk_runs on a stack of one: a run toward v (s,) drawn with
+    the generator rng, or the given points (n, d) evaluated.  Returns the
+    run's points (n, d) and its head, tail and base log-densities; raises
+    the run's PathAbort."""
+    P, head, tail, log_p, aborts = pathgen.walk_runs(
+        model, np.reshape(v, (1, -1)), n, k, variant, rngs=[rng],
+        points=None if points is None else np.asarray(points)[None])
+    if aborts[0] is not None:
+        raise aborts[0]
+    return P[0], head[0], tail[0], log_p[0]
+
+
 def gaussian_quadratic_by_steps(model, P, V0, n, k, variant):
     """Reference for pathgen._gaussian_quadratic: the same head, tail, b and
     q, added up one head step at a time from gaussian_step's law and then

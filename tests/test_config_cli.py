@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import os
@@ -192,6 +193,25 @@ def test_run_reports_weight_overflow_as_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("ERROR: adaptive failed") and "weight overflows, log-weight" in err
     assert not out.exists()
+
+
+def test_run_reports_every_replicate_aborted(tmp_path, capsys, monkeypatch):
+    # a scheme that aborted all L replicates still gets its CSV row, and the
+    # run ends with an ERROR: line and the runtime exit code
+    from raresum import cli
+
+    real = cli.run_point
+
+    def all_aborted(model, region, n, L, *args, **kwargs):
+        return dataclasses.replace(real(model, region, n, L, *args, **kwargs), aborts=L)
+
+    monkeypatch.setattr(cli, "run_point", all_aborted)
+    out = tmp_path / "o.csv"
+    assert main(["run", write(tmp_path, SMALL, csv=str(out))]) == EXIT_RUNTIME == 4
+    assert "ERROR: a scheme aborted every replicate" in capsys.readouterr().err
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+    assert lines[1].startswith("adaptive,20,15,1,1,60,")
 
 
 def test_seed_override_changes_output(tmp_path):

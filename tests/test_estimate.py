@@ -11,11 +11,10 @@ from raresum.config import load_config
 from raresum.errors import ConfigurationError
 from raresum.estimate import CSV_HEADER
 from raresum.model import mean_map
-from raresum.pathgen import tilted_tail_sampler
 from raresum.region import Interval, IntervalUnion, contains_rows
 from raresum.utils import replicate_rng
 from helpers import (CONFIG_DIR, P_EXPO_MEAN, P_ONE_DIM, expected_weight_by_quadrature,
-                     mean_square_probability)
+                     mean_square_probability, walk_one)
 
 
 def one_sided(threshold):
@@ -237,17 +236,17 @@ def test_fubini_identity_by_quadrature(std_gauss):
         assert ew == pytest.approx(truth, abs=1e-4)
 
 
-def test_fubini_grid_matches_path_logdensity(std_gauss):
-    # the grid reconstruction above uses the same factors as path_logdensity
+def test_fubini_grid_matches_run_density(std_gauss):
+    # the grid reconstruction above uses the same factors as the run density
     n, k, v = 2, 1, 0.4
     gen = np.random.default_rng(23)
     for _ in range(20):
         y = gen.normal(size=2)
-        dens = rs.path_logdensity(std_gauss, y.reshape(2, 1), [v], n, k)
+        _, head, tail, _ = walk_one(std_gauss, [v], n, k, points=y.reshape(2, 1))
         manual_head = norm.logpdf(y[0], loc=v, scale=math.sqrt(0.5))
         m1 = 2 * v - y[0]
         manual_tail = norm.logpdf(y[1], loc=m1, scale=1.0)
-        assert dens.log_g == pytest.approx(manual_head + manual_tail, abs=1e-10)
+        assert head + tail == pytest.approx(manual_head + manual_tail, abs=1e-10)
 
 
 def test_mixture_weighting_matches_paired_on_single_component(gauss_005):
@@ -377,8 +376,8 @@ def test_tilted_iid_baseline_unavailable(expo):
 
 
 def test_tail_sampler_used_by_naive_matches_base(gauss_005):
-    s = tilted_tail_sampler(gauss_005, [0.05])
-    assert np.max(np.abs(s.t)) < 1e-12
+    # naive draws from the tilted law at the tilt whose mean is the base mean
+    assert np.max(np.abs(rs.solve_tilt(gauss_005, [0.05]).t)) < 1e-12
 
 
 def test_custom_tilted_iid_weights_are_p_over_g(expo):
@@ -390,13 +389,13 @@ def test_custom_tilted_iid_weights_are_p_over_g(expo):
                                  step_poly_fn=None)
     region, n, seed = one_sided(1.5), 100, 11
     rep = rs.tilted_iid_estimate(custom, region, n, 100, seed=seed)
-    law = tilted_tail_sampler(custom, rs.dominating_point(custom, region))
+    draw, logpdf = rs.tilted_tail_sampler(custom, rs.dominating_point(custom, region))
     assert np.any(rep.details.hits)
     for l in range(100):
-        x = law.sample(replicate_rng(seed, l), size=n)
+        x = draw(replicate_rng(seed, l), n)
         assert rep.details.path_mean[l, 0] == pytest.approx(np.mean(x), rel=1e-12)
         if rep.details.hits[l]:
-            p_over_g = math.exp(np.sum(custom.log_density_x(x)) - np.sum(law.logpdf(x)))
+            p_over_g = math.exp(np.sum(custom.log_density_x(x)) - np.sum(logpdf(x)))
             assert rep.details.weights[l] == pytest.approx(p_over_g, rel=1e-12)
 
 

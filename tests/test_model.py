@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 import raresum as rs
 from raresum.errors import ConfigurationError, DomainError
-from raresum.model import _fd_gradient, _fd_hessian, _fd_third_contracted
+from raresum.model import _fd_gradient, _fd_hessian, _fd_third_contracted, cholesky_rows
 
 
 ALL_FAMILIES = [
@@ -229,9 +229,9 @@ def test_cumulant_convexity(name, params):
 @pytest.mark.parametrize("name,params", ALL_FAMILIES)
 def test_mean_at_zero_matches_monte_carlo(name, params):
     model = rs.builtin_model(name, **params)
-    sampler = rs.tilted_tail_sampler(model, rs.mean_map(model, np.zeros(model.s)))
+    draw, _ = rs.tilted_tail_sampler(model, rs.mean_map(model, np.zeros(model.s)))
     gen = np.random.default_rng(5)
-    pts = np.atleast_2d(np.asarray(sampler.sample(gen, size=40000), dtype=float))
+    pts = np.atleast_2d(np.asarray(draw(gen, 40000), dtype=float))
     stats = np.atleast_2d(np.asarray(model.statistic(pts), dtype=float))
     emp = stats.mean(axis=0)
     se = stats.std(axis=0, ddof=1) / math.sqrt(len(stats))
@@ -248,3 +248,13 @@ def test_covariance_symmetric_positive_definite(name, params):
         cov = rs.local_cumulants(model, t).covariance
         np.testing.assert_allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+def test_cholesky_rows_falls_back_to_one_matrix_at_a_time():
+    # numpy's stacked Cholesky raises for the whole stack when one matrix is
+    # not positive definite; each matrix is then factored alone, and a NaN
+    # matrix, which LAPACK factors without complaint, is flagged too
+    pd = np.array([[2.0, 0.3], [0.3, 1.0]])
+    chol, ok = cholesky_rows(np.stack([pd, -pd, np.full((2, 2), np.nan)]))
+    assert ok.tolist() == [True, False, False]
+    assert np.array_equal(chol[0], np.linalg.cholesky(pd))

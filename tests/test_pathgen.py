@@ -21,7 +21,7 @@ from raresum.pathgen import (
 )
 from raresum.utils import replicate_rng
 from helpers import (drawn_step_laws, gaussian_quadratic_by_steps, grid_targets,
-                     random_step_laws, step_grid_errors, step_log_h)
+                     random_step_laws, step_grid_errors, step_log_h, walk_one)
 
 
 def exact_conditional_head(n, k, v, sigma=1.0):
@@ -91,15 +91,16 @@ def test_step_density_normalizes_generic(expo, mean_square):
         cases.append((mean_square, np.array([m1, m2]),
                       np.array([m1 * 0.5, m2 * 0.5]), (-20.0, 20.0)))
     for model, v, u0, bounds in cases:
-        p = step_params(model, v, 1, u0, 12)
-        chol = np.linalg.cholesky(p.beta)
+        p = step_params(model, v, 1, u0, 12)  # one row
+        chol = np.linalg.cholesky(p.beta[0])
+        log_norm = -p.density.log_integral[0]
 
         def dens(y):
             u = model.statistic(np.array([[y]]))[0]
-            z = np.linalg.solve(chol, u - p.gauss_mean)
+            z = np.linalg.solve(chol, u - p.gauss_mean[0])
             log_gauss = (-0.5 * (z @ z + len(u) * math.log(2 * math.pi))
                          - float(np.sum(np.log(np.diagonal(chol)))))
-            return math.exp(p.log_norm + log_gauss + model.log_density_x(np.array([[y]]))[0])
+            return math.exp(log_norm + log_gauss + model.log_density_x(np.array([[y]]))[0])
 
         total, _ = quad(dens, *bounds, limit=400)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -109,7 +110,7 @@ def test_step_sampler_density_matches_draws(expo):
     # inverse-CDF draws and the recorded density describe the same law
     p = step_params(expo, [1.5], 0, [0.0], 10)
     gen = np.random.default_rng(9)
-    grid = p.sampler  # a stack of one row
+    grid = p.density  # a stack of one row
     ys = grid.draw([gen], 20000)[0][0]
     edges = np.quantile(ys, np.linspace(0, 1, 21))
     counts, _ = np.histogram(ys, bins=edges)
@@ -126,10 +127,10 @@ def test_flat_steering_limit_recovers_tilted_density(expo):
     beta = np.array([[1e8]])
     gauss_mean = beta @ sol.t + np.array([1.5])
     sampler = pathgen._step_grids(expo, gauss_mean[None], beta[None], [None])
-    tilted = rs.tilted_tail_sampler(expo, [1.5])
+    _, tilted_logpdf = rs.tilted_tail_sampler(expo, [1.5])
     xs = np.linspace(0.0, 40, 20001)
     step_dens = np.exp(sampler.logpdf(xs[None])[0])
-    tilt_dens = np.exp(tilted.logpdf(xs))
+    tilt_dens = np.exp(tilted_logpdf(xs[:, None]))
     tv = 0.5 * np.trapezoid(np.abs(step_dens - tilt_dens), xs)
     assert tv < 1e-4
 
@@ -236,8 +237,8 @@ def test_gaussian_exactness_head_density(std_gauss, n):
     v = np.array([0.5])
     oracle = exact_conditional_head(n, k, v[0])
     for _ in range(100):
-        path = rs.sample_path(std_gauss, v, n, k, gen)
-        assert abs(path.log_g_head - oracle.logpdf(path.points[:k, 0])) < 1e-8
+        points, head, _, _ = walk_one(std_gauss, v, n, k, gen)
+        assert abs(head - oracle.logpdf(points[:k, 0])) < 1e-8
 
 
 def test_gaussian_exactness_any_k(std_gauss):
@@ -246,35 +247,35 @@ def test_gaussian_exactness_any_k(std_gauss):
     gen = np.random.default_rng(5)
     oracle = exact_conditional_head(n, k, 0.4)
     for _ in range(20):
-        path = rs.sample_path(std_gauss, [0.4], n, k, gen)
-        assert abs(path.log_g_head - oracle.logpdf(path.points[:k, 0])) < 1e-8
+        points, head, _, _ = walk_one(std_gauss, [0.4], n, k, gen)
+        assert abs(head - oracle.logpdf(points[:k, 0])) < 1e-8
 
 
 def sample_unaborted(model, v, n, k, gen, variant="uniform-step"):
     for _ in range(50):  # generic runs this short can abort; retry
         try:
-            return rs.sample_path(model, v, n, k, gen, variant=variant)
+            return walk_one(model, v, n, k, gen, variant)
         except PathAbort:
             continue
     raise AssertionError("every run aborted")
 
 
-def test_path_logdensity_matches_sample(std_gauss, expo, mean_square):
+def test_evaluated_density_matches_drawn(std_gauss, expo, mean_square):
     gen = np.random.default_rng(17)
     for variant in ("uniform-step", "paper-literal"):
         for model, v in ((std_gauss, [0.4]), (expo, [1.5]), (mean_square, [0.3, 1.2])):
-            path = sample_unaborted(model, v, 8, 5, gen, variant)
-            dens = rs.path_logdensity(model, path.points, v, 8, 5, variant)
-            assert dens.log_g == pytest.approx(path.log_g, abs=1e-9)
-            assert dens.log_p == pytest.approx(path.log_p, abs=1e-9)
+            points, head, tail, log_p = sample_unaborted(model, v, 8, 5, gen, variant)
+            _, e_head, e_tail, e_log_p = walk_one(model, v, 8, 5, variant=variant, points=points)
+            assert e_head + e_tail == pytest.approx(head + tail, abs=1e-9)
+            assert e_log_p == pytest.approx(log_p, abs=1e-9)
 
 
-def test_path_logdensity_aborts_on_overshooting_head(expo):
+def test_evaluation_aborts_on_overshooting_head(expo):
     # the head sums to 3 > n v = 2.1 after three points, so the remaining
     # mean at step 3 is negative and no tilt attains it
     points = np.array([[1.0], [1.0], [1.0], [0.1], [0.1], [0.1]])
     with pytest.raises(PathAbort) as err:
-        rs.path_logdensity(expo, points, [0.35], 6, 5)
+        walk_one(expo, [0.35], 6, 5, points=points)
     assert err.value.step == 3
     assert err.value.reason == "target outside the attainable mean range"
 
@@ -288,32 +289,41 @@ def test_custom_model_grid_fallbacks(family, target):
     builtin = rs.builtin_model(family)
     custom = dataclasses.replace(builtin, tilt_fn=None, third_fn=None, tilted_family=None,
                                  step_poly_fn=None)
-    grid_law = rs.tilted_tail_sampler(custom, target)
-    exact = rs.tilted_tail_sampler(builtin, target)
-    xs = np.linspace(*custom.x_window_fn(grid_law.t), 200001)
-    diff = np.abs(np.exp(grid_law.logpdf(xs)) - np.exp(exact.logpdf(xs)))
+    t = rs.solve_tilt(custom, target).t
+    _, grid_logpdf = pathgen.tilted_law(custom, t)
+    _, exact_logpdf = rs.tilted_tail_sampler(builtin, target)
+    xs = np.linspace(*custom.x_window_fn(t), 200001)
+    diff = np.abs(np.exp(grid_logpdf(xs[:, None])) - np.exp(exact_logpdf(xs[:, None])))
     assert 0.5 * np.trapezoid(diff, xs) < 1e-5
     gen = np.random.default_rng(73)
     for variant in ("uniform-step", "paper-literal"):
-        path = sample_unaborted(custom, target, 8, 5, gen, variant)
-        dens = rs.path_logdensity(custom, path.points, target, 8, 5, variant)
-        assert dens.log_g == pytest.approx(path.log_g, abs=1e-9)
-        assert dens.log_p == pytest.approx(path.log_p, abs=1e-9)
+        points, head, tail, log_p = sample_unaborted(custom, target, 8, 5, gen, variant)
+        _, e_head, e_tail, e_log_p = walk_one(custom, target, 8, 5, variant=variant,
+                                              points=points)
+        assert e_head + e_tail == pytest.approx(head + tail, abs=1e-9)
+        assert e_log_p == pytest.approx(log_p, abs=1e-9)
 
 
 def test_path_running_sums_consistent(std_gauss):
+    # the head density is that of the steps read off the run's own running
+    # sums of the statistic
     gen = np.random.default_rng(19)
-    path = rs.sample_path(std_gauss, [0.3], 12, 9, gen)
-    stats = np.asarray(std_gauss.statistic(path.points))
-    np.testing.assert_allclose(path.u_partial, np.cumsum(stats, axis=0), atol=1e-12)
-    assert math.isfinite(path.log_g)
+    points, head, tail, _ = walk_one(std_gauss, [0.3], 12, 9, gen)
+    u_partial = np.cumsum(np.asarray(std_gauss.statistic(points)), axis=0)
+    steps = 0.0
+    for i in range(9):
+        mean, var = gaussian_step(std_gauss, [0.3], u_partial[i - 1] if i else 0.0, i, 12)
+        steps += norm.logpdf(points[i, 0], mean[0, 0], math.sqrt(var[0]))
+    assert head == pytest.approx(steps, abs=1e-12)
+    assert math.isfinite(head + tail)
 
 
 def test_importance_factor_is_density_ratio(std_gauss):
+    # log p is the base log-density of the run's points
     gen = np.random.default_rng(23)
-    path = rs.sample_path(std_gauss, [0.4], 6, 4, gen)
-    assert path.log_p - path.log_g == pytest.approx(
-        path.log_p - (path.log_g_head + path.log_g_tail))
+    points, head, tail, log_p = walk_one(std_gauss, [0.4], 6, 4, gen)
+    assert log_p - (head + tail) == pytest.approx(
+        np.sum(std_gauss.log_density_x(points)) - (head + tail))
 
 
 def test_two_point_run_decomposition(std_gauss):
@@ -322,12 +332,12 @@ def test_two_point_run_decomposition(std_gauss):
     v = np.array([0.5])
     ys = []
     for _ in range(4000):
-        path = rs.sample_path(std_gauss, v, 2, 1, gen)
-        ys.append(path.points[0, 0])
-        m1 = 2 * (v[0] - path.points[0, 0] / 2)
-        dens = rs.path_logdensity(std_gauss, path.points, v, 2, 1)
-        expected_tail = norm.logpdf(path.points[1, 0], loc=m1, scale=1.0)
-        assert dens.log_g_tail == pytest.approx(expected_tail, abs=1e-10)
+        points = walk_one(std_gauss, v, 2, 1, gen)[0]
+        ys.append(points[0, 0])
+        m1 = 2 * (v[0] - points[0, 0] / 2)
+        tail = walk_one(std_gauss, v, 2, 1, points=points)[2]
+        expected_tail = norm.logpdf(points[1, 0], loc=m1, scale=1.0)
+        assert tail == pytest.approx(expected_tail, abs=1e-10)
     ys = np.asarray(ys)
     assert abs(ys.mean() - 0.5) < 4 * ys.std(ddof=1) / math.sqrt(len(ys))
     assert ys.var(ddof=1) == pytest.approx(0.5, rel=0.1)
@@ -346,7 +356,7 @@ def test_mean_tracking_at_scale(gauss_005):
     assert abs(means.mean() - 0.28) < 3 * se
     gen = np.random.default_rng(31)
     for run in points[:20]:
-        assert np.array_equal(rs.sample_path(gauss_005, v, n, k, gen).points, run)
+        assert np.array_equal(rs.sample_path(gauss_005, v, n, k, gen)[0][0], run)
 
 
 def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
@@ -355,11 +365,12 @@ def test_variant_gap_shrinks_with_remaining_steps(std_gauss):
     gen = np.random.default_rng(37)
     gaps = []
     for _ in range(20):
-        path = rs.sample_path(std_gauss, [0.4], n, k, gen)
+        points = walk_one(std_gauss, [0.4], n, k, gen)[0]
+        u_partial = np.cumsum(points, axis=0)
         for i in range(1, k):
-            y = path.points[i, 0]
+            y = points[i, 0]
             logpdf = [norm.logpdf(y, mean[0, 0], math.sqrt(var[0])) for mean, var in (
-                gaussian_step(std_gauss, [0.4], path.u_partial[i - 1], i, n, variant)
+                gaussian_step(std_gauss, [0.4], u_partial[i - 1], i, n, variant)
                 for variant in ("uniform-step", "paper-literal"))]
             gaps.append(abs(logpdf[0] - logpdf[1]) * (n - i))
     # the scaled gaps stay bounded: fitted constant frozen with slack
@@ -370,50 +381,50 @@ def test_paper_literal_first_step_is_tilted_density(std_gauss):
     gen = np.random.default_rng(41)
     v = np.array([0.6])
     n, k = 5, 3
-    path = rs.sample_path(std_gauss, v, n, k, gen, variant="paper-literal")
-    dens = rs.path_logdensity(std_gauss, path.points, v, n, k, variant="paper-literal")
-    tilted = rs.tilted_tail_sampler(std_gauss, v)
-    first = tilted.logpdf(path.points[:1])[0]
-    assert first == pytest.approx(norm.logpdf(path.points[0, 0], 0.6, 1.0))
+    points, head, _, _ = walk_one(std_gauss, v, n, k, gen, "paper-literal")
+    e_head = walk_one(std_gauss, v, n, k, variant="paper-literal", points=points)[1]
+    _, tilted_logpdf = rs.tilted_tail_sampler(std_gauss, v)
+    first = tilted_logpdf(points[:1])[0]
+    assert first == pytest.approx(norm.logpdf(points[0, 0], 0.6, 1.0))
     # later steps centre the steering factor on v, not on the remaining mean
-    rest = 0.0
+    rest, u_partial = 0.0, np.cumsum(points, axis=0)
     for i in range(1, k):
-        mean, var = gaussian_step(std_gauss, v, path.u_partial[i - 1], i, n, "paper-literal")
-        rest += norm.logpdf(path.points[i, 0], mean[0, 0], math.sqrt(var[0]))
-    assert dens.log_g_head == pytest.approx(first + rest, abs=1e-12)
-    assert path.log_g_head == pytest.approx(dens.log_g_head, abs=1e-12)
+        mean, var = gaussian_step(std_gauss, v, u_partial[i - 1], i, n, "paper-literal")
+        rest += norm.logpdf(points[i, 0], mean[0, 0], math.sqrt(var[0]))
+    assert e_head == pytest.approx(first + rest, abs=1e-12)
+    assert head == pytest.approx(e_head, abs=1e-12)
 
 
 def test_tilted_tail_sampler_families(gauss_005, expo, mean_square):
     gen = np.random.default_rng(43)
-    s = rs.tilted_tail_sampler(gauss_005, [0.28])
-    xs = np.asarray(s.sample(gen, size=20000))
+    draw, logpdf = rs.tilted_tail_sampler(gauss_005, [0.28])
+    xs = np.asarray(draw(gen, 20000))
     assert abs(xs.mean() - 0.28) < 0.03
-    assert s.logpdf(np.array([0.28])) == pytest.approx(norm.logpdf(0.28, 0.28, 1.0))
+    assert logpdf(np.array([[0.28]])) == pytest.approx(norm.logpdf(0.28, 0.28, 1.0))
 
-    s = rs.tilted_tail_sampler(expo, [2.0])
-    xs = np.asarray(s.sample(gen, size=20000))
+    draw, logpdf = rs.tilted_tail_sampler(expo, [2.0])
+    xs = np.asarray(draw(gen, 20000))
     assert abs(xs.mean() - 2.0) < 0.06  # exponential with rate 1/2
-    assert s.logpdf(np.array([1.0])) == pytest.approx(math.log(0.5) - 0.5)
+    assert logpdf(np.array([[1.0]])) == pytest.approx(math.log(0.5) - 0.5)
 
-    s = rs.tilted_tail_sampler(mean_square, [0.3, 1.2])
-    xs = np.asarray(s.sample(gen, size=30000))
+    draw, _ = rs.tilted_tail_sampler(mean_square, [0.3, 1.2])
+    xs = np.asarray(draw(gen, 30000))
     stat = np.asarray(mean_square.statistic(xs))
     assert np.max(np.abs(stat.mean(axis=0) - [0.3, 1.2])) < 0.03
 
 
 def test_zero_tilt_recovers_base_density(std_gauss):
-    s = rs.tilted_tail_sampler(std_gauss, [0.0])
-    assert np.max(np.abs(s.t)) < 1e-12
+    t = rs.solve_tilt(std_gauss, [0.0]).t
+    assert np.max(np.abs(t)) < 1e-12
     x = np.array([[0.7]])
-    assert s.logpdf(x) == pytest.approx(std_gauss.log_density_x(x))
+    assert pathgen.tilted_law(std_gauss, t)[1](x) == pytest.approx(std_gauss.log_density_x(x))
 
 
 def test_base_sampler_matches_log_density(expo):
     # the base law is the zero-tilt member, the law of naive's k = 0 runs
-    s = rs.tilted_tail_sampler(expo, rs.mean_map(expo, np.zeros(1)))
+    _, logpdf = rs.tilted_tail_sampler(expo, rs.mean_map(expo, np.zeros(1)))
     x = np.array([[0.9]])
-    assert s.logpdf(x) == pytest.approx(expo.log_density_x(x))
+    assert logpdf(x) == pytest.approx(expo.log_density_x(x))
 
 
 def test_path_abort_reports_step(expo):
@@ -423,7 +434,7 @@ def test_path_abort_reports_step(expo):
     saw_abort = False
     for _ in range(200):
         try:
-            rs.sample_path(expo, [0.35], 6, 5, gen)
+            walk_one(expo, [0.35], 6, 5, gen)
         except PathAbort as err:
             saw_abort = True
             assert 0 <= err.step <= 5
@@ -478,9 +489,9 @@ def test_d2_model_without_gauss_identity_params_is_refused(monkeypatch):
     with pytest.raises(ConfigurationError):
         step_params(generic, [0.1, 0.1], 0, [0.0, 0.0], 5)
     with pytest.raises(ConfigurationError):
-        rs.sample_path(generic, [0.3, 0.3], 10, 8, np.random.default_rng(1))
+        walk_one(generic, [0.3, 0.3], 10, 8, np.random.default_rng(1))
     with pytest.raises(ConfigurationError):
-        rs.path_logdensity(generic, np.zeros((10, 2)), [0.3, 0.3], 10, 8)
+        walk_one(generic, [0.3, 0.3], 10, 8, points=np.zeros((10, 2)))
 
 
 def test_gauss_identity_params_need_identity_statistic(mean_square):
@@ -504,6 +515,32 @@ def test_unknown_variant_and_split_out_of_range_are_refused(family):
                 mixture_logdensity(model, np.zeros((1, 10, 1)), v[None], 10, k, variant)
     with pytest.raises(ConfigurationError, match="unknown variant"):
         rs.sample_path(model, v, 10, 5, np.random.default_rng(0), variant="bogus")
+
+
+@pytest.mark.parametrize("family", ["gaussian-mean", "gaussian-mean-and-square"],
+                         ids=["gaussian-engine", "grid-engine"])
+def test_walk_runs_refuses_too_few_generators_and_misshapen_input(family):
+    # three runs to draw with one or two generators: the Gaussian engine
+    # once returned the others from uninitialised normals, with finite
+    # densities, and the grid engine raised IndexError.  A generator
+    # expression, as the estimators pass, is counted as it is consumed
+    model = rs.builtin_model(family)
+    v = [0.3] if model.s == 1 else [0.3, 1.2]
+    V = np.tile(v, (3, 1))
+    for rngs in ([np.random.default_rng(0)], (np.random.default_rng(l) for l in range(2))):
+        with pytest.raises(ConfigurationError, match="generators"):
+            pathgen.walk_runs(model, V, 10, 5, rngs=rngs)
+    if model.gauss_identity_params is not None:
+        with pytest.raises(ConfigurationError, match="generators"):
+            pathgen.draw_gaussian_runs(model, V, 10, 5, "uniform-step",
+                                       (np.random.default_rng(l) for l in range(2)))
+    # conditioning points not (R, s), given points not (R, n, d)
+    for bad in (np.array(v), np.tile(v + [0.0], (3, 1))):
+        with pytest.raises(ConfigurationError, match="conditioning points"):
+            pathgen.walk_runs(model, bad, 10, 5, rngs=[np.random.default_rng(0)] * 3)
+    for shape in ((3, 9, 1), (2, 10, 1), (10, 1)):
+        with pytest.raises(ConfigurationError, match="points must be"):
+            pathgen.walk_runs(model, V, 10, 5, points=np.zeros(shape))
 
 
 def test_grid_tail_takes_no_third_cumulants(mean_square):
@@ -534,8 +571,8 @@ def test_gaussian_path_solves_no_tilt(std_gauss, monkeypatch, variant):
     monkeypatch.setattr(pathgen, "solve_tilt", forbidden)
     monkeypatch.setattr(pathgen, "step_params", forbidden)
     gen = np.random.default_rng(59)
-    path = rs.sample_path(std_gauss, [0.4], 12, 9, gen, variant=variant)
-    assert math.isfinite(path.log_g)
+    _, head, tail, _ = walk_one(std_gauss, [0.4], 12, 9, gen, variant)
+    assert math.isfinite(head + tail)
 
 
 def test_gaussian_head_exact_with_unequal_sigma():
@@ -547,10 +584,10 @@ def test_gaussian_head_exact_with_unequal_sigma():
     v = np.array([0.3, -0.2, 0.5])
     gen = np.random.default_rng(61)
     for _ in range(10):
-        path = rs.sample_path(model, v, n, k, gen)
-        oracle = sum(exact_conditional_head(n, k, v[j], sigma[j]).logpdf(path.points[:k, j])
+        points, head, _, _ = walk_one(model, v, n, k, gen)
+        oracle = sum(exact_conditional_head(n, k, v[j], sigma[j]).logpdf(points[:k, j])
                      for j in range(3))
-        assert path.log_g_head == pytest.approx(oracle, abs=1e-8)
+        assert head == pytest.approx(oracle, abs=1e-8)
 
 
 @pytest.mark.parametrize("variant", ["uniform-step", "paper-literal"])
@@ -564,12 +601,12 @@ def test_gaussian_draws_follow_recorded_law(variant):
     gen = np.random.default_rng(71)
     head, tail = [], []
     for _ in range(1000):
-        path = rs.sample_path(model, v, n, k, gen, variant=variant)
-        u = np.vstack([np.zeros(3), path.u_partial])
+        points = walk_one(model, v, n, k, gen, variant)[0]
+        u = np.vstack([np.zeros(3), np.cumsum(points, axis=0)])
         for i in range(k):
             mean, var = gaussian_step(model, v, u[i], i, n, variant)
-            head.append((path.points[i] - mean[0]) / np.sqrt(var))
-        tail.extend((path.points[k:] - (n / (n - k)) * (v - u[k] / n)) / sigma)
+            head.append((points[i] - mean[0]) / np.sqrt(var))
+        tail.extend((points[k:] - (n / (n - k)) * (v - u[k] / n)) / sigma)
     for z in (np.asarray(head), np.asarray(tail)):
         assert np.all(np.abs(z.mean(axis=0)) < 5 / math.sqrt(len(z)))
         assert np.all(np.abs(z.var(axis=0) - 1.0) < 5 * math.sqrt(2 / len(z)))
@@ -590,13 +627,13 @@ def test_mixture_logdensity_is_log_mean_of_path_densities(variant, d, sigma, n, 
         vs = gen.choice([-1.0, 1.0], size=(8, d)) * size
         assert np.any(vs < 0) and np.any(vs > 0)
     for v in vs:
-        path = rs.sample_path(model, v, n, k, gen, variant=variant)
-        per_v = np.array([rs.path_logdensity(model, path.points, w, n, k, variant).log_g
+        points, head, tail, _ = walk_one(model, v, n, k, gen, variant)
+        per_v = np.array([sum(walk_one(model, w, n, k, variant=variant, points=points)[1:3])
                           for w in vs])
-        single = mixture_logdensity(model, path.points[None], v[None, :], n, k, variant)
-        assert single[0] == pytest.approx(path.log_g, rel=1e-12, abs=1e-12)
+        single = mixture_logdensity(model, points[None], v[None, :], n, k, variant)
+        assert single[0] == pytest.approx(head + tail, rel=1e-12, abs=1e-12)
         expected = logsumexp(per_v) - math.log(len(vs))
-        mixed = mixture_logdensity(model, path.points[None], vs, n, k, variant)
+        mixed = mixture_logdensity(model, points[None], vs, n, k, variant)
         assert mixed[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -628,12 +665,14 @@ def test_batched_gaussian_runs_equal_single_runs(variant, d, sigma):
     # the runs span several blocks of the mixture's (runs x points) matrix
     assert len(pathgen._blocks(L, L)) >= 2
     for l in range(L):
-        path = rs.sample_path(model, vs[l], n, k, replicate_rng(seed, l), variant=variant)
-        assert np.array_equal(runs[l], path.points)
+        points, one_head, one_tail, _ = walk_one(model, vs[l], n, k, replicate_rng(seed, l),
+                                                 variant)
+        assert np.array_equal(runs[l], points)
         reference = drawn_step_by_step(model, vs[l], n, k, replicate_rng(seed, l), variant)
         assert np.array_equal(runs[l], reference)
-        assert head[l] + tail[l] == path.log_g
-        assert rs.path_logdensity(model, runs[l], vs[l], n, k, variant).log_g == path.log_g
+        assert head[l] + tail[l] == one_head + one_tail
+        _, e_head, e_tail, _ = walk_one(model, vs[l], n, k, variant=variant, points=runs[l])
+        assert e_head + e_tail == one_head + one_tail
         assert mixed[l] == mixture_logdensity(model, runs[l:l + 1], vs, n, k, variant)[0]
 
 
@@ -698,12 +737,13 @@ def test_grid_walker_stack_equals_batches_of_one(family, lo_hi, unattainable, va
             else:
                 assert all(math.isnan(a[j]) for a in stacked[1:4])
         if aborts[j] is None:
-            path = rs.sample_path(model, V[j], n, k, np.random.default_rng(s), variant=variant)
-            assert np.array_equal(path.points, points[j])
-            assert (path.log_g_head, path.log_g_tail) == (head[j], tail[j])
+            one_points, one_head, one_tail, _ = walk_one(model, V[j], n, k,
+                                                         np.random.default_rng(s), variant)
+            assert np.array_equal(one_points, points[j])
+            assert (one_head, one_tail) == (head[j], tail[j])
         else:
             with pytest.raises(PathAbort) as err:
-                rs.sample_path(model, V[j], n, k, np.random.default_rng(s), variant=variant)
+                walk_one(model, V[j], n, k, np.random.default_rng(s), variant)
             assert err.value.step == aborts[j].step
     assert sum(a is None for a in aborts) > R // 2
 
